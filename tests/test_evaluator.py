@@ -1,0 +1,133 @@
+"""Error paths of the IR evaluator, pinned for both of its value domains.
+
+Every module below parses but fails in at least one domain. Each case runs
+through ``unroll_and_fold`` (known-or-residual values) and through
+``interpret(shots=1)`` (concrete values on the statevector) and pins the
+error class, reason, shot, location and message text of each outcome.
+"""
+
+import pytest
+
+from qirtk import (ExecOptions, ExecutionError, TransformError, interpret,
+                   parse_module, unroll_and_fold)
+from qirtk.ir import BinOp
+
+_DECLS = (
+    "declare void @__quantum__qis__h__body(ptr)\n"
+    "declare void @__quantum__qis__mz__body(ptr, ptr writeonly)\n"
+    "declare ptr @__quantum__rt__qubit_allocate()\n"
+    "declare i1 @__quantum__rt__read_result(ptr)\n"
+)
+
+
+def _main(body: str) -> str:
+    return _DECLS + "define void @main() {\n" + body + "}\n"
+
+
+def _residual_add(module):
+    [block] = module.entry.blocks
+    assert [type(i).__name__ for i in block.instructions] == ["Call", "BinOp"]
+    add = block.instructions[1]
+    assert isinstance(add, BinOp) and add.op == "add"
+
+
+# (id, module body, step limit, unroll outcome, interpret outcome)
+#   unroll outcome: None (not run), (reason, message), or a check callable
+#   interpret outcome: None (succeeds) or (reason, shot, location, str)
+CASES = [
+    ("load-unset-slot",
+     "entry:\n  %s = alloca i64\n  %v = load i64, ptr %s\n  ret void\n",
+     None,
+     ("UseBeforeDef", "%v loads an uninitialized slot"),
+     ("BadOperand", 0, "main:entry:1",
+      "BadOperand: load from an uninitialized slot [shot 0] "
+      "[main:entry:1]")),
+    ("store-load-through-inttoptr",
+     "entry:\n  store i64 1, ptr inttoptr (i64 3 to ptr)\n"
+     "  %v = load i64, ptr inttoptr (i64 3 to ptr)\n  ret void\n",
+     None,
+     ("EscapingHandle", "store through a pointer that is not a stack slot"),
+     ("BadOperand", 0, "main:entry:0",
+      "BadOperand: store through a non-pointer [shot 0] [main:entry:0]")),
+    ("add-on-qubit-handle",
+     "entry:\n  %q = call ptr @__quantum__rt__qubit_allocate()\n"
+     "  %v = add i64 %q, 1\n  ret void\n",
+     None,
+     _residual_add,
+     ("BadOperand", 0, "main:entry:1",
+      "BadOperand: expected an integer value [shot 0] [main:entry:1]")),
+    ("slot-address-stored-to-slot",
+     "entry:\n  %a = alloca ptr\n  %b = alloca ptr\n"
+     "  store ptr %a, ptr %b\n  ret void\n",
+     None,
+     ("EscapingHandle", "a stack-slot address is stored to memory"),
+     None),
+    ("branch-on-read-result",
+     "entry:\n  call void @__quantum__qis__mz__body(ptr null, ptr null)\n"
+     "  %r = call i1 @__quantum__rt__read_result(ptr null)\n"
+     "  br i1 %r, label %a, label %b\na:\n  ret void\nb:\n  ret void\n",
+     None,
+     ("DataDependent", "branch condition depends on a measurement result "
+                       "and cannot be evaluated statically"),
+     None),
+    ("value-undefined-on-taken-path",
+     "entry:\n  %c = icmp eq i64 0, 1\n  br i1 %c, label %a, label %b\n"
+     "a:\n  %x = add i64 1, 2\n  br label %j\nb:\n  br label %j\n"
+     "j:\n  %y = add i64 %x, 1\n  ret void\n",
+     None,
+     ("UseBeforeDef",
+      "%x is read before any assignment on the executed path"),
+     ("BadOperand", 0, "main:j:0",
+      "BadOperand: %x read before assignment [shot 0] [main:j:0]")),
+    ("phi-in-entry-block",
+     "entry:\n  %i = phi i64 [ 1, %back ]\n  br label %back\n"
+     "back:\n  br label %entry\n",
+     None,
+     ("NotStraightLine",
+      "phi %i lacks an incoming for the edge taken from None"),
+     ("BadOperand", 0, "",
+      "BadOperand: phi nodes in the entry block [shot 0] []")),
+    ("step-limit-on-instruction",
+     "entry:\n  call void @__quantum__qis__h__body(ptr null)\n  ret void\n",
+     0,
+     None,
+     ("StepLimit", 0, "main:entry:0",
+      "StepLimit: exceeded 0 steps [shot 0] [main:entry:0]")),
+    # the terminator step reports the location of the block's last
+    # instruction
+    ("step-limit-on-terminator",
+     "entry:\n  call void @__quantum__qis__h__body(ptr null)\n  ret void\n",
+     1,
+     None,
+     ("StepLimit", 0, "main:entry:0",
+      "StepLimit: exceeded 1 steps [shot 0] [main:entry:0]")),
+]
+
+
+@pytest.mark.parametrize("body, step_limit, unrolled, executed",
+                         [pytest.param(*c[1:], id=c[0]) for c in CASES])
+def test_error_paths_are_pinned_in_both_domains(body, step_limit, unrolled,
+                                                executed):
+    module = parse_module(_main(body))
+    if callable(unrolled):
+        unrolled(unroll_and_fold(module))
+    elif unrolled is not None:
+        with pytest.raises(TransformError) as info:
+            unroll_and_fold(module)
+        reason, message = unrolled
+        assert type(info.value) is TransformError
+        assert info.value.reason == reason
+        assert str(info.value) == f"{reason}: {message}"
+
+    options = ExecOptions() if step_limit is None else \
+        ExecOptions(step_limit=step_limit)
+    if executed is None:
+        assert interpret(module, shots=1, options=options).shots == 1
+        return
+    with pytest.raises(ExecutionError) as info:
+        interpret(module, shots=1, options=options)
+    reason, shot, location, text = executed
+    err = info.value
+    assert type(err) is ExecutionError
+    assert (err.reason, err.shot, err.location, str(err)) == \
+        (reason, shot, location, text)
