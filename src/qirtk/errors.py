@@ -35,6 +35,8 @@ class TransformError(QirError):
     """A rewrite cannot be applied; ``reason`` is a stable machine code.
 
     Reasons used by the transforms:
+      AllocationLimit   a qubit array is larger than
+                        ``transforms.MAX_ARRAY_QUBITS``
       CapExceeded       a loop ran past the configured iteration cap
       DataDependent     control flow depends on a measurement outcome
       EscapingHandle    a qubit handle flows outside intrinsic arguments

@@ -1,9 +1,10 @@
 """Shot-based execution of parsed modules on the statevector backend.
 
-Per shot the interpreter walks the entry function's SSA form directly:
-phi nodes resolve against the predecessor label, integers follow two's
-complement semantics at their declared width, and quantum intrinsics
-dispatch through the intrinsic table onto a ``StateVector``.
+Per shot the interpreter runs the shared evaluator (``evaluator.py``)
+over concrete values: phi nodes resolve against the predecessor label,
+integers follow two's complement semantics at their declared width, and
+quantum intrinsics dispatch through the intrinsic table onto a
+``StateVector``.
 
 Qubit bookkeeping mirrors the static allocator so that a lowered module
 reproduces the original shot for shot: simulator indices are handed out
@@ -22,16 +23,13 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import intrinsics
 from .circuit import GateKind
 from .errors import ExecutionError
-from .ir import (Alloca, BasicBlock, BinOp, Br, Call, CondBr, ConstFloat,
-                 ConstInt, Ext, GlobalRef, ICmp, IntToAddr, Load, LocalRef,
-                 QirModule, Ret, Select, StaticAddr, Store, Value,
-                 REQUIRED_QUBITS_ATTR, eval_binop, eval_cast, eval_icmp,
-                 make_int, wrap_int)
+from .evaluator import Evaluator
+from .ir import Call, Load, QirModule, StaticAddr, REQUIRED_QUBITS_ATTR
 from .rng import ShotRng
 from .statevector import StateVector
 
@@ -87,18 +85,6 @@ class _Array:
 @dataclass(frozen=True)
 class _ElemPtr:
     array: int  # id into RuntimeState.arrays
-    index: int
-
-
-@dataclass(frozen=True)
-class _SlotPtr:
-    slot: int
-
-
-@dataclass(frozen=True)
-class _Addr:
-    """A constant address; qubit or result depends on the use site."""
-
     index: int
 
 
@@ -187,56 +173,48 @@ class RuntimeState:
         self.record.append(self.results.get(result_key, 0))
 
 
-class _ShotInterpreter:
+class _ShotInterpreter(Evaluator):
+    """Execution: every value is concrete and calls act on the state.
+
+    Errors are raised without a shot or location; ``run`` adds both.
+    """
+
+    ERROR = ExecutionError
+    FAULTS = {
+        "undefined": ("BadOperand", "%{0} read before assignment"),
+        "unset_slot": ("BadOperand", "load from an uninitialized slot"),
+        "entry_phi": ("BadOperand", "phi nodes in the entry block"),
+        "phi_edge": ("BadOperand", "phi %{0} has no incoming for {1!r}"),
+        "cond": ("BadOperand", "expected an integer value"),
+        "terminator": ("BadOperand", "block has no terminator"),
+        "opcode": ("BadOperand", "cannot execute {0}"),
+    }
+
     def __init__(self, module: QirModule, state: RuntimeState,
                  shot_index: int):
+        super().__init__(module.entry)
         self.module = module
         self.state = state
         self.shot = shot_index
-        self.env: dict[str, object] = {}
-        self.blocks = {b.label: b for b in module.entry.blocks}
-        self.location = ""
+        self.slots = state.slots
 
     def run(self) -> None:
         try:
-            self._run()
+            required = self.module.required_count(REQUIRED_QUBITS_ATTR)
+            if required:
+                if required > self.state.options.max_qubits:
+                    raise ExecutionError(
+                        "QubitLimit",
+                        f"module requires {required} qubits, limit is "
+                        f"{self.state.options.max_qubits}", shot=self.shot)
+                self.state.presize(required)
+            super().run()
         except ExecutionError as err:
             if err.shot is None:
                 raise ExecutionError(
                     err.reason, err.message, shot=self.shot,
                     location=err.location or self.location) from None
             raise
-
-    def _run(self) -> None:
-        entry = self.module.entry
-        required = self.module.required_count(REQUIRED_QUBITS_ATTR)
-        if required:
-            if required > self.state.options.max_qubits:
-                raise ExecutionError(
-                    "QubitLimit",
-                    f"module requires {required} qubits, limit is "
-                    f"{self.state.options.max_qubits}", shot=self.shot)
-            self.state.presize(required)
-        block = entry.blocks[0]
-        prev_label: str | None = None
-        while True:
-            self._resolve_phis(block, prev_label)
-            for i, instr in enumerate(block.instructions):
-                self.location = f"{entry.name}:{block.label}:{i}"
-                self._step()
-                self._execute(instr)
-            self._step()
-            term = block.terminator
-            if isinstance(term, Ret):
-                return
-            if isinstance(term, Br):
-                prev_label, block = block.label, self.blocks[term.label]
-            elif isinstance(term, CondBr):
-                cond = self._int_value(term.cond)
-                target = term.true_label if cond & 1 else term.false_label
-                prev_label, block = block.label, self.blocks[target]
-            else:
-                raise self._error("BadOperand", "block has no terminator")
 
     def _step(self) -> None:
         self.state.steps += 1
@@ -245,115 +223,18 @@ class _ShotInterpreter:
                 "StepLimit",
                 f"exceeded {self.state.options.step_limit} steps")
 
-    def _error(self, reason: str, message: str) -> ExecutionError:
-        return ExecutionError(reason, message, shot=self.shot,
-                              location=self.location)
+    def _residual(self, instr, **operand_types):
+        raise self._error("BadOperand", "expected an integer value")
 
-    def _resolve_phis(self, block: BasicBlock, prev_label: str | None):
-        if not block.phis:
-            return
-        if prev_label is None:
-            raise self._error("BadOperand",
-                              "phi nodes in the entry block")
-        updates = []
-        for phi in block.phis:
-            for value, label in phi.incomings:
-                if label == prev_label:
-                    updates.append((phi.result, self._value(value)))
-                    break
-            else:
-                raise self._error(
-                    "BadOperand",
-                    f"phi %{phi.result} has no incoming for {prev_label!r}")
-        for name, value in updates:
-            self.env[name] = value
-
-    # ------------------------------------------------------------------
-
-    def _value(self, value: Value):
-        if isinstance(value, LocalRef):
-            try:
-                return self.env[value.name]
-            except KeyError:
-                raise self._error(
-                    "BadOperand",
-                    f"%{value.name} read before assignment") from None
-        if isinstance(value, ConstInt):
-            return value.value
-        if isinstance(value, ConstFloat):
-            return value.value
-        if isinstance(value, StaticAddr):
-            return _Addr(value.index)
-        if isinstance(value, GlobalRef):
-            return value
-        raise self._error("BadOperand", f"cannot evaluate {value!r}")
-
-    def _int_value(self, value: Value) -> int:
-        v = self._value(value)
-        if not isinstance(v, int):
-            raise self._error("BadOperand", "expected an integer value")
-        return v
-
-    # ------------------------------------------------------------------
-
-    def _execute(self, instr) -> None:
-        if isinstance(instr, Call):
-            self._call(instr)
-        elif isinstance(instr, Alloca):
-            self.state.slots.append(None)
-            self.env[instr.result] = _SlotPtr(len(self.state.slots) - 1)
-        elif isinstance(instr, Store):
-            self._store(instr)
-        elif isinstance(instr, Load):
-            self._load(instr)
-        elif isinstance(instr, BinOp):
-            lhs = self._int_value(instr.lhs)
-            rhs = self._int_value(instr.rhs)
-            self.env[instr.result] = eval_binop(
-                instr.op, instr.ty.width, lhs, rhs)
-        elif isinstance(instr, ICmp):
-            lhs = self._int_value(instr.lhs)
-            rhs = self._int_value(instr.rhs)
-            self.env[instr.result] = eval_icmp(
-                instr.pred, instr.ty.width, lhs, rhs)
-        elif isinstance(instr, IntToAddr):
-            raw = self._int_value(instr.source)
-            index = raw & ((1 << instr.source_type.width) - 1)
-            self.env[instr.result] = _Addr(index)
-        elif isinstance(instr, Ext):
-            raw = self._int_value(instr.source)
-            self.env[instr.result] = eval_cast(
-                instr.op, raw, instr.from_type.width, instr.to_type.width)
-        elif isinstance(instr, Select):
-            cond = self._int_value(instr.cond)
-            chosen = instr.if_true if cond & 1 else instr.if_false
-            self.env[instr.result] = self._value(chosen)
-        else:
-            raise self._error("BadOperand",
-                              f"cannot execute {type(instr).__name__}")
-
-    def _store(self, instr: Store) -> None:
-        value = self._value(instr.value)
-        target = self._value(instr.slot)
-        if isinstance(target, _SlotPtr):
-            self.state.slots[target.slot] = value
-        elif isinstance(target, _ElemPtr):
-            self.state.arrays[target.array].elements[target.index] = value
-        else:
+    def _store_through(self, pointer, value) -> None:
+        if not isinstance(pointer, _ElemPtr):
             raise self._error("BadOperand", "store through a non-pointer")
+        self.state.arrays[pointer.array].elements[pointer.index] = value
 
-    def _load(self, instr: Load) -> None:
-        source = self._value(instr.slot)
-        if isinstance(source, _SlotPtr):
-            value = self.state.slots[source.slot]
-            if value is None:
-                raise self._error("BadOperand",
-                                  "load from an uninitialized slot")
-        elif isinstance(source, _ElemPtr):
-            value = self.state.arrays[source.array].elements[source.index]
-        else:
+    def _load_through(self, pointer, instr: Load):
+        if not isinstance(pointer, _ElemPtr):
             raise self._error("BadOperand", "load through a non-pointer")
-        self.env[instr.result] = value
+        return self.state.arrays[pointer.array].elements[pointer.index]
 
     # ------------------------------------------------------------------
 
@@ -375,12 +256,12 @@ class _ShotInterpreter:
     def _qubit_key(self, value) -> tuple:
         if isinstance(value, _Qubit):
             return value.key
-        if isinstance(value, _Addr):
+        if isinstance(value, StaticAddr):
             return ("s", value.index)
         raise self._error("BadOperand", "expected a qubit reference")
 
     def _result_key(self, value) -> tuple:
-        if isinstance(value, _Addr):
+        if isinstance(value, StaticAddr):
             return ("s", value.index)
         raise self._error("BadOperand", "expected a result reference")
 

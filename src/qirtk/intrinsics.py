@@ -33,9 +33,7 @@ READ_RESULT = "read_result"
 RECORD = "record"
 RECORD_ARRAY = "record_array"
 
-#: actions that may appear in a base-profile body, in region order
-BASE_BODY_ACTIONS = frozenset({GATE, RESET})
-BASE_TAIL_ACTIONS = frozenset({MEASURE})
+#: actions that may appear in a base-profile tail, after the measurements
 BASE_RECORD_ACTIONS = frozenset({RECORD, RECORD_ARRAY})
 
 
@@ -116,10 +114,6 @@ def lookup(name: str) -> IntrinsicSpec | None:
 
 def gate_intrinsic_name(kind: GateKind) -> str:
     return _GATE_NAME[kind]
-
-
-def arg_type(kind: str) -> Type:
-    return _ARG_TYPES[kind]
 
 
 def declaration_for(name: str) -> FuncDecl:

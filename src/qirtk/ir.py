@@ -367,8 +367,9 @@ class QirModule:
         return {d.name for d in self.declarations}
 
 
-def entry_instructions(module: QirModule):
-    """Iterate (block, index, instruction) over the entry function."""
+def entry_calls(module: QirModule):
+    """Iterate over the calls of the entry function, in program order."""
     for block in module.entry.blocks:
-        for i, instr in enumerate(block.instructions):
-            yield block, i, instr
+        for instr in block.instructions:
+            if isinstance(instr, Call):
+                yield instr

@@ -647,6 +647,12 @@ class _ModuleParser:
     # whole-module checks
 
     def _check_module(self, module: QirModule) -> None:
+        for fn, line in zip(module.functions, self.define_lines):
+            if (fn.attr_group is not None
+                    and fn.attr_group not in module.attribute_groups):
+                raise ParseError(
+                    f"attribute group #{fn.attr_group} is never defined",
+                    line=line, token=f"#{fn.attr_group}")
         known = module.declared_names() | module.defined_names()
         for callee, line in self.call_sites:
             if callee not in known:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import intrinsics
 from .ir import (Call, ConstFloat, ConstInt, QirModule, StaticAddr,
-                 REQUIRED_QUBITS_ATTR)
+                 REQUIRED_QUBITS_ATTR, entry_calls)
 from .intrinsics import (ANGLE_ARG, ARRAY_ARG, GATE, INT_ARG, LABEL_ARG,
                          MEASURE, QUBIT_ARG, RECORD, RECORD_ARRAY, RESET,
                          RESULT_ARG)
@@ -138,7 +138,7 @@ def _base_warnings(module: QirModule) -> list[str]:
     """Warn when a base module leaves declared qubits unmeasured."""
     used: set[int] = set()
     measured: set[int] = set()
-    for _, _, instr in _entry_calls(module):
+    for instr in entry_calls(module):
         spec = intrinsics.lookup(instr.callee)
         if spec is None:
             continue
@@ -155,9 +155,3 @@ def _base_warnings(module: QirModule) -> list[str]:
         return [f"qubits {unmeasured} are never measured"]
     return []
 
-
-def _entry_calls(module: QirModule):
-    for block in module.entry.blocks:
-        for i, instr in enumerate(block.instructions):
-            if isinstance(instr, Call):
-                yield block, i, instr

@@ -1,8 +1,9 @@
 """Module-to-module rewrites: unrolling, static addressing, lowering.
 
-``unroll_and_fold`` partially evaluates the classical subset of a module:
-integer arithmetic on known values folds, branches on known conditions
-are taken, loop bodies replicate, and intrinsic calls are emitted in
+``unroll_and_fold`` partially evaluates the classical subset of a module
+with the evaluator the interpreter also runs (``evaluator.py``): integer
+arithmetic on known values folds, branches on known conditions are
+taken, loop bodies replicate, and intrinsic calls are emitted in
 execution order with concretized operands. ``allocate_static_addresses``
 then eliminates dynamic qubit allocation by assigning each handle a
 fixed index, reusing freed indices first-fit the way a register
@@ -22,22 +23,26 @@ from dataclasses import dataclass, replace
 
 from . import intrinsics
 from .errors import TransformError
-from .ir import (Alloca, BasicBlock, BinOp, Br, Call, CallArg, CondBr,
+from .evaluator import Evaluator, Slot
+from .ir import (Alloca, BasicBlock, BinOp, Call, CallArg, CondBr,
                  ConstFloat, ConstInt, DoubleType, Ext, FuncDef, GlobalRef,
                  ICmp, IntToAddr, IntType, Load, LocalRef, QUBIT,
                  QirModule, RESULT, Ret, Select, StaticAddr, Store, Value,
-                 I1, REQUIRED_QUBITS_ATTR, REQUIRED_RESULTS_ATTR,
-                 eval_binop, eval_cast, eval_icmp, make_int)
+                 REQUIRED_QUBITS_ATTR, REQUIRED_RESULTS_ATTR, entry_calls,
+                 make_int)
 from .profile import Profile, validate_profile
 
 DEFAULT_ITERATION_CAP = 65536
+#: largest qubit array ``allocate_static_addresses`` assigns indices to
+MAX_ARRAY_QUBITS = 65536
 
 
 # ---------------------------------------------------------------------------
-# abstract values shared by the passes
+# abstract values of the unroller
 #
 # Known classical constants are plain Python ints/floats; known pointer
-# constants are StaticAddr/GlobalRef. Everything runtime-only is one of:
+# constants are StaticAddr/GlobalRef, and stack slots are Slot. A value
+# known only at run time is a _Res.
 
 
 @dataclass(frozen=True)
@@ -45,16 +50,6 @@ class _Res:
     """A value produced by an instruction kept in the output."""
 
     name: str
-
-
-@dataclass(frozen=True)
-class _SlotRef:
-    """The address of a tracked stack slot (an ``alloca`` result)."""
-
-    index: int
-
-
-_UNSET = object()
 
 
 def _profile_gate(module: QirModule, what: str) -> None:
@@ -69,30 +64,38 @@ def _profile_gate(module: QirModule, what: str) -> None:
 def _prune_removed_declarations(module: QirModule,
                                 before: set[str]) -> None:
     """Drop declarations for intrinsics whose calls all disappeared."""
-    after = {i.callee for _, _, i in _walk_calls(module)}
+    after = {c.callee for c in entry_calls(module)}
     gone = before - after
     module.declarations = [d for d in module.declarations
                            if d.name not in gone]
-
-
-def _walk_calls(module: QirModule):
-    for fn in module.functions:
-        for block in fn.blocks:
-            for i, instr in enumerate(block.instructions):
-                if isinstance(instr, Call):
-                    yield block, i, instr
 
 
 # ---------------------------------------------------------------------------
 # unroll_and_fold
 
 
-class _Unroller:
+class _Unroller(Evaluator):
+    """Partial evaluation: ints fold, everything else is emitted."""
+
+    ERROR = TransformError
+    FAULTS = {
+        "undefined": ("UseBeforeDef", "%{0} is read before any assignment "
+                                      "on the executed path"),
+        "unset_slot": ("UseBeforeDef", "%{0} loads an uninitialized slot"),
+        "entry_phi": ("NotStraightLine", "phi %{0} lacks an incoming for "
+                                         "the edge taken from None"),
+        "phi_edge": ("NotStraightLine", "phi %{0} lacks an incoming for "
+                                        "the edge taken from {1!r}"),
+        "cond": ("DataDependent", "branch condition depends on a "
+                                  "measurement result and cannot be "
+                                  "evaluated statically"),
+        "terminator": ("NotStraightLine", "block {0!r} has no terminator"),
+        "opcode": ("Unsupported", "cannot evaluate {0}"),
+    }
+
     def __init__(self, module: QirModule, cap: int):
-        self.module = module
+        super().__init__(module.entry)
         self.cap = cap
-        self.env: dict[str, object] = {}
-        self.slots: list[object] = []
         self.out: list = []
         self.counter = 0
         self.visits: dict[str, int] = {}
@@ -102,72 +105,15 @@ class _Unroller:
         self.counter += 1
         return name
 
-    def run(self) -> list:
-        fn = self.module.entry
-        blocks = {b.label: b for b in fn.blocks}
-        block = fn.blocks[0]
-        prev: str | None = None
-        while True:
-            count = self.visits.get(block.label, 0) + 1
-            self.visits[block.label] = count
-            if count > self.cap + 1:
-                raise TransformError(
-                    "CapExceeded",
-                    f"block {block.label!r} revisited more than "
-                    f"{self.cap} times; raise the iteration cap if the "
-                    "loop bound is intended")
-            self._phis(block, prev)
-            for instr in block.instructions:
-                self._exec(instr)
-            term = block.terminator
-            if isinstance(term, Ret):
-                return self.out
-            if isinstance(term, Br):
-                prev, block = block.label, blocks[term.label]
-            else:
-                assert isinstance(term, CondBr)
-                cond = self._value(term.cond)
-                if not isinstance(cond, int):
-                    raise TransformError(
-                        "DataDependent",
-                        "branch condition depends on a measurement "
-                        "result and cannot be evaluated statically")
-                target = term.true_label if cond & 1 else term.false_label
-                prev, block = block.label, blocks[target]
-
-    def _phis(self, block: BasicBlock, prev: str | None) -> None:
-        if not block.phis:
-            return
-        updates = []
-        for phi in block.phis:
-            for value, label in phi.incomings:
-                if label == prev:
-                    updates.append((phi.result, self._value(value)))
-                    break
-            else:
-                raise TransformError(
-                    "NotStraightLine",
-                    f"phi %{phi.result} lacks an incoming for the "
-                    f"edge taken from {prev!r}")
-        for name, value in updates:
-            self.env[name] = value
-
-    # ------------------------------------------------------------------
-
-    def _value(self, value: Value):
-        if isinstance(value, LocalRef):
-            try:
-                return self.env[value.name]
-            except KeyError:
-                raise TransformError(
-                    "UseBeforeDef",
-                    f"%{value.name} is read before any assignment "
-                    "on the executed path") from None
-        if isinstance(value, ConstInt):
-            return value.value
-        if isinstance(value, ConstFloat):
-            return value.value
-        return value  # StaticAddr, GlobalRef
+    def _visit(self, block: BasicBlock) -> None:
+        count = self.visits.get(block.label, 0) + 1
+        self.visits[block.label] = count
+        if count > self.cap + 1:
+            raise TransformError(
+                "CapExceeded",
+                f"block {block.label!r} revisited more than "
+                f"{self.cap} times; raise the iteration cap if the "
+                "loop bound is intended")
 
     def _concretize(self, abstract, ty, kind_hint: str | None = None):
         if isinstance(abstract, bool):
@@ -193,114 +139,35 @@ class _Unroller:
             "EscapingHandle",
             "a stack-slot address flows into an emitted instruction")
 
-    # ------------------------------------------------------------------
+    def _residual(self, instr, **operand_types) -> _Res:
+        name = self.fresh()
+        self.out.append(replace(instr, result=name, **{
+            field: self._concretize(self._value(getattr(instr, field)), ty)
+            for field, ty in operand_types.items()}))
+        return _Res(name)
 
-    def _exec(self, instr) -> None:
-        if isinstance(instr, Call):
-            self._call(instr)
-        elif isinstance(instr, Alloca):
-            self.slots.append(_UNSET)
-            self.env[instr.result] = _SlotRef(len(self.slots) - 1)
-        elif isinstance(instr, Store):
-            value = self._value(instr.value)
-            target = self._value(instr.slot)
-            if isinstance(target, _SlotRef):
-                if isinstance(value, _SlotRef):
-                    raise TransformError(
-                        "EscapingHandle",
-                        "a stack-slot address is stored to memory")
-                self.slots[target.index] = value
-            else:
-                raise TransformError(
-                    "EscapingHandle",
-                    "store through a pointer that is not a stack slot")
-        elif isinstance(instr, Load):
-            source = self._value(instr.slot)
-            if isinstance(source, _SlotRef):
-                value = self.slots[source.index]
-                if value is _UNSET:
-                    raise TransformError(
-                        "UseBeforeDef",
-                        f"%{instr.result} loads an uninitialized slot")
-                self.env[instr.result] = value
-            elif isinstance(source, _Res):
-                # loading a qubit handle out of an array element pointer
-                name = self.fresh()
-                self.out.append(Load(name, instr.ty,
-                                     LocalRef(source.name)))
-                self.env[instr.result] = _Res(name)
-            else:
-                raise TransformError(
-                    "EscapingHandle",
-                    "load through a pointer that is not a stack slot "
-                    "or an array element")
-        elif isinstance(instr, BinOp):
-            lhs = self._value(instr.lhs)
-            rhs = self._value(instr.rhs)
-            if isinstance(lhs, int) and isinstance(rhs, int):
-                self.env[instr.result] = eval_binop(
-                    instr.op, instr.ty.width, lhs, rhs)
-            else:
-                name = self.fresh()
-                self.out.append(BinOp(
-                    instr.op, instr.ty,
-                    self._concretize(lhs, instr.ty),
-                    self._concretize(rhs, instr.ty), name))
-                self.env[instr.result] = _Res(name)
-        elif isinstance(instr, ICmp):
-            lhs = self._value(instr.lhs)
-            rhs = self._value(instr.rhs)
-            if isinstance(lhs, int) and isinstance(rhs, int):
-                self.env[instr.result] = eval_icmp(
-                    instr.pred, instr.ty.width, lhs, rhs)
-            else:
-                name = self.fresh()
-                self.out.append(ICmp(
-                    instr.pred, instr.ty,
-                    self._concretize(lhs, instr.ty),
-                    self._concretize(rhs, instr.ty), name))
-                self.env[instr.result] = _Res(name)
-        elif isinstance(instr, IntToAddr):
-            source = self._value(instr.source)
-            if isinstance(source, int):
-                index = source & ((1 << instr.source_type.width) - 1)
-                self.env[instr.result] = StaticAddr(index)
-            else:
-                name = self.fresh()
-                self.out.append(IntToAddr(
-                    name, instr.source_type,
-                    self._concretize(source, instr.source_type)))
-                self.env[instr.result] = _Res(name)
-        elif isinstance(instr, Ext):
-            source = self._value(instr.source)
-            if isinstance(source, int):
-                self.env[instr.result] = eval_cast(
-                    instr.op, source, instr.from_type.width,
-                    instr.to_type.width)
-            else:
-                name = self.fresh()
-                self.out.append(Ext(
-                    instr.op, name,
-                    self._concretize(source, instr.from_type),
-                    instr.from_type, instr.to_type))
-                self.env[instr.result] = _Res(name)
-        elif isinstance(instr, Select):
-            cond = self._value(instr.cond)
-            if isinstance(cond, int):
-                chosen = instr.if_true if cond & 1 else instr.if_false
-                self.env[instr.result] = self._value(chosen)
-            else:
-                name = self.fresh()
-                self.out.append(Select(
-                    name, self._concretize(cond, I1), instr.ty,
-                    self._concretize(self._value(instr.if_true), instr.ty),
-                    self._concretize(self._value(instr.if_false),
-                                     instr.ty)))
-                self.env[instr.result] = _Res(name)
-        else:
+    def _store_slot(self, slot: Slot, value) -> None:
+        if isinstance(value, Slot):
             raise TransformError(
-                "Unsupported",
-                f"cannot evaluate {type(instr).__name__}")
+                "EscapingHandle",
+                "a stack-slot address is stored to memory")
+        super()._store_slot(slot, value)
+
+    def _store_through(self, pointer, value) -> None:
+        raise TransformError(
+            "EscapingHandle",
+            "store through a pointer that is not a stack slot")
+
+    def _load_through(self, pointer, instr: Load) -> _Res:
+        if not isinstance(pointer, _Res):
+            raise TransformError(
+                "EscapingHandle",
+                "load through a pointer that is not a stack slot "
+                "or an array element")
+        # loading a qubit handle out of an array element pointer
+        name = self.fresh()
+        self.out.append(Load(name, instr.ty, LocalRef(pointer.name)))
+        return _Res(name)
 
     def _call(self, instr: Call) -> None:
         spec = intrinsics.lookup(instr.callee)
@@ -334,10 +201,10 @@ def unroll_and_fold(module: QirModule,
         raise ValueError("iteration_cap must be at least 1")
     _profile_gate(module, "unroll_and_fold")
     unroller = _Unroller(module, iteration_cap)
-    instructions = unroller.run()
+    unroller.run()
     entry = module.entry
     fn = FuncDef(entry.name,
-                 [BasicBlock("entry", [], instructions, Ret())],
+                 [BasicBlock("entry", [], unroller.out, Ret())],
                  entry.attr_group)
     return QirModule(module.source_name,
                      copy.deepcopy(module.declarations), [fn],
@@ -414,7 +281,7 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
     block = entry.blocks[0]
 
     pinned: set[int] = set()
-    for _, _, call in _walk_calls(module):
+    for call in entry_calls(module):
         spec = intrinsics.lookup(call.callee)
         if spec is None:
             continue
@@ -425,10 +292,10 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
     pool = _IndexPool(pinned)
 
     handles: dict[str, object] = {}   # SSA name -> handle description
-    slots: dict[str, object] = {}     # alloca name -> last stored handle
+    slots: dict[str, object] = {}     # alloca name -> last handle or None
     handle_slots: set[str] = set()    # slots that ever held a handle
     classical_slots: set[str] = set()  # slots with kept stores or loads
-    declared_before = {i.callee for _, _, i in _walk_calls(module)}
+    declared_before = {c.callee for c in entry_calls(module)}
     had_allocations = False
     kept: list = []
 
@@ -439,7 +306,7 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
 
     for instr in block.instructions:
         if isinstance(instr, Alloca):
-            slots[instr.result] = _UNSET
+            slots[instr.result] = None
             kept.append(instr)
             continue
         if isinstance(instr, Store):
@@ -475,7 +342,7 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                 name = source.name
                 if name in handle_slots:
                     stored = slots[name]
-                    if stored is _UNSET:
+                    if stored is None:
                         raise TransformError(
                             "UseBeforeDef",
                             f"%{instr.result} loads slot %{name} "
@@ -511,6 +378,11 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                         raise TransformError(
                             "NonConstantAllocation",
                             f"array allocation size {size} is negative")
+                    if size > MAX_ARRAY_QUBITS:
+                        raise TransformError(
+                            "AllocationLimit",
+                            f"array allocation of {size} qubits exceeds "
+                            f"the limit of {MAX_ARRAY_QUBITS}")
                     handles[self_result] = _ArrayHandle(
                         [pool.take() for _ in range(size)])
                 elif action == intrinsics.GET_ELEMENT:
@@ -622,7 +494,7 @@ def _operands(instr) -> list[Value]:
 def _set_required_attrs(module: QirModule) -> None:
     max_qubit = -1
     max_result = -1
-    for _, _, call in _walk_calls(module):
+    for call in entry_calls(module):
         spec = intrinsics.lookup(call.callee)
         kinds = spec.arg_kinds if spec else []
         for kind, arg in zip(kinds, call.args):
@@ -654,7 +526,7 @@ _PURE_CLASSICAL = (BinOp, ICmp, Ext, Select, IntToAddr)
 def _prune_dead(module: QirModule) -> QirModule:
     module = copy.deepcopy(module)
     entry = module.entry
-    declared_before = {i.callee for _, _, i in _walk_calls(module)}
+    declared_before = {c.callee for c in entry_calls(module)}
     for block in entry.blocks:
         while True:
             used: set[str] = set()

@@ -51,6 +51,18 @@ def test_parse_failure_exits_two(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_dangling_attribute_group_is_a_parse_error(tmp_path, capsys):
+    # bell_dynamic.ll without its closing ``attributes #0 = ...`` line
+    lines = genutil.corpus_text("bell_dynamic.ll").rstrip("\n").splitlines()
+    assert lines[-1].startswith("attributes #0")
+    bad = tmp_path / "dangling.ll"
+    bad.write_text("\n".join(lines[:-1]) + "\n")
+    assert main(["transpile", str(bad), "--to", "qir-base"]) == 2
+    err = capsys.readouterr().err
+    assert "attribute group #0 is never defined" in err
+    assert "line 6" in err
+
+
 def test_missing_file_exits_three(capsys):
     assert main(["validate", "no_such_file.ll"]) == 3
     assert "i/o error" in capsys.readouterr().err

@@ -164,6 +164,21 @@ def test_allocation_size_must_be_constant():
     assert exc.value.reason == "NonConstantAllocation"
 
 
+def test_oversized_array_allocation_is_refused_before_assignment():
+    text = ("declare ptr @__quantum__rt__qubit_allocate_array(i64)\n"
+            "define void @main() {\n"
+            "entry:\n"
+            "  %arr = call ptr @__quantum__rt__qubit_allocate_array("
+            "i64 400000000)\n"
+            "  ret void\n"
+            "}\n")
+    with pytest.raises(TransformError) as exc:
+        allocate_static_addresses(parse_module(text))
+    assert exc.value.reason == "AllocationLimit"
+    assert str(exc.value) == ("AllocationLimit: array allocation of "
+                              "400000000 qubits exceeds the limit of 65536")
+
+
 def test_slots_cannot_mix_handles_and_integers():
     text = ("declare ptr @__quantum__rt__qubit_allocate()\n"
             "declare void @__quantum__qis__h__body(ptr)\n"
