@@ -8,6 +8,25 @@ Conventions, shared with the gate-matrix table below:
   * RZ(theta) = diag(exp(-i theta/2), exp(+i theta/2)); RX and RY follow
     the same exp(-i theta/2 P) convention
 
+Gates run through one kernel per gate class, on strided views of the
+flat amplitude vector, with no axis moves:
+  * permutation (x, cx, swap, ccx): amplitudes only trade places. cx,
+    swap and ccx swap the two slices where the controls are 1 in place;
+    x, which moves every amplitude, copies the state once with its
+    target's halves exchanged. No arithmetic is done, so a permutation
+    is exact.
+  * diagonal (z, s, sdg, t, tdg, rz, cz): the slice under each phase is
+    multiplied in place; a phase equal to 1 is skipped.
+  * dense (h, y, rx, ry): one matrix product over the state reshaped so
+    the target's bit is an index of its own. With at most four lower
+    qubits each row of 2**(q+1) amplitudes is multiplied by the 2x2
+    matrix lifted with an identity (a Kronecker product); above that the
+    2x2 matrix multiplies each 2 x 2**q block.
+Measurement works on the target's two halves: ``prob_one`` is the
+squared norm of the 1-half, ``collapse`` zeroes one half and rescales
+the other. ``apply_matrix`` applies an arbitrary unitary by moving the
+target axes to the front.
+
 ``StateVector`` methods mutate in place; the module-level ``apply_gate``
 is the pure variant used where value semantics read better.
 """
@@ -89,6 +108,39 @@ def gate_matrix(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
     raise ValueError(f"no matrix for gate {kind!r}")
 
 
+# controlled permutation gates: the two operand bit patterns whose slices
+# trade places (X, which moves every amplitude, is copied in one pass)
+_PERMUTATIONS: dict[GateKind, tuple[tuple[int, ...], tuple[int, ...]]] = {
+    GateKind.CNOT: ((1, 0), (1, 1)),
+    GateKind.SWAP: ((1, 0), (0, 1)),
+    GateKind.CCX: ((1, 1, 0), (1, 1, 1)),
+}
+
+# fixed diagonal gates: (operand bit pattern, phase) for each entry != 1
+_PHASES: dict[GateKind, tuple[tuple[tuple[int, ...], complex], ...]] = {
+    GateKind.Z: (((1,), -1),),
+    GateKind.S: (((1,), 1j),),
+    GateKind.SDG: (((1,), -1j),),
+    GateKind.T: (((1,), cmath.exp(1j * math.pi / 4)),),
+    GateKind.TDG: (((1,), cmath.exp(-1j * math.pi / 4)),),
+    GateKind.CZ: (((1, 1), -1),),
+}
+
+# longest run of lower qubits for which a dense gate multiplies rows of
+# the state by a Kronecker-lifted matrix rather than batching 2x2 products,
+# and the number of amplitudes such a product takes at once
+_KRON_MAX_RUN = 16
+_KRON_BLOCK = 1 << 15
+
+
+def _diagonal_phases(kind: GateKind, params: tuple[float, ...]):
+    if kind is GateKind.RZ:
+        (theta,) = params
+        return (((0,), cmath.exp(-1j * theta / 2)),
+                ((1,), cmath.exp(1j * theta / 2)))
+    return _PHASES.get(kind)
+
+
 class StateVector:
     """Mutable dense state over ``num_qubits`` qubits."""
 
@@ -120,25 +172,52 @@ class StateVector:
 
     # ------------------------------------------------------------------
 
-    def _axis(self, qubit: int) -> int:
-        # numpy axis 0 is the most significant index bit
-        return self.num_qubits - 1 - qubit
-
-    def apply_matrix(self, matrix: np.ndarray,
-                     targets: tuple[int, ...]) -> None:
-        k = len(targets)
-        if matrix.shape != (1 << k, 1 << k):
+    def _check_targets(self, targets: tuple[int, ...], arity: int) -> None:
+        if len(targets) != arity:
             raise ValueError("matrix size does not match target count")
-        if len(set(targets)) != k:
+        if len(set(targets)) != arity:
             raise ValueError("duplicate target qubit")
         for q in targets:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q} out of range")
+
+    def _slices(self, qubits: tuple[int, ...],
+                *patterns: tuple[int, ...]) -> list[np.ndarray]:
+        """One strided view of the amplitudes per bit pattern: pattern j
+        selects the amplitudes whose index has bit ``qubits[i]`` equal to
+        ``patterns[j][i]``."""
+        n = self.num_qubits
+        psi = self.amplitudes.reshape((2,) * n)
+        views = []
+        for bits in patterns:
+            # the trailing Ellipsis keeps a view even when every axis is
+            # fixed; axis 0 is the most significant index bit
+            index: list = [slice(None)] * n + [...]
+            for q, bit in zip(qubits, bits):
+                index[n - 1 - q] = bit
+            views.append(psi[tuple(index)])
+        return views
+
+    def _halves(self, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+        """The amplitudes with ``qubit`` at 0 and at 1, each shaped
+        (higher qubits, lower qubits)."""
+        psi = self.amplitudes.reshape(-1, 2, 1 << qubit)
+        return psi[:, 0], psi[:, 1]
+
+    def apply_matrix(self, matrix: np.ndarray,
+                     targets: tuple[int, ...]) -> None:
+        """Apply an arbitrary unitary; gates go through the kernels of
+        ``apply_gate_inplace`` instead."""
+        k = len(targets)
+        if matrix.shape != (1 << k, 1 << k):
+            raise ValueError("matrix size does not match target count")
+        self._check_targets(targets, k)
         n = self.num_qubits
         psi = self.amplitudes.reshape([2] * n)
         # front axes ordered so the flattened group index has operand j
-        # at bit j (operand k-1 lands on the most significant position)
-        src = [self._axis(targets[k - 1 - j]) for j in range(k)]
+        # at bit j (operand k-1 lands on the most significant position);
+        # numpy axis 0 is the most significant index bit
+        src = [n - 1 - targets[k - 1 - j] for j in range(k)]
         dst = list(range(k))
         psi = np.moveaxis(psi, src, dst)
         shape = psi.shape
@@ -150,7 +229,51 @@ class StateVector:
 
     def apply_gate_inplace(self, kind: GateKind, params: tuple[float, ...],
                            targets: tuple[int, ...]) -> None:
-        self.apply_matrix(gate_matrix(kind, params), targets)
+        if len(params) != kind.num_params:
+            raise ValueError(f"{kind.value} expects {kind.num_params} "
+                             f"parameters, got {len(params)}")
+        self._check_targets(targets, kind.num_qubits)
+        if kind is GateKind.X:
+            # every amplitude moves, so one copy in swapped order beats a
+            # swap through a temporary
+            psi = self.amplitudes.reshape(-1, 2, 1 << targets[0])
+            self.amplitudes = psi[:, ::-1].reshape(-1)
+            return
+        swap = _PERMUTATIONS.get(kind)
+        if swap is not None:
+            a, b = self._slices(targets, *swap)
+            held = a.copy()
+            a[...] = b
+            b[...] = held
+            return
+        phases = _diagonal_phases(kind, params)
+        if phases is not None:
+            for bits, phase in phases:
+                if phase == 1:
+                    continue
+                (part,) = self._slices(targets, bits)
+                part *= phase
+            return
+        self._dense(gate_matrix(kind, params), targets[0])
+
+    def _dense(self, matrix: np.ndarray, qubit: int) -> None:
+        run = 1 << qubit
+        if run > _KRON_MAX_RUN:
+            # one 2x2 product per block of (qubit bit, lower qubits)
+            out = np.matmul(matrix, self.amplitudes.reshape(-1, 2, run))
+            self.amplitudes = out.reshape(-1)
+            return
+        # a short run would make numpy loop over tiny slices, so each row
+        # of (qubit bit, lower qubits) is multiplied by (matrix kron
+        # I_run)^T instead; a few rows at a time and in place, because a
+        # product over the whole state makes BLAS pack state-sized buffers
+        lift = (matrix.T[:, None, :, None]
+                * np.eye(run)[None, :, None, :]).reshape(2 * run, 2 * run)
+        rows = self.amplitudes.reshape(-1, 2 * run)
+        step = _KRON_BLOCK // (2 * run)
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            block[...] = block @ lift
 
     # ------------------------------------------------------------------
 
@@ -158,23 +281,17 @@ class StateVector:
         """Probability of measuring ``qubit`` as 1."""
         if not 0 <= qubit < self.num_qubits:
             raise ValueError(f"qubit {qubit} out of range")
-        psi = self.amplitudes.reshape([2] * self.num_qubits)
-        slice_one = np.take(psi, 1, axis=self._axis(qubit))
-        return float(np.sum(np.abs(slice_one) ** 2))
+        return _norm2(self._halves(qubit)[1])
 
     def collapse(self, qubit: int, outcome: int) -> None:
         """Zero amplitudes inconsistent with ``outcome`` and renormalize."""
-        psi = self.amplitudes.reshape([2] * self.num_qubits)
-        axis = self._axis(qubit)
-        idx = [slice(None)] * self.num_qubits
-        idx[axis] = 1 - outcome
-        psi[tuple(idx)] = 0.0
-        flat = psi.reshape(-1)
-        norm = np.linalg.norm(flat)
+        halves = self._halves(qubit)
+        kept, dropped = halves[outcome], halves[1 - outcome]
+        dropped[...] = 0.0
+        norm = math.sqrt(_norm2(kept))
         if norm < 1e-150:
             raise ValueError("collapse onto a zero-probability outcome")
-        flat /= norm
-        self.amplitudes = flat
+        kept *= 1.0 / norm      # a complex multiply is cheaper than a divide
 
     def measure(self, qubit: int, uniform: float) -> int:
         """Sample and collapse one qubit.
@@ -186,6 +303,16 @@ class StateVector:
         outcome = 1 if uniform < p_one else 0
         self.collapse(qubit, outcome)
         return outcome
+
+
+def _norm2(part: np.ndarray) -> float:
+    """Squared norm of one of ``StateVector._halves``."""
+    if part.shape[0] == 1 or part.shape[1] == 1:
+        flat = part.reshape(-1)      # one stride: a view, not a copy
+        return float(np.vdot(flat, flat).real)
+    # rows are contiguous, so their float pairs are too
+    parts = part.view(np.float64)
+    return float(np.einsum("ij,ij->", parts, parts))
 
 
 def apply_gate(state: StateVector, kind: GateKind,
