@@ -98,6 +98,9 @@ class _ModuleParser:
         self.declarations: list[FuncDecl] = []
         self.functions: list[FuncDef] = []
         self.attribute_groups: dict[int, dict[str, str]] = {}
+        # string attributes written on a define line, folded into groups
+        # once the whole module is read
+        self.inline_attrs: list[tuple[FuncDef, dict[str, str]]] = []
         self.define_lines: list[int] = []
         self.call_sites: list[tuple[str, int]] = []
         # per-function bookkeeping, reset in _begin_function
@@ -124,6 +127,8 @@ class _ModuleParser:
             raise ParseError("unterminated function body", line=self.last_line)
         if not self.functions:
             raise ParseError("module defines no function", line=self.last_line)
+        self._check_group_refs()
+        self._fold_inline_attrs()
         module = QirModule(self.source_name, self.declarations,
                            self.functions, self.attribute_groups)
         self._check_module(module)
@@ -197,19 +202,33 @@ class _ModuleParser:
                 cur.fail("expected attribute or '{'", tok)
         cur.expect("PUNCT", "{")
         cur.expect_end()
-        if inline_attrs:
-            # fold inline attributes into a group so the model has one path
-            if attr_group is None:
-                attr_group = self._fresh_group_id()
-                self.attribute_groups[attr_group] = {}
-            self.attribute_groups.setdefault(attr_group, {}).update(inline_attrs)
         self._begin_function(name, attr_group, line)
+        if inline_attrs:
+            self.inline_attrs.append((self.fn, inline_attrs))
 
-    def _fresh_group_id(self) -> int:
-        gid = 0
-        while gid in self.attribute_groups:
-            gid += 1
-        return gid
+    def _fold_inline_attrs(self) -> None:
+        """Fold each define's inline string attributes into a group.
+
+        The group the define names takes them when no other define uses
+        it; otherwise the define gets a fresh group holding the named
+        group's attributes and its own. Fresh ids are picked after every
+        ``attributes`` line has been read, so they collide with none.
+        """
+        users: dict[int, int] = {}
+        for fn in self.functions:
+            if fn.attr_group is not None:
+                users[fn.attr_group] = users.get(fn.attr_group, 0) + 1
+        for fn, inline in self.inline_attrs:
+            if fn.attr_group is not None and users[fn.attr_group] == 1:
+                self.attribute_groups[fn.attr_group].update(inline)
+                continue
+            attrs = dict(self.attribute_groups.get(fn.attr_group, {}))
+            attrs.update(inline)
+            gid = 0
+            while gid in self.attribute_groups:
+                gid += 1
+            self.attribute_groups[gid] = attrs
+            fn.attr_group = gid
 
     def _parse_attr_group(self, cur: _Cursor) -> None:
         cur.next()
@@ -646,13 +665,15 @@ class _ModuleParser:
     # ------------------------------------------------------------------
     # whole-module checks
 
-    def _check_module(self, module: QirModule) -> None:
-        for fn, line in zip(module.functions, self.define_lines):
+    def _check_group_refs(self) -> None:
+        for fn, line in zip(self.functions, self.define_lines):
             if (fn.attr_group is not None
-                    and fn.attr_group not in module.attribute_groups):
+                    and fn.attr_group not in self.attribute_groups):
                 raise ParseError(
                     f"attribute group #{fn.attr_group} is never defined",
                     line=line, token=f"#{fn.attr_group}")
+
+    def _check_module(self, module: QirModule) -> None:
         known = module.declared_names() | module.defined_names()
         for callee, line in self.call_sites:
             if callee not in known:

@@ -57,6 +57,53 @@ def test_attribute_groups_and_required_counts():
     assert bare.required_count("required_num_qubits") is None
 
 
+_H_BODY = ("entry:\n"
+           "  call void @__quantum__qis__h__body(ptr null)\n"
+           "  ret void\n"
+           "}\n")
+
+
+def test_inline_attributes_join_a_group_defined_later():
+    module = parse_module(
+        'define void @main() #0 "entry_point" {\n' + _H_BODY
+        + "declare void @__quantum__qis__h__body(ptr)\n"
+        '\nattributes #0 = { "required_num_qubits"="1" }\n')
+    assert module.entry.attr_group == 0
+    assert module.attributes == {"entry_point": "",
+                                 "required_num_qubits": "1"}
+    assert module.required_count("required_num_qubits") == 1
+
+
+def test_inline_only_define_gets_an_id_no_later_group_uses():
+    module = parse_module(
+        'define void @main() "entry_point" "required_num_qubits"="1" {\n'
+        + _H_BODY
+        + "declare void @__quantum__qis__h__body(ptr) #0\n"
+        '\nattributes #0 = { "irreversible" }\n')
+    assert module.entry.attr_group == 1
+    assert module.attribute_groups[0] == {"irreversible": ""}
+    assert module.attributes == {"entry_point": "",
+                                 "required_num_qubits": "1"}
+
+
+def test_inline_attributes_on_a_shared_group_stay_with_their_define():
+    module = parse_module(
+        "define void @helper() #0 {\n" + _H_BODY
+        + 'define void @main() #0 "entry_point" {\n' + _H_BODY
+        + "declare void @__quantum__qis__h__body(ptr)\n"
+        '\nattributes #0 = { "required_num_qubits"="1" }\n')
+    assert module.entry.name == "main"
+    assert module.attribute_groups[0] == {"required_num_qubits": "1"}
+    assert module.attributes == {"required_num_qubits": "1",
+                                 "entry_point": ""}
+
+
+def test_inline_attributes_do_not_hide_an_undefined_group():
+    with pytest.raises(ParseError, match="attribute group #3 is never"):
+        parse_module('define void @main() #3 "entry_point" {\n' + _H_BODY
+                     + "declare void @__quantum__qis__h__body(ptr)\n")
+
+
 def test_hex_float_constant_decodes_as_ieee754_bits():
     module = parse_module(genutil.corpus_text("rotations.ll"))
     ry = next(i for b in module.entry.blocks for i in b.instructions
