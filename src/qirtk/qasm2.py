@@ -25,6 +25,11 @@ from .errors import ParseError
 
 _GATES_BY_NAME = {kind.value: kind for kind in GateKind}
 
+# deepest nesting of parentheses and unary signs in one angle expression;
+# each level is a Python call, so deeper input is refused before it can
+# exhaust the interpreter's recursion limit
+MAX_ANGLE_DEPTH = 100
+
 _TOKEN_RE = re.compile(r"""
       (?P<SKIP>\s+|//[^\n]*)
     | (?P<ARROW>->)
@@ -130,6 +135,7 @@ class _QasmParser:
         self.num_qubits = 0
         self.num_clbits = 0
         self.ops: list = []
+        self.angle_depth = 0
 
     def parse(self) -> QuantumCircuit:
         first = True
@@ -314,15 +320,22 @@ class _QasmParser:
                 return value
 
     def _factor(self) -> float:
-        if self.reader.accept("-"):
-            return -self._factor()
-        if self.reader.accept("+"):
-            return self._factor()
-        if self.reader.accept("("):
-            value = self._expression()
-            self.reader.expect(")")
-            return value
         token = self.reader.next()
+        if token.text in ("-", "+", "("):
+            self.angle_depth += 1
+            if self.angle_depth > MAX_ANGLE_DEPTH:
+                raise ParseError(f"angle expression nested deeper than "
+                                 f"{MAX_ANGLE_DEPTH} levels", token.line,
+                                 token.column, token.text)
+            if token.text == "(":
+                value = self._expression()
+                self.reader.expect(")")
+            else:
+                value = self._factor()
+                if token.text == "-":
+                    value = -value
+            self.angle_depth -= 1
+            return value
         if token.kind == "NUMBER":
             return float(token.text)
         if token.text == "pi":

@@ -7,6 +7,8 @@ import pytest
 
 from qirtk import (Gate, GateKind, Measure, ParseError, QuantumCircuit,
                    Reset, export_openqasm2, import_openqasm2)
+from qirtk.cli import main
+from qirtk.qasm2 import MAX_ANGLE_DEPTH
 
 import genutil
 
@@ -101,6 +103,34 @@ def test_parameter_expressions():
 def test_division_by_zero_in_parameter_is_rejected():
     with pytest.raises(ParseError):
         import_openqasm2("OPENQASM 2.0;\nqreg q[1];\nrz(1/0) q[0];\n")
+
+
+def _rz(angle: str) -> str:
+    return f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n"
+
+
+@pytest.mark.parametrize("depth", [5000, MAX_ANGLE_DEPTH + 1])
+@pytest.mark.parametrize("shape", ["parens", "signs"])
+def test_deeply_nested_angles_are_a_parse_error(shape, depth):
+    angle = ("(" * depth + "1" + ")" * depth if shape == "parens"
+             else "-" * depth + "1")
+    with pytest.raises(ParseError, match="nested deeper than"):
+        import_openqasm2(_rz(angle))
+
+
+def test_angles_nested_to_the_limit_still_parse():
+    depth = MAX_ANGLE_DEPTH
+    (op,) = import_openqasm2(_rz("(" * depth + "1" + ")" * depth)).ops
+    assert op.params == (1.0,)
+    (op,) = import_openqasm2(_rz("-" * depth + "1")).ops
+    assert op.params == ((-1.0) ** depth,)
+
+
+def test_deep_angle_exits_two_from_the_cli(tmp_path, capsys):
+    path = tmp_path / "deep.qasm"
+    path.write_text(_rz("(" * 5000 + "1" + ")" * 5000))
+    assert main(["transpile", str(path), "--to", "qir-base"]) == 2
+    assert "nested deeper than" in capsys.readouterr().err
 
 
 def test_header_is_optional_but_other_versions_are_rejected():
