@@ -17,11 +17,12 @@ flat amplitude vector, with no axis moves:
     is exact.
   * diagonal (z, s, sdg, t, tdg, rz, cz): the slice under each phase is
     multiplied in place; a phase equal to 1 is skipped.
-  * dense (h, y, rx, ry): one matrix product over the state reshaped so
+  * dense (h, y, rx, ry): matrix products over the state reshaped so
     the target's bit is an index of its own. With at most four lower
-    qubits each row of 2**(q+1) amplitudes is multiplied by the 2x2
-    matrix lifted with an identity (a Kronecker product); above that the
-    2x2 matrix multiplies each 2 x 2**q block.
+    qubits each row of 2**(q+1) amplitudes is multiplied in place, a
+    block of rows at a time, by the 2x2 matrix lifted with an identity
+    (a Kronecker product); above that the 2x2 matrix multiplies each
+    2 x 2**q block.
 Measurement works on the target's two halves: ``prob_one`` is the
 squared norm of the 1-half, ``collapse`` zeroes one half and rescales
 the other. ``apply_matrix`` applies an arbitrary unitary by moving the
@@ -279,12 +280,12 @@ class StateVector:
 
     def prob_one(self, qubit: int) -> float:
         """Probability of measuring ``qubit`` as 1."""
-        if not 0 <= qubit < self.num_qubits:
-            raise ValueError(f"qubit {qubit} out of range")
+        self._check_targets((qubit,), 1)
         return _norm2(self._halves(qubit)[1])
 
     def collapse(self, qubit: int, outcome: int) -> None:
         """Zero amplitudes inconsistent with ``outcome`` and renormalize."""
+        self._check_targets((qubit,), 1)
         halves = self._halves(qubit)
         kept, dropped = halves[outcome], halves[1 - outcome]
         dropped[...] = 0.0

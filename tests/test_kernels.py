@@ -3,8 +3,9 @@
 Every gate kind runs on every ordered tuple of distinct targets of a
 random normalised 4- and 5-qubit state, and must agree with
 ``genutil.embed(genutil.reference_matrix(...))`` applied to the same
-state. ``prob_one`` and ``collapse`` are checked against plain index
-arithmetic over the flat amplitude vector.
+state. On a 16-qubit state, too large for the oracle, every kind must
+agree with ``apply_matrix``. ``prob_one`` and ``collapse`` are checked
+against plain index arithmetic over the flat amplitude vector.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from qirtk import GateKind, StateVector
+from qirtk.statevector import gate_matrix
 
 import genutil
 
@@ -53,6 +55,25 @@ def test_every_kind_on_every_target_tuple_matches_the_oracle(kind, n):
             np.testing.assert_allclose(state.amplitudes, expected,
                                        rtol=0, atol=ATOL,
                                        err_msg=f"{kind} on {targets}")
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_kernels_match_apply_matrix_on_a_state_of_several_blocks(kind):
+    # 16 qubits hold two blocks of the dense kernel's row products, and
+    # their targets reach past the oracle's size; apply_matrix, checked
+    # against the oracle below, is the reference here
+    n = 16
+    k = kind.num_qubits
+    params = (0.9,) * kind.num_params
+    for targets in [(0, 1, 2), (15, 14, 13), (3, 12, 7), (9, 0, 15)]:
+        targets = targets[:k]
+        state = _random_state(n, sum(targets))
+        reference = state.copy()
+        state.apply_gate_inplace(kind, params, targets)
+        reference.apply_matrix(gate_matrix(kind, params), targets)
+        np.testing.assert_allclose(state.amplitudes, reference.amplitudes,
+                                   rtol=0, atol=ATOL,
+                                   err_msg=f"{kind} on {targets}")
 
 
 @pytest.mark.parametrize("kind", [GateKind.X, GateKind.CNOT, GateKind.SWAP,
@@ -119,6 +140,15 @@ def test_measure_agrees_with_prob_one_and_collapse(n):
             projected.collapse(qubit, outcome)
             np.testing.assert_array_equal(sampled.amplitudes,
                                           projected.amplitudes)
+
+
+def test_measurement_of_a_missing_qubit_is_rejected():
+    state = StateVector(2)
+    for qubit in (2, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            state.prob_one(qubit)
+        with pytest.raises(ValueError, match="out of range"):
+            state.collapse(qubit, 0)
 
 
 def test_collapse_onto_a_zero_half_is_rejected_on_any_qubit():
