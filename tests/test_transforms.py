@@ -344,3 +344,86 @@ def test_lowering_preserves_every_shot_bit_for_bit(seed):
     before = interpret(module, shots=100, seed=seed)
     after = interpret(lowered, shots=100, seed=seed)
     assert before.memory == after.memory
+
+
+# ---------------------------------------------------------------------------
+# passes never modify their input
+
+
+_DYNAMIC_ARRAY_LOOP = (
+    "declare ptr @__quantum__rt__qubit_allocate_array(i64)\n"
+    "declare ptr @__quantum__rt__array_get_element_ptr_1d(ptr, i64)\n"
+    "declare void @__quantum__rt__qubit_release_array(ptr)\n"
+    "declare void @__quantum__qis__h__body(ptr)\n"
+    "declare void @__quantum__qis__cnot__body(ptr, ptr)\n"
+    "declare void @__quantum__qis__mz__body(ptr, ptr)\n"
+    "declare void @__quantum__rt__result_record_output(ptr, ptr)\n"
+    "define void @main() #0 {\n"
+    "entry:\n"
+    "  %qs = alloca ptr\n"
+    "  %arr = call ptr @__quantum__rt__qubit_allocate_array(i64 4)\n"
+    "  store ptr %arr, ptr %qs\n"
+    "  %ctr = alloca i64\n"
+    "  store i64 0, ptr %ctr\n"
+    "  br label %header\n"
+    "header:\n"
+    "  %i = load i64, ptr %ctr\n"
+    "  %go = icmp slt i64 %i, 6\n"
+    "  br i1 %go, label %body, label %exit\n"
+    "body:\n"
+    "  %j = load i64, ptr %ctr\n"
+    "  %a = and i64 %j, 3\n"
+    "  %b0 = add i64 %j, 1\n"
+    "  %b = and i64 %b0, 3\n"
+    "  %h = load ptr, ptr %qs\n"
+    "  %pa = call ptr @__quantum__rt__array_get_element_ptr_1d("
+    "ptr %h, i64 %a)\n"
+    "  %qa = load ptr, ptr %pa\n"
+    "  %pb = call ptr @__quantum__rt__array_get_element_ptr_1d("
+    "ptr %h, i64 %b)\n"
+    "  %qb = load ptr, ptr %pb\n"
+    "  call void @__quantum__qis__h__body(ptr %qa)\n"
+    "  call void @__quantum__qis__cnot__body(ptr %qa, ptr %qb)\n"
+    "  %n = add i64 %j, 1\n"
+    "  store i64 %n, ptr %ctr\n"
+    "  br label %header\n"
+    "exit:\n"
+    "  %e = load ptr, ptr %qs\n"
+    "  %p0 = call ptr @__quantum__rt__array_get_element_ptr_1d("
+    "ptr %e, i64 0)\n"
+    "  %q0 = load ptr, ptr %p0\n"
+    "  call void @__quantum__qis__mz__body(ptr %q0, ptr null)\n"
+    "  call void @__quantum__rt__result_record_output(ptr null, ptr null)\n"
+    "  call void @__quantum__rt__qubit_release_array(ptr %e)\n"
+    "  ret void\n"
+    "}\n"
+    'attributes #0 = { "entry_point" "required_num_results"="1" }\n')
+
+_PURITY_INPUTS = {path.name: path.read_text(encoding="utf-8")
+                  for path in sorted(genutil.CORPUS.glob("*.ll"))}
+_PURITY_INPUTS["dynamic_array_loop"] = _DYNAMIC_ARRAY_LOOP
+# the same loop unrolled, so static allocation has handles to assign
+_PURITY_INPUTS["dynamic_array_loop_unrolled"] = print_module(
+    unroll_and_fold(parse_module(_DYNAMIC_ARRAY_LOOP)))
+
+
+def _outcome(transform, module):
+    try:
+        return transform(module)
+    except TransformError as err:
+        return err.reason, str(err)
+
+
+@pytest.mark.parametrize("transform", [
+    unroll_and_fold, allocate_static_addresses, lower_to_base])
+@pytest.mark.parametrize("name", sorted(_PURITY_INPUTS))
+def test_transforms_leave_their_input_unchanged(transform, name):
+    text = _PURITY_INPUTS[name]
+    module = parse_module(text)
+    printed = print_module(module)
+    first = _outcome(transform, module)
+    assert print_module(module) == printed
+    assert module == parse_module(text)
+    second = _outcome(transform, module)
+    assert second == first
+    assert print_module(module) == printed
