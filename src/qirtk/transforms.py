@@ -13,6 +13,9 @@ by measurements and output recording.
 
 All transforms are pure functions from module to module and are
 idempotent: running one twice gives a structurally identical result.
+No pass modifies its input. Each builds a new module that shares with
+its input every node it does not change, so callers must not edit
+either module in place.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from dataclasses import dataclass, replace
 from . import intrinsics
 from .errors import TransformError
 from .evaluator import Evaluator, Slot
-from .ir import (Alloca, BasicBlock, BinOp, Call, CallArg, CondBr,
-                 ConstFloat, ConstInt, DoubleType, Ext, FuncDef, GlobalRef,
-                 ICmp, IntToAddr, IntType, Load, LocalRef, QUBIT,
-                 QirModule, RESULT, Ret, Select, StaticAddr, Store, Value,
+from .ir import (Alloca, BasicBlock, BinOp, Call, CallArg, ConstFloat,
+                 ConstInt, DoubleType, Ext, FuncDef, GlobalRef, ICmp,
+                 IntToAddr, IntType, Load, LocalRef, QUBIT, QirModule,
+                 RESULT, Ret, Select, StaticAddr, Store, Value,
                  REQUIRED_QUBITS_ATTR, REQUIRED_RESULTS_ATTR, entry_calls,
                  make_int)
 from .profile import Profile, validate_profile
@@ -61,13 +64,21 @@ def _profile_gate(module: QirModule, what: str) -> None:
             "Unsupported", f"{what} requires a supported module{detail}")
 
 
-def _prune_removed_declarations(module: QirModule,
-                                before: set[str]) -> None:
-    """Drop declarations for intrinsics whose calls all disappeared."""
-    after = {c.callee for c in entry_calls(module)}
-    gone = before - after
-    module.declarations = [d for d in module.declarations
-                           if d.name not in gone]
+def _with_body(module: QirModule, instructions: list) -> QirModule:
+    """``module`` with ``instructions`` in its entry's single block.
+
+    The block keeps its label, phis and terminator; every other node is
+    shared, and declarations of intrinsics no longer called are dropped.
+    """
+    entry = module.entry
+    block = replace(entry.blocks[0], instructions=instructions)
+    fn = replace(entry, blocks=[block])
+    gone = ({c.callee for c in entry_calls(module)}
+            - {i.callee for i in instructions if isinstance(i, Call)})
+    return replace(
+        module,
+        declarations=[d for d in module.declarations if d.name not in gone],
+        functions=[fn if f is entry else f for f in module.functions])
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +217,8 @@ def unroll_and_fold(module: QirModule,
     fn = FuncDef(entry.name,
                  [BasicBlock("entry", [], unroller.out, Ret())],
                  entry.attr_group)
-    return QirModule(module.source_name,
-                     copy.deepcopy(module.declarations), [fn],
-                     copy.deepcopy(module.attribute_groups))
+    return QirModule(module.source_name, module.declarations, [fn],
+                     module.attribute_groups)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +281,6 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
     index. Sets the required-count attributes to the high-water marks.
     """
     _profile_gate(module, "allocate_static_addresses")
-    module = copy.deepcopy(module)
     entry = module.entry
     if len(entry.blocks) != 1 or entry.blocks[0].phis:
         raise TransformError(
@@ -295,7 +304,6 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
     slots: dict[str, object] = {}     # alloca name -> last handle or None
     handle_slots: set[str] = set()    # slots that ever held a handle
     classical_slots: set[str] = set()  # slots with kept stores or loads
-    declared_before = {c.callee for c in entry_calls(module)}
     had_allocations = False
     kept: list = []
 
@@ -454,16 +462,14 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                     "a qubit handle flows into a classical instruction")
         kept.append(instr)
 
-    block.instructions = [i for i in kept
-                          if not (isinstance(i, Alloca)
-                                  and i.result in handle_slots)]
-    _prune_removed_declarations(module, declared_before)
-
+    out = _with_body(module, [i for i in kept
+                              if not (isinstance(i, Alloca)
+                                      and i.result in handle_slots)])
     has_attrs = (REQUIRED_QUBITS_ATTR in module.attributes
                  or REQUIRED_RESULTS_ATTR in module.attributes)
     if had_allocations or has_attrs:
-        _set_required_attrs(module)
-    return module
+        out = _set_required_attrs(out)
+    return out
 
 
 def _const_int(value: Value, what: str) -> int:
@@ -491,7 +497,8 @@ def _operands(instr) -> list[Value]:
     return []
 
 
-def _set_required_attrs(module: QirModule) -> None:
+def _set_required_attrs(module: QirModule) -> QirModule:
+    """``module`` with its entry's required counts set from its calls."""
     max_qubit = -1
     max_result = -1
     for call in entry_calls(module):
@@ -504,16 +511,20 @@ def _set_required_attrs(module: QirModule) -> None:
                 max_qubit = max(max_qubit, arg.value.index)
             elif kind == intrinsics.RESULT_ARG:
                 max_result = max(max_result, arg.value.index)
+    groups = copy.deepcopy(module.attribute_groups)
     entry = module.entry
-    if entry.attr_group is None:
+    functions = module.functions
+    gid = entry.attr_group
+    if gid is None:
         gid = 0
-        while gid in module.attribute_groups:
+        while gid in groups:
             gid += 1
-        module.attribute_groups[gid] = {}
-        entry.attr_group = gid
-    group = module.attribute_groups[entry.attr_group]
-    group[REQUIRED_QUBITS_ATTR] = str(max_qubit + 1)
-    group[REQUIRED_RESULTS_ATTR] = str(max_result + 1)
+        groups[gid] = {}
+        functions = [replace(f, attr_group=gid) if f is entry else f
+                     for f in functions]
+    groups[gid][REQUIRED_QUBITS_ATTR] = str(max_qubit + 1)
+    groups[gid][REQUIRED_RESULTS_ATTR] = str(max_result + 1)
+    return replace(module, functions=functions, attribute_groups=groups)
 
 
 # ---------------------------------------------------------------------------
@@ -524,40 +535,27 @@ _PURE_CLASSICAL = (BinOp, ICmp, Ext, Select, IntToAddr)
 
 
 def _prune_dead(module: QirModule) -> QirModule:
-    module = copy.deepcopy(module)
-    entry = module.entry
-    declared_before = {c.callee for c in entry_calls(module)}
-    for block in entry.blocks:
-        while True:
-            used: set[str] = set()
-            for instr in block.instructions:
-                for operand in _call_operands(instr):
-                    if isinstance(operand, LocalRef):
-                        used.add(operand.name)
-            if block.terminator is not None:
-                term = block.terminator
-                if isinstance(term, CondBr) and isinstance(term.cond,
-                                                           LocalRef):
-                    used.add(term.cond.name)
-            kept = []
-            dropped = False
-            for instr in block.instructions:
-                removable = False
-                if isinstance(instr, _PURE_CLASSICAL):
-                    removable = instr.result not in used
-                elif isinstance(instr, Call) and instr.result is not None:
-                    spec = intrinsics.lookup(instr.callee)
-                    if spec and spec.action == intrinsics.READ_RESULT:
-                        removable = instr.result not in used
-                if removable:
-                    dropped = True
-                else:
-                    kept.append(instr)
-            block.instructions = kept
-            if not dropped:
-                break
-    _prune_removed_declarations(module, declared_before)
-    return module
+    """Drop unused classical values and readbacks from the single block."""
+    instructions = module.entry.blocks[0].instructions
+    while True:
+        used = {operand.name for instr in instructions
+                for operand in _call_operands(instr)
+                if isinstance(operand, LocalRef)}
+        kept = [instr for instr in instructions
+                if not _is_dead(instr, used)]
+        if len(kept) == len(instructions):
+            return _with_body(module, kept)
+        instructions = kept
+
+
+def _is_dead(instr, used: set[str]) -> bool:
+    if isinstance(instr, _PURE_CLASSICAL):
+        return instr.result not in used
+    if isinstance(instr, Call) and instr.result is not None:
+        spec = intrinsics.lookup(instr.callee)
+        return (spec is not None and spec.action == intrinsics.READ_RESULT
+                and instr.result not in used)
+    return False
 
 
 def _call_operands(instr) -> list[Value]:
@@ -605,7 +603,6 @@ def _sink_measurements(module: QirModule) -> QirModule:
     being recorded) raise TransformError(FeedbackRequired): such
     programs need feedback and have no equivalent static schedule.
     """
-    module = copy.deepcopy(module)
     entry = module.entry
     if len(entry.blocks) != 1 or entry.blocks[0].phis:
         raise TransformError(
@@ -667,8 +664,7 @@ def _sink_measurements(module: QirModule) -> QirModule:
                 f"@{instr.callee} cannot appear in a base-profile "
                 "program")
 
-    block.instructions = body + measures + records
-    return module
+    return _with_body(module, body + measures + records)
 
 
 # ---------------------------------------------------------------------------
@@ -704,5 +700,4 @@ def lower_to_base(module: QirModule,
         raise TransformError(
             "FeedbackRequired",
             f"lowered module still fails base validation{detail}")
-    _set_required_attrs(out)
-    return out
+    return _set_required_attrs(out)

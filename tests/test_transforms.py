@@ -8,6 +8,7 @@ from qirtk import (Profile, TransformError, allocate_static_addresses,
                    interpret, lower_to_base, parse_module, print_module,
                    unroll_and_fold, validate_profile)
 from qirtk.ir import Call
+from qirtk.transforms import _prune_dead, _sink_measurements
 
 import genutil
 
@@ -427,3 +428,39 @@ def test_transforms_leave_their_input_unchanged(transform, name):
     second = _outcome(transform, module)
     assert second == first
     assert print_module(module) == printed
+
+
+_START_BLOCK = ("declare ptr @__quantum__rt__qubit_allocate()\n"
+                "declare void @__quantum__qis__h__body(ptr)\n"
+                "declare void @__quantum__qis__mz__body(ptr, ptr)\n"
+                "declare i1 @__quantum__rt__read_result(ptr)\n"
+                "define void @main() {\n"
+                "start:\n"
+                "  %q = call ptr @__quantum__rt__qubit_allocate()\n"
+                "  call void @__quantum__qis__mz__body(ptr %q, ptr null)\n"
+                "  %peek = call i1 @__quantum__rt__read_result(ptr null)\n"
+                "  call void @__quantum__qis__h__body("
+                "ptr inttoptr (i64 1 to ptr))\n"
+                "  ret void\n"
+                "}\n")
+
+
+def test_static_allocation_keeps_the_label_of_its_block():
+    out = allocate_static_addresses(parse_module(_START_BLOCK))
+    assert [b.label for b in out.entry.blocks] == ["start"]
+    assert "\nstart:\n" in print_module(out)
+
+
+def test_lowering_passes_keep_the_label_of_their_block():
+    # lower_to_base unrolls first, and the unrolled block is always
+    # named ``entry``; the passes after it keep whatever label they get
+    allocated = allocate_static_addresses(parse_module(_START_BLOCK))
+    pruned = _prune_dead(allocated)
+    assert "read_result" not in print_module(pruned)
+    sunk = _sink_measurements(pruned)
+    assert [c.callee for c in _calls(sunk)] == [
+        "__quantum__qis__h__body", "__quantum__qis__mz__body"]
+    assert [b.label for b in pruned.entry.blocks] == ["start"]
+    assert [b.label for b in sunk.entry.blocks] == ["start"]
+    lowered = lower_to_base(parse_module(_START_BLOCK))
+    assert [b.label for b in lowered.entry.blocks] == ["entry"]
