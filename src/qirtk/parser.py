@@ -102,6 +102,8 @@ class _ModuleParser:
         # once the whole module is read
         self.inline_attrs: list[tuple[FuncDef, dict[str, str]]] = []
         self.define_lines: list[int] = []
+        # (group, line) of each ``#N`` written on a declare
+        self.declare_groups: list[tuple[int, int]] = []
         self.call_sites: list[tuple[str, int]] = []
         # per-function bookkeeping, reset in _begin_function
         self.fn: FuncDef | None = None
@@ -172,7 +174,7 @@ class _ModuleParser:
                 break
         cur.expect("PUNCT", ")")
         if cur.peek() is not None and cur.peek().kind == "ATTRID":
-            cur.next()
+            self.declare_groups.append((int(cur.next().text[1:]), cur.line))
         cur.expect_end()
         self.declarations.append(FuncDecl(name, params, ret_type))
 
@@ -666,12 +668,14 @@ class _ModuleParser:
     # whole-module checks
 
     def _check_group_refs(self) -> None:
-        for fn, line in zip(self.functions, self.define_lines):
-            if (fn.attr_group is not None
-                    and fn.attr_group not in self.attribute_groups):
+        refs = [(fn.attr_group, line)
+                for fn, line in zip(self.functions, self.define_lines)]
+        for group, line in sorted(refs + self.declare_groups,
+                                  key=lambda ref: ref[1]):
+            if group is not None and group not in self.attribute_groups:
                 raise ParseError(
-                    f"attribute group #{fn.attr_group} is never defined",
-                    line=line, token=f"#{fn.attr_group}")
+                    f"attribute group #{group} is never defined",
+                    line=line, token=f"#{group}")
 
     def _check_module(self, module: QirModule) -> None:
         known = module.declared_names() | module.defined_names()

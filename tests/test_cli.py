@@ -63,6 +63,17 @@ def test_dangling_attribute_group_is_a_parse_error(tmp_path, capsys):
     assert "line 6" in err
 
 
+def test_dangling_group_on_a_declare_exits_two(tmp_path, capsys):
+    text = genutil.corpus_text("bell_static.ll").replace(
+        "declare void @__quantum__qis__h__body(ptr)",
+        "declare void @__quantum__qis__h__body(ptr) #9")
+    assert "#9" in text
+    bad = tmp_path / "dangling_declare.ll"
+    bad.write_text(text)
+    assert main(["validate", str(bad)]) == 2
+    assert "attribute group #9 is never defined" in capsys.readouterr().err
+
+
 def test_missing_file_exits_three(capsys):
     assert main(["validate", "no_such_file.ll"]) == 3
     assert "i/o error" in capsys.readouterr().err

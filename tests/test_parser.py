@@ -104,6 +104,24 @@ def test_inline_attributes_do_not_hide_an_undefined_group():
                      + "declare void @__quantum__qis__h__body(ptr)\n")
 
 
+def test_declare_with_an_undefined_group_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_module('define void @main() #0 {\n' + _H_BODY
+                     + "declare void @__quantum__qis__h__body(ptr) #7\n"
+                     '\nattributes #0 = { "entry_point" }\n')
+    assert exc.value.message == "attribute group #7 is never defined"
+    assert exc.value.line == 6
+
+
+def test_declare_may_name_a_group_defined_after_it():
+    module = parse_module(
+        "declare void @__quantum__qis__h__body(ptr) #1\n"
+        "define void @main() #0 {\n" + _H_BODY
+        + '\nattributes #0 = { "entry_point" }\n'
+        'attributes #1 = { "irreversible" }\n')
+    assert module.declared_names() == {"__quantum__qis__h__body"}
+
+
 def test_hex_float_constant_decodes_as_ieee754_bits():
     module = parse_module(genutil.corpus_text("rotations.ll"))
     ry = next(i for b in module.entry.blocks for i in b.instructions
