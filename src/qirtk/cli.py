@@ -16,8 +16,7 @@ import json
 import sys
 
 from .bridge import circuit_from_base_qir, circuit_to_base_qir
-from .errors import (ConversionError, ExecutionError, ParseError,
-                     QirError, TransformError)
+from .errors import ParseError, QirError
 from .interpreter import (DEFAULT_MAX_QUBITS, DEFAULT_STEP_LIMIT,
                           ExecOptions, interpret)
 from .parser import parse_module
@@ -182,9 +181,6 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
-    except (TransformError, ConversionError, ExecutionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (QirError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
