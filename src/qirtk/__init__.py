@@ -4,6 +4,9 @@ The pieces compose three pathways for working with quantum programs:
 converting them into a flat circuit representation, rewriting the
 module text directly (unrolling, static qubit addressing, lowering),
 and executing them on a statevector-simulator-backed interpreter.
+
+``StateVector`` and ``apply_gate`` are resolved on first use, so importing
+the package does not load numpy until a statevector is needed.
 """
 
 from .bridge import circuit_from_base_qir, circuit_to_base_qir
@@ -19,7 +22,6 @@ from .parser import parse_module
 from .printer import print_module
 from .profile import Profile, ProfileReport, Violation, validate_profile
 from .qasm2 import export_openqasm2, import_openqasm2
-from .statevector import StateVector, apply_gate
 from .transforms import (allocate_static_addresses, lower_to_base,
                          unroll_and_fold)
 
@@ -61,3 +63,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_STATEVECTOR_NAMES = ("StateVector", "apply_gate")
+
+
+def __getattr__(name: str):
+    if name in _STATEVECTOR_NAMES:
+        from . import statevector
+        return getattr(statevector, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

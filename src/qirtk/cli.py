@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 
+from . import errors
 from .bridge import circuit_from_base_qir, circuit_to_base_qir
 from .errors import ParseError, QirError
 from .interpreter import (DEFAULT_MAX_QUBITS, DEFAULT_STEP_LIMIT,
@@ -34,8 +35,9 @@ def _detect_format(path: str, override: str | None) -> str:
 
 
 def _read(path: str) -> str:
+    # one character past the limit is enough for the reader to refuse it
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        return handle.read(errors.MAX_INPUT_CHARS + 1)
 
 
 def _load_module(args):

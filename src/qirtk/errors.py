@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the input-size limit
+of the two source readers."""
 
 from __future__ import annotations
 
@@ -25,6 +26,17 @@ class ParseError(QirError):
             loc += f", column {column}"
         detail = f" near {token!r}" if token else ""
         super().__init__(f"{loc}: {message}{detail}")
+
+
+#: longest source text, in characters, that ``parse_module`` and
+#: ``import_openqasm2`` accept
+MAX_INPUT_CHARS = 64 * 1024 * 1024
+
+
+def check_input_size(text: str) -> None:
+    """Refuse source text longer than ``MAX_INPUT_CHARS``."""
+    if len(text) > MAX_INPUT_CHARS:
+        raise ParseError(f"text longer than {MAX_INPUT_CHARS} characters")
 
 
 class ConversionError(QirError):

@@ -31,7 +31,6 @@ from .errors import ExecutionError
 from .evaluator import Evaluator
 from .ir import Call, Load, QirModule, StaticAddr, REQUIRED_QUBITS_ATTR
 from .rng import ShotRng
-from .statevector import StateVector
 
 DEFAULT_MAX_QUBITS = 26
 DEFAULT_STEP_LIMIT = 10_000_000
@@ -94,6 +93,9 @@ class RuntimeState:
     def __init__(self, rng: ShotRng, options: ExecOptions):
         self.rng = rng
         self.options = options
+        # imported here, not at module level, so that commands which never
+        # build a state (validate, transpile) do not load numpy
+        from .statevector import StateVector
         self.statevector = StateVector(0)
         self.qubit_indices: dict[tuple, int] = {}
         self.free_indices: list[int] = []

@@ -3,34 +3,45 @@
 The accepted grammar is statement-per-line, so tokens never span lines and
 every token carries the 1-based line and column it started at. Comments run
 from ``;`` to end of line.
+
+One regular-expression match yields one token: leading whitespace is part
+of the pattern, the kind is the index of the group that matched, and a
+last catch-all group takes any other non-space character, so nothing is
+skipped silently and a bad character is reported where it stands.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 
+# The first characters of the alternatives are disjoint except FLOAT and
+# INT, so the order is free apart from FLOAT before INT and the catch-all
+# last; the commonest kinds come first.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<SKIP>\s+)
-    | (?P<COMMENT>;.*)
-    | (?P<LOCAL>%(?:[A-Za-z$._0-9]+|"[^"]*"))
-    | (?P<GLOBAL>@(?:[A-Za-z$._0-9]+|"[^"]*"))
-    | (?P<ATTRID>\#\d+)
-    | (?P<FLOAT>-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+|0x[0-9A-Fa-f]{16})
-    | (?P<INT>-?\d+)
-    | (?P<STRING>"[^"]*")
-    | (?P<WORD>[A-Za-z$._][A-Za-z$._0-9]*)
-    | (?P<PUNCT>[(){}\[\],=:*])
-    """,
+    \s*(?:
+      ([A-Za-z$._][A-Za-z$._0-9]*)
+    | ([(){}\[\],=:*])
+    | (%(?:[A-Za-z$._0-9]+|"[^"]*"))
+    | (@(?:[A-Za-z$._0-9]+|"[^"]*"))
+    | (-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+|0x[0-9A-Fa-f]{16})
+    | (-?\d+)
+    | (\#\d+)
+    | ("[^"]*")
+    | (;.*)
+    | (\S)
+    )""",
     re.VERBOSE,
 )
+_KINDS = (None, "WORD", "PUNCT", "LOCAL", "GLOBAL", "FLOAT", "INT", "ATTRID",
+          "STRING")
+_COMMENT = len(_KINDS)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -39,18 +50,16 @@ class Token:
 
 def tokenize_line(text: str, line_no: int) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
+    new = tuple.__new__
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group >= _COMMENT:
+            if group == _COMMENT:
+                break
             raise ParseError("unrecognized character", line=line_no,
-                             column=pos + 1, token=text[pos])
-        kind = m.lastgroup or ""
-        if kind == "COMMENT":
-            break
-        if kind != "SKIP":
-            tokens.append(Token(kind, m.group(), line_no, m.start() + 1))
-        pos = m.end()
+                             column=m.start(group) + 1, token=m.group(group))
+        tokens.append(new(Token, (_KINDS[group], m.group(group), line_no,
+                                  m.start(group) + 1)))
     return tokens
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 
 from . import intrinsics
-from .errors import ParseError
+from .errors import ParseError, check_input_size
 from .ir import (BINOPS, DOUBLE, EXT_OPS, I1, I64, ICMP_PREDS, PTR, QUBIT,
                  RESULT, VOID, Alloca, BasicBlock, BinOp, Br, Call, CallArg,
                  CondBr, ConstFloat, ConstInt, DoubleType, Ext, FuncDecl,
@@ -53,11 +53,9 @@ class _Cursor:
         self.line = line_no
         self.pos = 0
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
     def peek(self) -> Token | None:
-        return None if self.at_end() else self.tokens[self.pos]
+        pos = self.pos
+        return self.tokens[pos] if pos < len(self.tokens) else None
 
     def peek2(self) -> Token | None:
         if self.pos + 1 >= len(self.tokens):
@@ -65,11 +63,11 @@ class _Cursor:
         return self.tokens[self.pos + 1]
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
+        pos = self.pos
+        if pos >= len(self.tokens):
             raise ParseError("unexpected end of line", line=self.line)
-        self.pos += 1
-        return tok
+        self.pos = pos + 1
+        return self.tokens[pos]
 
     def expect(self, kind: str | None = None, text: str | None = None) -> Token:
         tok = self.next()
@@ -734,5 +732,7 @@ def _strip_ignored(text: str) -> str:
 
 
 def parse_module(text: str) -> QirModule:
-    """Parse textual IR into a QirModule; raises ParseError on bad input."""
+    """Parse textual IR into a QirModule; raises ParseError on bad input,
+    and on text longer than ``errors.MAX_INPUT_CHARS``."""
+    check_input_size(text)
     return _ModuleParser(text).parse()

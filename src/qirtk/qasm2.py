@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import pi
 
 from .circuit import Gate, GateKind, Measure, QuantumCircuit, Reset
-from .errors import ParseError
+from .errors import ParseError, check_input_size
 
 _GATES_BY_NAME = {kind.value: kind for kind in GateKind}
 
@@ -345,7 +345,9 @@ class _QasmParser:
 
 
 def import_openqasm2(text: str) -> QuantumCircuit:
-    """Parse OpenQASM 2 source into a circuit."""
+    """Parse OpenQASM 2 source into a circuit; raises ParseError on bad
+    input, and on text longer than ``errors.MAX_INPUT_CHARS``."""
+    check_input_size(text)
     return _QasmParser(text).parse()
 
 

@@ -287,9 +287,13 @@ class StateVector:
         """Zero amplitudes inconsistent with ``outcome`` and renormalize."""
         self._check_targets((qubit,), 1)
         halves = self._halves(qubit)
+        self._collapse(halves, outcome, _norm2(halves[outcome]))
+
+    def _collapse(self, halves: tuple[np.ndarray, np.ndarray], outcome: int,
+                  kept_norm2: float) -> None:
         kept, dropped = halves[outcome], halves[1 - outcome]
         dropped[...] = 0.0
-        norm = math.sqrt(_norm2(kept))
+        norm = math.sqrt(kept_norm2)
         if norm < 1e-150:
             raise ValueError("collapse onto a zero-probability outcome")
         kept *= 1.0 / norm      # a complex multiply is cheaper than a divide
@@ -300,9 +304,14 @@ class StateVector:
         ``uniform`` is a draw in [0, 1); the outcome is 1 when it falls
         below the probability of one. Always consumes exactly one draw.
         """
-        p_one = self.prob_one(qubit)
+        self._check_targets((qubit,), 1)
+        halves = self._halves(qubit)
+        p_one = _norm2(halves[1])
         outcome = 1 if uniform < p_one else 0
-        self.collapse(qubit, outcome)
+        # the 1-half is unchanged since p_one was taken, so its squared
+        # norm is p_one to the last bit
+        self._collapse(halves, outcome,
+                       p_one if outcome else _norm2(halves[0]))
         return outcome
 
 
