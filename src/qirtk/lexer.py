@@ -36,6 +36,8 @@ _TOKEN_RE = re.compile(
     )""",
     re.VERBOSE,
 )
+# the kind of each numbered group above; the comment and catch-all
+# groups come after them
 _KINDS = (None, "WORD", "PUNCT", "LOCAL", "GLOBAL", "FLOAT", "INT", "ATTRID",
           "STRING")
 _COMMENT = len(_KINDS)
@@ -50,7 +52,7 @@ class Token(NamedTuple):
 
 def tokenize_line(text: str, line_no: int) -> list[Token]:
     tokens: list[Token] = []
-    new = tuple.__new__
+    new = tuple.__new__     # skips the NamedTuple's own Python-level __new__
     for m in _TOKEN_RE.finditer(text):
         group = m.lastindex
         if group >= _COMMENT:

@@ -287,16 +287,7 @@ class StateVector:
         """Zero amplitudes inconsistent with ``outcome`` and renormalize."""
         self._check_targets((qubit,), 1)
         halves = self._halves(qubit)
-        self._collapse(halves, outcome, _norm2(halves[outcome]))
-
-    def _collapse(self, halves: tuple[np.ndarray, np.ndarray], outcome: int,
-                  kept_norm2: float) -> None:
-        kept, dropped = halves[outcome], halves[1 - outcome]
-        dropped[...] = 0.0
-        norm = math.sqrt(kept_norm2)
-        if norm < 1e-150:
-            raise ValueError("collapse onto a zero-probability outcome")
-        kept *= 1.0 / norm      # a complex multiply is cheaper than a divide
+        _collapse(halves, outcome, _norm2(halves[outcome]))
 
     def measure(self, qubit: int, uniform: float) -> int:
         """Sample and collapse one qubit.
@@ -310,8 +301,7 @@ class StateVector:
         outcome = 1 if uniform < p_one else 0
         # the 1-half is unchanged since p_one was taken, so its squared
         # norm is p_one to the last bit
-        self._collapse(halves, outcome,
-                       p_one if outcome else _norm2(halves[0]))
+        _collapse(halves, outcome, p_one if outcome else _norm2(halves[0]))
         return outcome
 
 
@@ -323,6 +313,18 @@ def _norm2(part: np.ndarray) -> float:
     # rows are contiguous, so their float pairs are too
     parts = part.view(np.float64)
     return float(np.einsum("ij,ij->", parts, parts))
+
+
+def _collapse(halves: tuple[np.ndarray, np.ndarray], outcome: int,
+              kept_norm2: float) -> None:
+    """Zero the other half and rescale the kept one, whose squared norm
+    is ``kept_norm2``."""
+    kept, dropped = halves[outcome], halves[1 - outcome]
+    dropped[...] = 0.0
+    norm = math.sqrt(kept_norm2)
+    if norm < 1e-150:
+        raise ValueError("collapse onto a zero-probability outcome")
+    kept *= 1.0 / norm      # a complex multiply is cheaper than a divide
 
 
 def apply_gate(state: StateVector, kind: GateKind,

@@ -149,6 +149,8 @@ def test_measurement_of_a_missing_qubit_is_rejected():
             state.prob_one(qubit)
         with pytest.raises(ValueError, match="out of range"):
             state.collapse(qubit, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            state.measure(qubit, 0.5)
 
 
 def test_collapse_onto_a_zero_half_is_rejected_on_any_qubit():
