@@ -11,7 +11,13 @@ from dataclasses import dataclass, field
 
 
 class GateKind(enum.Enum):
-    """Supported gate set; values are the lowercase OpenQASM 2 names."""
+    """Supported gate set; values are the lowercase OpenQASM 2 names.
+
+    ``num_qubits`` and ``num_params`` are set once from ``_ARITY``.
+    """
+
+    num_qubits: int
+    num_params: int
 
     H = "h"
     X = "x"
@@ -29,13 +35,7 @@ class GateKind(enum.Enum):
     SWAP = "swap"
     CCX = "ccx"
 
-    @property
-    def num_qubits(self) -> int:
-        return _ARITY[self][0]
-
-    @property
-    def num_params(self) -> int:
-        return _ARITY[self][1]
+    __hash__ = object.__hash__  # equality is identity; no Python-level call
 
 
 _ARITY: dict[GateKind, tuple[int, int]] = {
@@ -55,6 +55,10 @@ _ARITY: dict[GateKind, tuple[int, int]] = {
     GateKind.SWAP: (2, 0),
     GateKind.CCX: (3, 0),
 }
+
+for _kind, _arity in _ARITY.items():
+    _kind.num_qubits, _kind.num_params = _arity
+del _kind, _arity
 
 
 @dataclass(frozen=True)
