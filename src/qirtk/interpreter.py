@@ -1,10 +1,13 @@
 """Shot-based execution of parsed modules on the statevector backend.
 
-Per shot the interpreter runs the shared evaluator (``evaluator.py``)
-over concrete values: phi nodes resolve against the predecessor label,
-integers follow two's complement semantics at their declared width, and
-quantum intrinsics dispatch through the intrinsic table onto a
-``StateVector``.
+``interpret`` compiles the entry function once with the shared
+evaluator (``evaluator.py``) over concrete values, and each shot runs
+the compiled closures: integers follow two's complement semantics at
+their declared width, each call already holds its intrinsic's action and
+gate kind and acts on a ``StateVector``, and steps are counted a block
+at a time. A fault is raised when a shot reaches it, never while
+compiling, with the shot and the ``function:block:index`` of the last
+instruction started.
 
 Qubit bookkeeping mirrors the static allocator so that a lowered module
 reproduces the original shot for shot: simulator indices are handed out
@@ -21,6 +24,7 @@ classical registers that initialize to zero.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 from dataclasses import dataclass
@@ -28,8 +32,9 @@ from dataclasses import dataclass
 from . import intrinsics
 from .circuit import GateKind
 from .errors import ExecutionError
-from .evaluator import Evaluator
-from .ir import Call, Load, QirModule, StaticAddr, REQUIRED_QUBITS_ATTR
+from .evaluator import Compiler, Run, constant, raising
+from .ir import (Call, Load, LocalRef, QirModule, StaticAddr,
+                 REQUIRED_QUBITS_ATTR)
 from .rng import ShotRng
 
 DEFAULT_MAX_QUBITS = 26
@@ -111,18 +116,33 @@ class RuntimeState:
     # qubit table
 
     def presize(self, count: int) -> None:
+        if (self.statevector.num_qubits == 0 and not self.released
+                and count <= self.options.max_qubits):
+            # what growing an empty state once per qubit gives, built at once
+            from .statevector import StateVector
+            self.statevector = StateVector(count)
+            self.qubit_indices = {("s", i): i for i in range(count)}
+            return
         for i in range(count):
             self.qubit_index(("s", i))
 
     def qubit_index(self, key: tuple) -> int:
+        index = self.qubit_indices.get(key)
+        if index is not None:
+            return index  # a key in the table was never released
         if key in self.released:
             raise ExecutionError("UseAfterRelease",
                                  "qubit handle used after release")
-        index = self.qubit_indices.get(key)
-        if index is None:
-            index = self._take_index()
-            self.qubit_indices[key] = index
+        index = self._take_index()
+        self.qubit_indices[key] = index
         return index
+
+    def index_of(self, value) -> int:
+        """The index of a qubit operand, a handle or a static address."""
+        key = ("s", value.index) if type(value) is StaticAddr \
+            else _qubit_key(value)
+        index = self.qubit_indices.get(key)
+        return self.qubit_index(key) if index is None else index
 
     def _take_index(self) -> int:
         if self.free_indices:
@@ -175,10 +195,43 @@ class RuntimeState:
         self.record.append(self.results.get(result_key, 0))
 
 
-class _ShotInterpreter(Evaluator):
-    """Execution: every value is concrete and calls act on the state.
+def _qubit_key(value) -> tuple:
+    if isinstance(value, _Qubit):
+        return value.key
+    if isinstance(value, StaticAddr):
+        return ("s", value.index)
+    raise ExecutionError("BadOperand", "expected a qubit reference")
 
-    Errors are raised without a shot or location; ``run`` adds both.
+
+def _result_key(value) -> tuple:
+    if isinstance(value, StaticAddr):
+        return ("s", value.index)
+    raise ExecutionError("BadOperand", "expected a result reference")
+
+
+def _angle(value) -> float:
+    if isinstance(value, float):
+        return value
+    if isinstance(value, int):
+        return float(value)
+    raise ExecutionError("BadOperand", "expected a rotation angle")
+
+
+def _count(value) -> int:
+    if not isinstance(value, int):
+        raise ExecutionError("BadOperand", "expected an integer")
+    return value
+
+
+def _array(value) -> "_ArrayRef":
+    if not isinstance(value, _ArrayRef):
+        raise ExecutionError("BadOperand", "expected an array handle")
+    return value
+
+
+class _ShotCompiler(Compiler):
+    """Execution: every value is concrete and calls act on the state.
+    Errors are raised without a shot or location; ``run_shot`` adds both.
     """
 
     ERROR = ExecutionError
@@ -189,159 +242,148 @@ class _ShotInterpreter(Evaluator):
         "phi_edge": ("BadOperand", "phi %{0} has no incoming for {1!r}"),
         "cond": ("BadOperand", "expected an integer value"),
         "terminator": ("BadOperand", "block has no terminator"),
+        "label": ("BadOperand", "branch to unknown label {0!r}"),
         "opcode": ("BadOperand", "cannot execute {0}"),
+        "step_limit": ("StepLimit", "exceeded {0} steps"),
     }
 
-    def __init__(self, module: QirModule, state: RuntimeState,
-                 shot_index: int):
-        super().__init__(module.entry)
-        self.module = module
-        self.state = state
-        self.shot = shot_index
-        self.slots = state.slots
-
-    def run(self) -> None:
-        try:
-            required = self.module.required_count(REQUIRED_QUBITS_ATTR)
-            if required:
-                if required > self.state.options.max_qubits:
-                    raise ExecutionError(
-                        "QubitLimit",
-                        f"module requires {required} qubits, limit is "
-                        f"{self.state.options.max_qubits}", shot=self.shot)
-                self.state.presize(required)
-            super().run()
-        except ExecutionError as err:
-            if err.shot is None:
-                raise ExecutionError(
-                    err.reason, err.message, shot=self.shot,
-                    location=err.location or self.location) from None
-            raise
-
-    def _step(self) -> None:
-        self.state.steps += 1
-        if self.state.steps > self.state.options.step_limit:
-            raise self._error(
-                "StepLimit",
-                f"exceeded {self.state.options.step_limit} steps")
-
-    def _residual(self, instr, **operand_types):
+    def _residual(self, env, instr, operands):
         raise self._error("BadOperand", "expected an integer value")
 
-    def _store_through(self, pointer, value) -> None:
+    def _store_through(self, state: RuntimeState, pointer, value) -> None:
         if not isinstance(pointer, _ElemPtr):
             raise self._error("BadOperand", "store through a non-pointer")
-        self.state.arrays[pointer.array].elements[pointer.index] = value
+        state.arrays[pointer.array].elements[pointer.index] = value
 
-    def _load_through(self, pointer, instr: Load):
+    def _load_through(self, state: RuntimeState, pointer, instr: Load):
         if not isinstance(pointer, _ElemPtr):
             raise self._error("BadOperand", "load through a non-pointer")
-        return self.state.arrays[pointer.array].elements[pointer.index]
+        return state.arrays[pointer.array].elements[pointer.index]
 
-    # ------------------------------------------------------------------
-
-    def _call(self, instr: Call) -> None:
+    def _call(self, instr: Call):
         spec = intrinsics.lookup(instr.callee)
         if spec is None:
-            raise self._error(
-                "UnknownIntrinsic",
-                f"@{instr.callee} is not a runtime intrinsic")
+            return raising(self._error, "UnknownIntrinsic",
+                           f"@{instr.callee} is not a runtime intrinsic")
         if len(instr.args) != len(spec.arg_kinds):
-            raise self._error(
-                "BadOperand",
+            return raising(
+                self._error, "BadOperand",
                 f"@{instr.callee} expects {len(spec.arg_kinds)} arguments")
-        out = self._dispatch(spec, [self._value(a.value)
-                                    for a in instr.args])
-        if instr.result is not None:
-            self.env[instr.result] = out
+        values = [a.value for a in instr.args]
+        if spec.action == intrinsics.GATE:
+            op = self._gate(spec.gate, values)
+        else:
+            op = self._action(*_ACTIONS[spec.action], values)
+        result = instr.result
+        if result is None:
+            return op
 
-    def _qubit_key(self, value) -> tuple:
-        if isinstance(value, _Qubit):
-            return value.key
-        if isinstance(value, StaticAddr):
-            return ("s", value.index)
-        raise self._error("BadOperand", "expected a qubit reference")
+        def call(env, state):
+            env[result] = op(env, state)
+        return call
 
-    def _result_key(self, value) -> tuple:
-        if isinstance(value, StaticAddr):
-            return ("s", value.index)
-        raise self._error("BadOperand", "expected a result reference")
+    def _action(self, converters, run, values):
+        """``run(state, *operands)`` with each operand converted; constant
+        operands are converted once, here, when all of them convert."""
+        known = _converted(converters, values)
+        if known is not None:
+            return lambda env, state: run(state, *known)
+        keys = [self._key(v) for v in values]
 
-    def _dispatch(self, spec: intrinsics.IntrinsicSpec, args: list):
-        state = self.state
-        action = spec.action
-        if action == intrinsics.GATE:
-            gate = spec.gate
-            assert gate is not None
-            params = tuple(self._angle(a)
-                           for a in args[:gate.num_params])
-            targets = tuple(
-                state.qubit_index(self._qubit_key(a))
-                for a in args[gate.num_params:])
-            if len(set(targets)) != len(targets):
-                raise self._error("BadOperand",
-                                  "duplicate qubit operand in a gate")
+        def op(env, state):
+            # every operand is read before the first is converted
+            args = list(map(env.__getitem__, keys))
+            return run(state, *[convert(value) for convert, value
+                                in zip(converters, args)])
+        return op
+
+    def _gate(self, gate: GateKind, values):
+        n = gate.num_params
+        params = _converted([_angle] * n, values[:n])
+        keys = [self._key(v) for v in values[n:]]
+        if params is None or len(keys) > 2:
+            return self._action([_same] * len(values),
+                                functools.partial(_apply_gate, gate), values)
+        params = tuple(params)
+        if len(keys) == 1:
+            (key,) = keys
+            return lambda env, state: state.statevector.apply_gate_inplace(
+                gate, params, (state.index_of(env[key]),))
+        first, second = keys
+
+        def two(env, state):
+            a, b = env[first], env[second]  # both read before either is used
+            targets = (state.index_of(a), state.index_of(b))
+            if targets[0] == targets[1]:
+                raise ExecutionError("BadOperand",
+                                     "duplicate qubit operand in a gate")
             state.statevector.apply_gate_inplace(gate, params, targets)
-            return None
-        if action == intrinsics.MEASURE:
-            state.measure(self._qubit_key(args[0]),
-                          self._result_key(args[1]))
-            return None
-        if action == intrinsics.RESET:
-            state.reset(self._qubit_key(args[0]))
-            return None
-        if action == intrinsics.ALLOCATE:
-            return state.allocate_dynamic()
-        if action == intrinsics.ALLOCATE_ARRAY:
-            size = self._count(args[0])
-            array = _Array([state.allocate_dynamic() for _ in range(size)])
-            state.arrays.append(array)
-            return _ArrayRef(len(state.arrays) - 1)
-        if action == intrinsics.GET_ELEMENT:
-            array_ref = args[0]
-            if not isinstance(array_ref, _ArrayRef):
-                raise self._error("BadOperand", "expected an array handle")
-            index = self._count(args[1])
-            array = state.arrays[array_ref.id]
-            if not 0 <= index < len(array.elements):
-                raise self._error(
-                    "BadOperand",
-                    f"array index {index} out of bounds "
-                    f"({len(array.elements)} elements)")
-            return _ElemPtr(array_ref.id, index)
-        if action == intrinsics.RELEASE:
-            state.release(self._qubit_key(args[0]))
-            return None
-        if action == intrinsics.RELEASE_ARRAY:
-            array_ref = args[0]
-            if not isinstance(array_ref, _ArrayRef):
-                raise self._error("BadOperand", "expected an array handle")
-            for element in state.arrays[array_ref.id].elements:
-                if isinstance(element, _Qubit):
-                    state.release(element.key)
-            return None
-        if action == intrinsics.READ_RESULT:
-            return state.read_result(self._result_key(args[0]))
-        if action == intrinsics.RECORD:
-            state.record_result(self._result_key(args[0]))
-            return None
-        if action == intrinsics.RECORD_ARRAY:
-            self._count(args[0])  # length marker only; bits come per result
-            return None
-        raise self._error("UnknownIntrinsic",
-                          f"unhandled intrinsic action {action!r}")
+        return two
 
-    def _angle(self, value) -> float:
-        if isinstance(value, float):
-            return value
-        if isinstance(value, int):
-            return float(value)
-        raise self._error("BadOperand", "expected a rotation angle")
 
-    def _count(self, value) -> int:
-        if not isinstance(value, int):
-            raise self._error("BadOperand", "expected an integer")
-        return value
+def _same(value):
+    return value
+
+
+def _converted(converters, values) -> list | None:
+    """``values`` converted now, or None when one of them is not a
+    constant or does not convert."""
+    if any(isinstance(v, LocalRef) for v in values):
+        return None
+    try:
+        return [convert(constant(v)) for convert, v in zip(converters, values)]
+    except ExecutionError:
+        return None
+
+
+def _apply_gate(gate: GateKind, state: RuntimeState, *args) -> None:
+    """A gate whose operands convert, and are indexed, one at a time."""
+    n = gate.num_params
+    params = tuple(map(_angle, args[:n]))
+    targets = tuple(map(state.index_of, args[n:]))
+    if len(set(targets)) != len(targets):
+        raise ExecutionError("BadOperand",
+                             "duplicate qubit operand in a gate")
+    state.statevector.apply_gate_inplace(gate, params, targets)
+
+
+def _allocate_array(state: RuntimeState, size: int) -> "_ArrayRef":
+    array = _Array([state.allocate_dynamic() for _ in range(size)])
+    state.arrays.append(array)
+    return _ArrayRef(len(state.arrays) - 1)
+
+
+def _get_element(state: RuntimeState, array_ref: "_ArrayRef",
+                 index: int) -> _ElemPtr:
+    array = state.arrays[array_ref.id]
+    if not 0 <= index < len(array.elements):
+        raise ExecutionError(
+            "BadOperand", f"array index {index} out of bounds "
+                          f"({len(array.elements)} elements)")
+    return _ElemPtr(array_ref.id, index)
+
+
+def _release_array(state: RuntimeState, array_ref: "_ArrayRef") -> None:
+    for element in state.arrays[array_ref.id].elements:
+        if isinstance(element, _Qubit):
+            state.release(element.key)
+
+
+#: action -> (operand converters, what the call does with its operands
+#: converted); an array's length is a marker only, its bits come per result
+_ACTIONS = {
+    intrinsics.MEASURE: ((_qubit_key, _result_key), RuntimeState.measure),
+    intrinsics.RESET: ((_qubit_key,), RuntimeState.reset),
+    intrinsics.ALLOCATE: ((), RuntimeState.allocate_dynamic),
+    intrinsics.ALLOCATE_ARRAY: ((_count,), _allocate_array),
+    intrinsics.GET_ELEMENT: ((_array, _count), _get_element),
+    intrinsics.RELEASE: ((_qubit_key,), RuntimeState.release),
+    intrinsics.RELEASE_ARRAY: ((_array,), _release_array),
+    intrinsics.READ_RESULT: ((_result_key,), RuntimeState.read_result),
+    intrinsics.RECORD: ((_result_key, _same),
+                        lambda state, key, label: state.record_result(key)),
+    intrinsics.RECORD_ARRAY: ((_count, _same), lambda state, *args: None),
+}
 
 
 @dataclass(frozen=True)
@@ -350,15 +392,30 @@ class _ArrayRef:
 
 
 def run_shot(module: QirModule, seed: int = 0, shot_index: int = 0,
-             options: ExecOptions | None = None) -> tuple[str, RuntimeState]:
+             options: ExecOptions | None = None,
+             program: Compiler | None = None) -> tuple[str, RuntimeState]:
     """Execute one shot; returns (bitstring, final runtime state).
 
+    ``program`` is the module's entry compiled by ``interpret``, which
+    compiles it once for all shots; it is compiled here when not given.
     Exposed for inspection: the returned state carries the statevector as
     left by the program, before any of the cross-shot aggregation.
     """
     options = options or ExecOptions()
     state = RuntimeState(ShotRng(seed, shot_index), options)
-    _ShotInterpreter(module, state, shot_index).run()
+    required = module.required_count(REQUIRED_QUBITS_ATTR)
+    if required and required > options.max_qubits:
+        raise ExecutionError(
+            "QubitLimit", f"module requires {required} qubits, limit is "
+            f"{options.max_qubits}", shot=shot_index)
+    run = Run(program or _ShotCompiler(module.entry).compile(), state)
+    try:
+        if required:
+            state.presize(required)
+        run.run(options.step_limit)
+    except ExecutionError as err:
+        raise ExecutionError(err.reason, err.message, shot=shot_index,
+                             location=run.location) from None
     return "".join(str(b) for b in state.record), state
 
 
@@ -374,8 +431,9 @@ def interpret(module: QirModule, shots: int = 1024, seed: int = 0,
     options = options or ExecOptions()
     memory: list[str] = []
     counts: dict[str, int] = {}
+    program = _ShotCompiler(module.entry).compile() if shots else None
     for shot in range(shots):
-        bits, _ = run_shot(module, seed, shot, options)
+        bits, _ = run_shot(module, seed, shot, options, program=program)
         memory.append(bits)
         counts[bits] = counts.get(bits, 0) + 1
     return ExecutionResult(shots, seed, memory, counts)

@@ -11,6 +11,7 @@ plain bit for ``i1``, so constants print back exactly as parsed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 QUBIT = "qubit"
@@ -120,40 +121,15 @@ def unsigned_int(width: int, stored: int) -> int:
     return stored & ((1 << width) - 1)
 
 
-def eval_binop(op: str, width: int, lhs: int, rhs: int) -> int:
-    if op == "add":
-        raw = lhs + rhs
-    elif op == "sub":
-        raw = lhs - rhs
-    elif op == "mul":
-        raw = lhs * rhs
-    elif op == "and":
-        raw = lhs & rhs
-    elif op == "or":
-        raw = lhs | rhs
-    elif op == "xor":
-        raw = lhs ^ rhs
-    else:
-        raise ValueError(f"unknown binary op {op!r}")
-    return wrap_int(width, raw)
+#: binary op -> its operation on unbounded ints, before wrapping
+BINOP_FUNCS = {"add": operator.add, "sub": operator.sub,
+               "mul": operator.mul, "and": operator.and_,
+               "or": operator.or_, "xor": operator.xor}
 
-
-def eval_icmp(pred: str, width: int, lhs: int, rhs: int) -> int:
-    if pred == "eq":
-        return int(lhs == rhs)
-    if pred == "ne":
-        return int(lhs != rhs)
-    a = signed_int(width, lhs)
-    b = signed_int(width, rhs)
-    if pred == "slt":
-        return int(a < b)
-    if pred == "sle":
-        return int(a <= b)
-    if pred == "sgt":
-        return int(a > b)
-    if pred == "sge":
-        return int(a >= b)
-    raise ValueError(f"unknown icmp predicate {pred!r}")
+#: icmp predicate -> its comparison; the ordered ones compare the signed
+#: readings (``signed_int``)
+ICMP_FUNCS = {"eq": operator.eq, "ne": operator.ne, "slt": operator.lt,
+              "sle": operator.le, "sgt": operator.gt, "sge": operator.ge}
 
 
 def eval_cast(op: str, value: int, from_width: int, to_width: int) -> int:

@@ -1,7 +1,7 @@
 """Module-to-module rewrites: unrolling, static addressing, lowering.
 
 ``unroll_and_fold`` partially evaluates the classical subset of a module
-with the evaluator the interpreter also runs (``evaluator.py``): integer
+with the evaluator the interpreter also compiles (``evaluator.py``): integer
 arithmetic on known values folds, branches on known conditions are
 taken, loop bodies replicate, and intrinsic calls are emitted in
 execution order with concretized operands. ``allocate_static_addresses``
@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import copy
 import heapq
+import math
 from dataclasses import dataclass, replace
 
 from . import intrinsics
 from .errors import TransformError
-from .evaluator import Evaluator, Slot
+from .evaluator import Compiler, Run, Slot, raising
 from .ir import (Alloca, BasicBlock, BinOp, Call, CallArg, ConstFloat,
                  ConstInt, DoubleType, Ext, FuncDef, GlobalRef, ICmp,
                  IntToAddr, IntType, Load, LocalRef, QUBIT, QirModule,
@@ -85,8 +86,9 @@ def _with_body(module: QirModule, instructions: list) -> QirModule:
 # unroll_and_fold
 
 
-class _Unroller(Evaluator):
-    """Partial evaluation: ints fold, everything else is emitted."""
+class _Unroller(Compiler):
+    """Partial evaluation: ints fold, everything else is emitted. The
+    unroller is also the state its run works on."""
 
     ERROR = TransformError
     FAULTS = {
@@ -101,6 +103,7 @@ class _Unroller(Evaluator):
                                   "measurement result and cannot be "
                                   "evaluated statically"),
         "terminator": ("NotStraightLine", "block {0!r} has no terminator"),
+        "label": ("NotStraightLine", "branch to unknown label {0!r}"),
         "opcode": ("Unsupported", "cannot evaluate {0}"),
     }
 
@@ -109,22 +112,32 @@ class _Unroller(Evaluator):
         self.cap = cap
         self.out: list = []
         self.counter = 0
-        self.visits: dict[str, int] = {}
+        self.visits = {b.label: 1 for b in self.fn.blocks[:1]}  # entry
+        self.slots: list = []
+        self.steps = 0
 
     def fresh(self) -> str:
         name = f"v{self.counter}"
         self.counter += 1
         return name
 
-    def _visit(self, block: BasicBlock) -> None:
-        count = self.visits.get(block.label, 0) + 1
-        self.visits[block.label] = count
-        if count > self.cap + 1:
-            raise TransformError(
-                "CapExceeded",
-                f"block {block.label!r} revisited more than "
-                f"{self.cap} times; raise the iteration cap if the "
-                "loop bound is intended")
+    def _terminator(self, block: BasicBlock, number: dict):
+        branch, labels = super()._terminator(block, number), \
+            [b.label for b in self.fn.blocks]
+
+        def visit(env):
+            target = branch(env)
+            if target >= 0:
+                label = labels[target]
+                self.visits[label] = count = self.visits.get(label, 0) + 1
+                if count > self.cap + 1:
+                    raise TransformError(
+                        "CapExceeded",
+                        f"block {label!r} revisited more than {self.cap} "
+                        "times; raise the iteration cap if the loop bound "
+                        "is intended")
+            return target
+        return visit
 
     def _concretize(self, abstract, ty, kind_hint: str | None = None):
         if isinstance(abstract, bool):
@@ -150,26 +163,26 @@ class _Unroller(Evaluator):
             "EscapingHandle",
             "a stack-slot address flows into an emitted instruction")
 
-    def _residual(self, instr, **operand_types) -> _Res:
+    def _residual(self, env, instr, operands) -> _Res:
         name = self.fresh()
         self.out.append(replace(instr, result=name, **{
-            field: self._concretize(self._value(getattr(instr, field)), ty)
-            for field, ty in operand_types.items()}))
+            field: self._concretize(env[key], ty)
+            for field, key, ty in operands}))
         return _Res(name)
 
-    def _store_slot(self, slot: Slot, value) -> None:
+    def _store_slot(self, state, index: int, value) -> None:
         if isinstance(value, Slot):
             raise TransformError(
                 "EscapingHandle",
                 "a stack-slot address is stored to memory")
-        super()._store_slot(slot, value)
+        self.slots[index] = value
 
-    def _store_through(self, pointer, value) -> None:
+    def _store_through(self, state, pointer, value) -> None:
         raise TransformError(
             "EscapingHandle",
             "store through a pointer that is not a stack slot")
 
-    def _load_through(self, pointer, instr: Load) -> _Res:
+    def _load_through(self, state, pointer, instr: Load) -> _Res:
         if not isinstance(pointer, _Res):
             raise TransformError(
                 "EscapingHandle",
@@ -180,20 +193,24 @@ class _Unroller(Evaluator):
         self.out.append(Load(name, instr.ty, LocalRef(pointer.name)))
         return _Res(name)
 
-    def _call(self, instr: Call) -> None:
+    def _call(self, instr: Call):
         spec = intrinsics.lookup(instr.callee)
         if spec is None:
-            raise TransformError(
-                "Unsupported", f"@{instr.callee} is not an intrinsic")
-        args = []
-        for kind, arg in zip(spec.arg_kinds, instr.args):
-            value = self._concretize(self._value(arg.value), arg.ty, kind)
-            args.append(CallArg(arg.ty, value))
-        result = None
-        if instr.result is not None:
-            result = self.fresh()
-            self.env[instr.result] = _Res(result)
-        self.out.append(Call(instr.callee, args, result, instr.ret_type))
+            return raising(TransformError, "Unsupported",
+                           f"@{instr.callee} is not an intrinsic")
+        args = [(arg.ty, self._key(arg.value), kind)
+                for kind, arg in zip(spec.arg_kinds, instr.args)]
+
+        def op(env, state):
+            values = [CallArg(ty, self._concretize(env[key], ty, kind))
+                      for ty, key, kind in args]
+            result = None
+            if instr.result is not None:
+                result = self.fresh()
+                env[instr.result] = _Res(result)
+            self.out.append(Call(instr.callee, values, result,
+                                 instr.ret_type))
+        return op
 
 
 def unroll_and_fold(module: QirModule,
@@ -212,7 +229,7 @@ def unroll_and_fold(module: QirModule,
         raise ValueError("iteration_cap must be at least 1")
     _profile_gate(module, "unroll_and_fold")
     unroller = _Unroller(module, iteration_cap)
-    unroller.run()
+    Run(unroller.compile(), unroller).run(math.inf)
     entry = module.entry
     fn = FuncDef(entry.name,
                  [BasicBlock("entry", [], unroller.out, Ret())],
@@ -677,10 +694,12 @@ def lower_to_base(module: QirModule,
 
     Pipeline: unroll and fold, assign static addresses, drop dead
     classical residue, sink measurements behind the gates they commute
-    with. The result always validates as the base form. Programs whose
-    gates genuinely depend on earlier measurements raise
-    TransformError(FeedbackRequired).
+    with. The result always validates as the base form, and a module that
+    already does is returned unchanged. Programs whose gates genuinely
+    depend on earlier measurements raise TransformError(FeedbackRequired).
     """
+    if validate_profile(module).profile is Profile.BASE:
+        return module
     try:
         out = unroll_and_fold(module, iteration_cap)
     except TransformError as err:

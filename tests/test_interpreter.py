@@ -187,3 +187,39 @@ def test_shot_streams_are_independent_of_execution_order():
     full = interpret(module, shots=5, seed=123)
     single, _ = run_shot(module, seed=123, shot_index=3)
     assert single == full.memory[3]
+
+
+_READ_FIRST_DECLS = (
+    "declare void @__quantum__qis__cnot__body(ptr, ptr)\n"
+    "declare void @__quantum__qis__ccx__body(ptr, ptr, ptr)\n"
+    "declare void @__quantum__qis__rx__body(double, ptr)\n"
+    "declare void @__quantum__qis__mz__body(ptr, ptr)\n"
+    "declare ptr @__quantum__rt__array_get_element_ptr_1d(ptr, i64)\n")
+
+
+@pytest.mark.parametrize("call", [
+    "call void @__quantum__qis__cnot__body(ptr @g, ptr %x)",
+    "call void @__quantum__qis__ccx__body(ptr @g, ptr null, ptr %x)",
+    "call void @__quantum__qis__rx__body(double %x, ptr @g)",
+    "call void @__quantum__qis__mz__body(ptr @g, ptr %x)",
+    "%e = call ptr @__quantum__rt__array_get_element_ptr_1d(ptr @g, i64 %x)",
+])
+def test_every_operand_is_read_before_any_is_used(call):
+    # %x is defined only on the branch not taken, and the first operand
+    # would fail too: the read fails first
+    module = parse_module(
+        _READ_FIRST_DECLS + "define void @main() {\nentry:\n"
+        "  br label %b\na:\n  %x = add i64 1, 2\n  br label %b\n"
+        f"b:\n  {call}\n  ret void\n}}\n")
+    with pytest.raises(ExecutionError) as exc:
+        interpret(module, shots=1)
+    assert str(exc.value) == ("BadOperand: %x read before assignment "
+                              "[shot 0] [main:b:0]")
+
+
+def test_a_negative_step_limit_stops_at_the_first_step():
+    with pytest.raises(ExecutionError) as exc:
+        interpret(_module("bell_static.ll"), shots=1,
+                  options=ExecOptions(step_limit=-1))
+    assert str(exc.value) == ("StepLimit: exceeded -1 steps [shot 0] "
+                              "[main:entry:0]")

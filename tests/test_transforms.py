@@ -325,6 +325,13 @@ def test_lowering_a_base_module_is_the_identity():
     assert print_module(lower_to_base(module)) == print_module(module)
 
 
+def test_lowering_a_base_module_keeps_the_label_of_its_block():
+    text = genutil.corpus_text("bell_static.ll").replace("entry:", "start:")
+    module = parse_module(text)
+    assert validate_profile(module).profile is Profile.BASE
+    assert print_module(lower_to_base(module)) == print_module(module)
+
+
 def test_lowering_is_idempotent_on_dynamic_inputs():
     once = lower_to_base(_module("ghz_dynamic.ll"))
     twice = lower_to_base(once)
