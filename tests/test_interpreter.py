@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from qirtk import (ExecOptions, ExecutionError, interpret, parse_module,
-                   run_shot)
+from qirtk import (ExecOptions, ExecutionError, interpret, lower_to_base,
+                   parse_module, run_shot)
 
 import genutil
 
@@ -105,6 +105,18 @@ def test_required_qubit_attribute_presizes_the_state():
     assert state.statevector.num_qubits == 2
     _, state = run_shot(_module("hadamard_loop.ll"), seed=0, shot_index=0)
     assert state.statevector.num_qubits == 10
+
+
+def test_a_presized_static_qubit_is_its_own_amplitude_bit():
+    text = ("declare void @__quantum__qis__x__body(ptr)\n"
+            "define void @main() #0 {\n"
+            "entry:\n"
+            "  call void @__quantum__qis__x__body(ptr null)\n"
+            "  ret void\n"
+            "}\n"
+            'attributes #0 = { "entry_point" "required_num_qubits"="3" }\n')
+    _, state = run_shot(parse_module(text))
+    assert state.statevector.amplitudes[1] == 1.0
 
 
 def test_use_after_release_is_an_error():
@@ -223,3 +235,43 @@ def test_a_negative_step_limit_stops_at_the_first_step():
                   options=ExecOptions(step_limit=-1))
     assert str(exc.value) == ("StepLimit: exceeded -1 steps [shot 0] "
                               "[main:entry:0]")
+
+
+_SWAP_AND_COMPARE = (
+    "declare void @__quantum__qis__x__body(ptr)\n"
+    "declare void @__quantum__qis__mz__body(ptr, ptr)\n"
+    "declare void @__quantum__rt__result_record_output(ptr, ptr)\n"
+    "define void @main() {\n"
+    "entry:\n  br label %loop\n"
+    "loop:\n"
+    "  %a = phi i64 [ 0, %entry ], [ %b, %loop ]\n"
+    "  %b = phi i64 [ 1, %entry ], [ %a, %loop ]\n"
+    "  %n = phi i64 [ 0, %entry ], [ %m, %loop ]\n"
+    "  %m = add i64 %n, 1\n"
+    "  %again = icmp slt i64 %m, 3\n"
+    "  br i1 %again, label %loop, label %exit\n"
+    "exit:\n"
+    "  %q = inttoptr i64 %a to ptr\n"
+    "  call void @__quantum__qis__x__body(ptr %q)\n"
+    "  %neg = icmp slt i1 1, 0\n"
+    "  %r = select i1 %neg, ptr inttoptr (i64 2 to ptr), ptr null\n"
+    "  call void @__quantum__qis__x__body(ptr %r)\n"
+    "  call void @__quantum__qis__mz__body(ptr null, ptr null)\n"
+    "  call void @__quantum__qis__mz__body(ptr inttoptr (i64 1 to ptr), "
+    "ptr inttoptr (i64 1 to ptr))\n"
+    "  call void @__quantum__qis__mz__body(ptr inttoptr (i64 2 to ptr), "
+    "ptr inttoptr (i64 2 to ptr))\n"
+    "  call void @__quantum__rt__result_record_output(ptr null, ptr null)\n"
+    "  call void @__quantum__rt__result_record_output("
+    "ptr inttoptr (i64 1 to ptr), ptr null)\n"
+    "  call void @__quantum__rt__result_record_output("
+    "ptr inttoptr (i64 2 to ptr), ptr null)\n"
+    "  ret void\n}\n")
+
+
+def test_phis_copy_in_parallel_and_i1_compares_signed():
+    # the phis swap %a and %b on every edge, so %a is 0 after three
+    # visits; as signed i1 values 1 is -1, so 1 < 0
+    module = parse_module(_SWAP_AND_COMPARE)
+    assert interpret(module, shots=3).counts == {"101": 3}
+    assert interpret(lower_to_base(module), shots=3).counts == {"101": 3}

@@ -79,6 +79,15 @@ def test_iteration_cap_is_enforced():
     assert exc.value.reason == "CapExceeded"
 
 
+def test_the_entry_block_counts_its_first_visit_against_the_cap():
+    module = parse_module("define void @main() {\nentry:\n  br label %a\n"
+                          "a:\n  br label %entry\n}\n")
+    with pytest.raises(TransformError) as exc:
+        unroll_and_fold(module, iteration_cap=2)
+    assert str(exc.value).startswith(
+        "CapExceeded: block 'entry' revisited more than 2 times")
+
+
 def test_cap_equal_to_the_trip_count_is_enough():
     out = unroll_and_fold(_module("hadamard_loop.ll"), iteration_cap=10)
     assert len(_calls(out)) == 10
