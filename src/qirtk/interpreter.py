@@ -300,11 +300,10 @@ class _ShotCompiler(Compiler):
     def _gate(self, gate: GateKind, values):
         n = gate.num_params
         params = _converted([_angle] * n, values[:n])
-        keys = [self._key(v) for v in values[n:]]
-        if params is None or len(keys) > 2:
+        if params is None or len(values) - n > 2:
             return self._action([_same] * len(values),
                                 functools.partial(_apply_gate, gate), values)
-        params = tuple(params)
+        params, keys = tuple(params), [self._key(v) for v in values[n:]]
         if len(keys) == 1:
             (key,) = keys
             return lambda env, state: state.statevector.apply_gate_inplace(
