@@ -112,7 +112,7 @@ class _Unroller(Compiler):
         self.cap = cap
         self.out: list = []
         self.counter = 0
-        self.visits = {b.label: 1 for b in self.fn.blocks[:1]}  # entry
+        self.visits = {b.label: 1 for b in self.fn.blocks[:1]}  # entry block
         self.slots: list = []
         self.steps = 0
 
