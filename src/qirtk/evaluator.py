@@ -27,7 +27,6 @@ belongs to the domain; the evaluator uses its ``slots`` and ``steps``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import QirError
@@ -42,13 +41,6 @@ class Slot:
     """The address of a stack slot (an ``alloca`` result)."""
 
     index: int
-
-
-def constant(value: Value):
-    """The Python value of a constant operand."""
-    if isinstance(value, (ConstInt, ConstFloat)):
-        return value.value
-    return value  # StaticAddr, GlobalRef
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +156,8 @@ class Compiler:
         if isinstance(value, LocalRef):
             return value.name
         key = ("const", len(self.constants))
-        self.constants[key] = constant(value)
+        self.constants[key] = value.value if isinstance(
+            value, (ConstInt, ConstFloat)) else value  # StaticAddr, GlobalRef
         return key
 
     def compile(self) -> Compiler:
@@ -321,7 +314,7 @@ class Compiler:
     def _inttoaddr(self, instr: IntToAddr):
         mask = (1 << instr.source_type.width) - 1
         return self._fold1(instr, instr.source_type,
-                           lambda value: _address(value & mask))
+                           lambda value: StaticAddr(value & mask))
 
     def _ext(self, instr: Ext):
         kind, widths = instr.op, (instr.from_type.width, instr.to_type.width)
@@ -356,6 +349,3 @@ class Compiler:
                 env[result] = residual(env, instr, operands)
         return op
 
-
-#: addresses are immutable, so the ones ``inttoptr`` makes are shared
-_address = functools.lru_cache(maxsize=1024)(StaticAddr)

@@ -32,9 +32,8 @@ from dataclasses import dataclass
 from . import intrinsics
 from .circuit import GateKind
 from .errors import ExecutionError
-from .evaluator import Compiler, Run, constant, raising
-from .ir import (Call, Load, LocalRef, QirModule, StaticAddr,
-                 REQUIRED_QUBITS_ATTR)
+from .evaluator import Compiler, Run, raising
+from .ir import Call, Load, QirModule, StaticAddr, REQUIRED_QUBITS_ATTR
 from .rng import ShotRng
 
 DEFAULT_MAX_QUBITS = 26
@@ -116,33 +115,20 @@ class RuntimeState:
     # qubit table
 
     def presize(self, count: int) -> None:
-        if (self.statevector.num_qubits == 0 and not self.released
-                and count <= self.options.max_qubits):
-            # what growing an empty state once per qubit gives, built at once
-            from .statevector import StateVector
-            self.statevector = StateVector(count)
-            self.qubit_indices = {("s", i): i for i in range(count)}
-            return
-        for i in range(count):
-            self.qubit_index(("s", i))
+        # static qubit i is index i, as growing a fresh state would give
+        from .statevector import StateVector
+        self.statevector = StateVector(count)
+        self.qubit_indices = {("s", i): i for i in range(count)}
 
     def qubit_index(self, key: tuple) -> int:
-        index = self.qubit_indices.get(key)
-        if index is not None:
-            return index  # a key in the table was never released
         if key in self.released:
             raise ExecutionError("UseAfterRelease",
                                  "qubit handle used after release")
-        index = self._take_index()
-        self.qubit_indices[key] = index
-        return index
-
-    def index_of(self, value) -> int:
-        """The index of a qubit operand, a handle or a static address."""
-        key = ("s", value.index) if type(value) is StaticAddr \
-            else _qubit_key(value)
         index = self.qubit_indices.get(key)
-        return self.qubit_index(key) if index is None else index
+        if index is None:
+            index = self._take_index()
+            self.qubit_indices[key] = index
+        return index
 
     def _take_index(self) -> int:
         if self.free_indices:
@@ -269,81 +255,49 @@ class _ShotCompiler(Compiler):
             return raising(
                 self._error, "BadOperand",
                 f"@{instr.callee} expects {len(spec.arg_kinds)} arguments")
-        values = [a.value for a in instr.args]
+        keys = [self._key(a.value) for a in instr.args]
         if spec.action == intrinsics.GATE:
-            op = self._gate(spec.gate, values)
+            # a gate converts and indexes its qubits itself, one at a time
+            run = functools.partial(_apply_gate, spec.gate)
+            converters = [_same if kind == intrinsics.QUBIT_ARG
+                          else _CONVERTERS[kind] for kind in spec.arg_kinds]
         else:
-            op = self._action(*_ACTIONS[spec.action], values)
+            run = _ACTIONS[spec.action]
+            converters = [_CONVERTERS[kind] for kind in spec.arg_kinds]
         result = instr.result
-        if result is None:
-            return op
 
         def call(env, state):
-            env[result] = op(env, state)
-        return call
-
-    def _action(self, converters, run, values):
-        """``run(state, *operands)`` with each operand converted; constant
-        operands are converted once, here, when all of them convert."""
-        known = _converted(converters, values)
-        if known is not None:
-            return lambda env, state: run(state, *known)
-        keys = [self._key(v) for v in values]
-
-        def op(env, state):
             # every operand is read before the first is converted
-            args = list(map(env.__getitem__, keys))
-            return run(state, *[convert(value) for convert, value
-                                in zip(converters, args)])
-        return op
-
-    def _gate(self, gate: GateKind, values):
-        n = gate.num_params
-        params = _converted([_angle] * n, values[:n])
-        if params is None or len(values) - n > 2:
-            return self._action([_same] * len(values),
-                                functools.partial(_apply_gate, gate), values)
-        params, keys = tuple(params), [self._key(v) for v in values[n:]]
-        if len(keys) == 1:
-            (key,) = keys
-            return lambda env, state: state.statevector.apply_gate_inplace(
-                gate, params, (state.index_of(env[key]),))
-        first, second = keys
-
-        def two(env, state):
-            a, b = env[first], env[second]  # both read before either is used
-            targets = (state.index_of(a), state.index_of(b))
-            if targets[0] == targets[1]:
-                raise ExecutionError("BadOperand",
-                                     "duplicate qubit operand in a gate")
-            state.statevector.apply_gate_inplace(gate, params, targets)
-        return two
+            args = [env[key] for key in keys]
+            value = run(state, *[convert(arg) for convert, arg
+                                 in zip(converters, args)])
+            if result is not None:
+                env[result] = value
+        return call
 
 
 def _same(value):
     return value
 
 
-def _converted(converters, values) -> list | None:
-    """``values`` converted now, or None when one of them is not a
-    constant or does not convert."""
-    if any(isinstance(v, LocalRef) for v in values):
-        return None
-    try:
-        return [convert(constant(v)) for convert, v in zip(converters, values)]
-    except ExecutionError:
-        return None
+#: operand kind (``intrinsics.arg_kinds``) -> its conversion
+_CONVERTERS = {
+    intrinsics.QUBIT_ARG: _qubit_key,
+    intrinsics.RESULT_ARG: _result_key,
+    intrinsics.ANGLE_ARG: _angle,
+    intrinsics.INT_ARG: _count,
+    intrinsics.ARRAY_ARG: _array,
+    intrinsics.LABEL_ARG: _same,
+}
 
 
 def _apply_gate(gate: GateKind, state: RuntimeState, *args) -> None:
-    """A gate whose operands convert, and are indexed, one at a time."""
     n = gate.num_params
-    params = tuple(map(_angle, args[:n]))
-    targets = tuple(map(state.index_of, args[n:]))
+    targets = tuple([state.qubit_index(_qubit_key(arg)) for arg in args[n:]])
     if len(set(targets)) != len(targets):
         raise ExecutionError("BadOperand",
                              "duplicate qubit operand in a gate")
-    state.statevector.apply_gate_inplace(gate, params, targets)
+    state.statevector.apply_gate_inplace(gate, args[:n], targets)
 
 
 def _allocate_array(state: RuntimeState, size: int) -> "_ArrayRef":
@@ -368,20 +322,19 @@ def _release_array(state: RuntimeState, array_ref: "_ArrayRef") -> None:
             state.release(element.key)
 
 
-#: action -> (operand converters, what the call does with its operands
-#: converted); an array's length is a marker only, its bits come per result
+#: action -> what the call does with its converted operands; an array's
+#: length is a marker only, its bits come per result
 _ACTIONS = {
-    intrinsics.MEASURE: ((_qubit_key, _result_key), RuntimeState.measure),
-    intrinsics.RESET: ((_qubit_key,), RuntimeState.reset),
-    intrinsics.ALLOCATE: ((), RuntimeState.allocate_dynamic),
-    intrinsics.ALLOCATE_ARRAY: ((_count,), _allocate_array),
-    intrinsics.GET_ELEMENT: ((_array, _count), _get_element),
-    intrinsics.RELEASE: ((_qubit_key,), RuntimeState.release),
-    intrinsics.RELEASE_ARRAY: ((_array,), _release_array),
-    intrinsics.READ_RESULT: ((_result_key,), RuntimeState.read_result),
-    intrinsics.RECORD: ((_result_key, _same),
-                        lambda state, key, label: state.record_result(key)),
-    intrinsics.RECORD_ARRAY: ((_count, _same), lambda state, *args: None),
+    intrinsics.MEASURE: RuntimeState.measure,
+    intrinsics.RESET: RuntimeState.reset,
+    intrinsics.ALLOCATE: RuntimeState.allocate_dynamic,
+    intrinsics.ALLOCATE_ARRAY: _allocate_array,
+    intrinsics.GET_ELEMENT: _get_element,
+    intrinsics.RELEASE: RuntimeState.release,
+    intrinsics.RELEASE_ARRAY: _release_array,
+    intrinsics.READ_RESULT: RuntimeState.read_result,
+    intrinsics.RECORD: lambda state, key, label: state.record_result(key),
+    intrinsics.RECORD_ARRAY: lambda state, *args: None,
 }
 
 

@@ -694,12 +694,16 @@ def lower_to_base(module: QirModule,
 
     Pipeline: unroll and fold, assign static addresses, drop dead
     classical residue, sink measurements behind the gates they commute
-    with. The result always validates as the base form, and a module that
-    already does is returned unchanged. Programs whose gates genuinely
-    depend on earlier measurements raise TransformError(FeedbackRequired).
+    with. The result always validates as the base form. A module that
+    already does keeps its instructions and block label; like every
+    result, it gets its required qubit and result counts from its calls.
+    Programs whose gates genuinely depend on earlier measurements raise
+    TransformError(FeedbackRequired).
     """
+    if iteration_cap < 1:
+        raise ValueError("iteration_cap must be at least 1")
     if validate_profile(module).profile is Profile.BASE:
-        return module
+        return _set_required_attrs(module)
     try:
         out = unroll_and_fold(module, iteration_cap)
     except TransformError as err:

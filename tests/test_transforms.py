@@ -341,6 +341,20 @@ def test_lowering_a_base_module_keeps_the_label_of_its_block():
     assert print_module(lower_to_base(module)) == print_module(module)
 
 
+@pytest.mark.parametrize("attributes", [
+    '"entry_point"', '"entry_point" "required_num_qubits"="5"'],
+    ids=["no_counts", "wrong_qubit_count"])
+def test_lowering_a_base_module_sets_its_required_counts(attributes):
+    text = genutil.corpus_text("bell_static.ll").replace(
+        '"entry_point" "required_num_qubits"="2" "required_num_results"="2"',
+        attributes)
+    module = parse_module(text)
+    assert validate_profile(module).profile is Profile.BASE
+    lowered = lower_to_base(module)
+    assert lowered.entry.blocks == module.entry.blocks
+    assert print_module(lowered) == print_module(_module("bell_static.ll"))
+
+
 def test_lowering_is_idempotent_on_dynamic_inputs():
     once = lower_to_base(_module("ghz_dynamic.ll"))
     twice = lower_to_base(once)
