@@ -11,12 +11,9 @@ from dataclasses import dataclass, field
 
 
 class GateKind(enum.Enum):
-    """Supported gate set; values are the lowercase OpenQASM 2 names.
+    """Supported gate set; values are the lowercase OpenQASM 2 names."""
 
-    ``num_qubits`` and ``num_params`` are set once from ``_ARITY``.
-    """
-
-    num_qubits: int
+    num_qubits: int  # both set once from _ARITY
     num_params: int
 
     H = "h"

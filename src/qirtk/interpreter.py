@@ -24,7 +24,6 @@ classical registers that initialize to zero.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import json
 from dataclasses import dataclass
@@ -121,13 +120,14 @@ class RuntimeState:
         self.qubit_indices = {("s", i): i for i in range(count)}
 
     def qubit_index(self, key: tuple) -> int:
+        index = self.qubit_indices.get(key)
+        if index is not None:
+            return index  # a key in the table was never released
         if key in self.released:
             raise ExecutionError("UseAfterRelease",
                                  "qubit handle used after release")
-        index = self.qubit_indices.get(key)
-        if index is None:
-            index = self._take_index()
-            self.qubit_indices[key] = index
+        index = self._take_index()
+        self.qubit_indices[key] = index
         return index
 
     def _take_index(self) -> int:
@@ -182,10 +182,10 @@ class RuntimeState:
 
 
 def _qubit_key(value) -> tuple:
-    if isinstance(value, _Qubit):
-        return value.key
     if isinstance(value, StaticAddr):
         return ("s", value.index)
+    if isinstance(value, _Qubit):
+        return value.key
     raise ExecutionError("BadOperand", "expected a qubit reference")
 
 
@@ -257,23 +257,39 @@ class _ShotCompiler(Compiler):
                 f"@{instr.callee} expects {len(spec.arg_kinds)} arguments")
         keys = [self._key(a.value) for a in instr.args]
         if spec.action == intrinsics.GATE:
-            # a gate converts and indexes its qubits itself, one at a time
-            run = functools.partial(_apply_gate, spec.gate)
-            converters = [_same if kind == intrinsics.QUBIT_ARG
-                          else _CONVERTERS[kind] for kind in spec.arg_kinds]
+            op = _gate(spec.gate, keys)
         else:
-            run = _ACTIONS[spec.action]
-            converters = [_CONVERTERS[kind] for kind in spec.arg_kinds]
+            op = _action(_ACTIONS[spec.action],
+                         [_CONVERTERS[kind] for kind in spec.arg_kinds], keys)
         result = instr.result
+        if result is None:
+            return op
 
         def call(env, state):
-            # every operand is read before the first is converted
-            args = [env[key] for key in keys]
-            value = run(state, *[convert(arg) for convert, arg
-                                 in zip(converters, args)])
-            if result is not None:
-                env[result] = value
+            env[result] = op(env, state)
         return call
+
+
+def _action(run, converters, keys):
+    def op(env, state):  # every operand is read before the first converts
+        args = list(map(env.__getitem__, keys))
+        return run(state, *[convert(arg) for convert, arg
+                            in zip(converters, args)])
+    return op
+
+
+def _gate(gate: GateKind, keys):
+    n = gate.num_params  # read all operands, then convert angles, then qubits
+
+    def op(env, state):
+        args = list(map(env.__getitem__, keys))
+        params = tuple(map(_angle, args[:n])) if n else ()
+        targets = tuple(map(state.qubit_index, map(_qubit_key, args[n:])))
+        if len(targets) > 1 and len(set(targets)) != len(targets):
+            raise ExecutionError("BadOperand",
+                                 "duplicate qubit operand in a gate")
+        state.statevector.apply_gate_inplace(gate, params, targets)
+    return op
 
 
 def _same(value):
@@ -289,15 +305,6 @@ _CONVERTERS = {
     intrinsics.ARRAY_ARG: _array,
     intrinsics.LABEL_ARG: _same,
 }
-
-
-def _apply_gate(gate: GateKind, state: RuntimeState, *args) -> None:
-    n = gate.num_params
-    targets = tuple([state.qubit_index(_qubit_key(arg)) for arg in args[n:]])
-    if len(set(targets)) != len(targets):
-        raise ExecutionError("BadOperand",
-                             "duplicate qubit operand in a gate")
-    state.statevector.apply_gate_inplace(gate, args[:n], targets)
 
 
 def _allocate_array(state: RuntimeState, size: int) -> "_ArrayRef":
