@@ -30,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import QirError
-from .ir import (BINOP_FUNCS, ICMP_FUNCS, Alloca, BinOp, Br, Call, CondBr,
-                 ConstFloat, ConstInt, Ext, FuncDef, I1, ICmp, IntToAddr,
-                 Load, LocalRef, Ret, Select, StaticAddr, Store, Value,
-                 eval_cast)
+from .ir import (BINOP_FUNCS, EXT_OPS, ICMP_FUNCS, Alloca, BinOp, Br, Call,
+                 CondBr, ConstFloat, ConstInt, Ext, FuncDef, I1, ICmp,
+                 IntToAddr, Load, LocalRef, Ret, Select, StaticAddr, Store,
+                 Value, eval_cast)
 
 
 @dataclass(frozen=True)
@@ -317,6 +317,8 @@ class Compiler:
                            lambda value: StaticAddr(value & mask))
 
     def _ext(self, instr: Ext):
+        if instr.op not in EXT_OPS:
+            return raising(self._fault, "opcode", f"Ext {instr.op}")
         kind, widths = instr.op, (instr.from_type.width, instr.to_type.width)
         return self._fold1(instr, instr.from_type,
                            lambda value: eval_cast(kind, value, *widths))

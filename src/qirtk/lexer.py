@@ -17,17 +17,22 @@ from typing import NamedTuple
 
 from .errors import ParseError
 
+#: token forms that ``parser`` also builds its call-line pattern from:
+#: an unquoted name after ``%`` or ``@``, and a floating constant
+NAME = r"[A-Za-z$._0-9]+"
+FLOAT = r"-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+|0x[0-9A-Fa-f]{16}"
+
 # The first characters of the alternatives are disjoint except FLOAT and
 # INT, so the order is free apart from FLOAT before INT and the catch-all
 # last; the commonest kinds come first.
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     \s*(?:
       ([A-Za-z$._][A-Za-z$._0-9]*)
-    | ([(){}\[\],=:*])
-    | (%(?:[A-Za-z$._0-9]+|"[^"]*"))
-    | (@(?:[A-Za-z$._0-9]+|"[^"]*"))
-    | (-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+|0x[0-9A-Fa-f]{16})
+    | ([(){{}}\[\],=:*])
+    | (%(?:{NAME}|"[^"]*"))
+    | (@(?:{NAME}|"[^"]*"))
+    | ({FLOAT})
     | (-?\d+)
     | (\#\d+)
     | ("[^"]*")

@@ -13,10 +13,18 @@ Normalizations applied while parsing:
     with the qubit/result kind inferred from the callee signature
   * ``writeonly``/``readonly`` annotations and ``align``/``nsw``/``nuw``
     flags are accepted and dropped
+
+Call lines of the base shape (``call void @f(...)`` with single spaces and
+only ``ptr null``, ``ptr inttoptr (i64 N to ptr)`` and ``double`` constant
+arguments) skip the lexer: inside an open block the ``Call`` is built from
+one regex match, anywhere else the line is lexed and parsed as usual, so
+every ``ParseError`` is the token parser's. ``tests/test_parser_fastpath.py``
+checks this against the token parser.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 
 from . import intrinsics
@@ -27,7 +35,8 @@ from .ir import (BINOPS, DOUBLE, EXT_OPS, I1, I64, ICMP_PREDS, PTR, QUBIT,
                  FuncDef, GlobalRef, ICmp, Instruction, IntToAddr, IntType,
                  Load, LocalRef, PhiNode, PtrType, QirModule, Ret, Select,
                  StaticAddr, Store, Type, Value, make_int)
-from .lexer import Token, global_name, local_name, tokenize
+from .lexer import (FLOAT, NAME, Token, global_name, local_name, tokenize,
+                    tokenize_line)
 
 _TYPE_WORDS: dict[str, Type] = {
     "void": VOID,
@@ -43,6 +52,13 @@ _BINOP_FLAGS = {"nsw", "nuw"}
 
 #: legacy typed pointer spellings and the address kind they imply
 _LEGACY_PTR_KINDS = {"Qubit": QUBIT, "Result": RESULT}
+
+# a base-shape call argument: groups are the address (empty for ``null``)
+# and the double; the line's arguments are one group that findall splits
+_ARG = rf"ptr (?:null|inttoptr \(i64 (\d+) to ptr\))|double ({FLOAT})"
+_CALL_ARG = re.compile(_ARG)
+_CALL_LINE = re.compile(
+    rf"\s*call void @({NAME})\(((?:{_ARG})(?:, (?:{_ARG}))*)?\)")
 
 
 class _Cursor:
@@ -82,6 +98,14 @@ class _Cursor:
         if tok is not None:
             self.fail("trailing tokens", tok)
 
+    def int_value(self, tok: Token) -> int:
+        """An INT or ATTRID token's number, checked against the int-string
+        limit."""
+        try:
+            return int(tok.text.lstrip("#"))
+        except ValueError:
+            self.fail("integer literal too long", tok)
+
     def fail(self, message: str, token: Token | None = None) -> None:
         token = token or (self.tokens[-1] if self.tokens else None)
         col = token.column if token else None
@@ -91,7 +115,19 @@ class _Cursor:
 
 class _ModuleParser:
     def __init__(self, text: str):
-        self.lines = tokenize(_strip_ignored(text))
+        # each nonempty line as its call-line match or its tokens; matched
+        # lines reach the lexer blank, so lex errors still come first
+        lines = text.splitlines()
+        self.lines: list[list[Token] | re.Match | None] = [None] * len(lines)
+        for i, line in enumerate(lines):
+            match = _CALL_LINE.fullmatch(line)
+            if match is not None:
+                self.lines[i] = match
+                lines[i] = ""
+            elif line.lstrip().startswith(("!", "target ")):
+                lines[i] = ""  # module metadata the grammar does not model
+        for tokens in tokenize("\n".join(lines)):
+            self.lines[tokens[0].line - 1] = tokens
         self.source_name = ""
         self.declarations: list[FuncDecl] = []
         self.functions: list[FuncDef] = []
@@ -116,9 +152,19 @@ class _ModuleParser:
     # top level
 
     def parse(self) -> QirModule:
-        for tokens in self.lines:
-            self.last_line = tokens[0].line
-            cur = _Cursor(tokens, tokens[0].line)
+        for line, item in enumerate(self.lines, start=1):
+            if item is None:
+                continue
+            self.last_line = line
+            if type(item) is not list:  # a call-line match
+                block = self.block
+                args = (_call_args(item[2]) if block is not None
+                        and block.terminator is None else None)
+                if args is not None:
+                    self._add_call(Call(item[1], args, None, VOID), line)
+                    continue
+                item = tokenize_line(item.string, line)
+            cur = _Cursor(item, line)
             if self.fn is None:
                 self._top_level(cur)
             else:
@@ -172,7 +218,8 @@ class _ModuleParser:
                 break
         cur.expect("PUNCT", ")")
         if cur.peek() is not None and cur.peek().kind == "ATTRID":
-            self.declare_groups.append((int(cur.next().text[1:]), cur.line))
+            self.declare_groups.append((cur.int_value(cur.next()),
+                                        cur.line))
         cur.expect_end()
         self.declarations.append(FuncDecl(name, params, ret_type))
 
@@ -190,7 +237,7 @@ class _ModuleParser:
         while not _peek_punct(cur, "{"):
             tok = cur.next()
             if tok.kind == "ATTRID":
-                attr_group = int(tok.text[1:])
+                attr_group = cur.int_value(tok)
             elif tok.kind == "STRING":
                 key = tok.text[1:-1]
                 value = ""
@@ -233,7 +280,7 @@ class _ModuleParser:
     def _parse_attr_group(self, cur: _Cursor) -> None:
         cur.next()
         gid_tok = cur.expect("ATTRID")
-        gid = int(gid_tok.text[1:])
+        gid = cur.int_value(gid_tok)
         if gid in self.attribute_groups:
             cur.fail(f"duplicate attribute group #{gid}", gid_tok)
         cur.expect("PUNCT", "=")
@@ -420,9 +467,12 @@ class _ModuleParser:
                 break
         cur.expect("PUNCT", ")")
         cur.expect_end()
-        call = Call(callee, args, result, ret_type)
+        self._add_call(Call(callee, args, result, ret_type), callee_tok.line)
+
+    def _add_call(self, call: Call, line: int) -> None:
+        assert self.block is not None
         coerce_static_kinds(call)
-        self.call_sites.append((callee, callee_tok.line))
+        self.call_sites.append((call.callee, line))
         self.block.instructions.append(call)
 
     def _parse_alloca(self, cur: _Cursor, result: str) -> None:
@@ -629,7 +679,7 @@ class _ModuleParser:
             return LocalRef(name)
         if isinstance(ty, IntType):
             if tok.kind == "INT":
-                return make_int(ty.width, int(tok.text))
+                return make_int(ty.width, cur.int_value(tok))
             cur.fail("expected an integer constant or register", tok)
         if isinstance(ty, DoubleType):
             if tok.kind == "FLOAT":
@@ -652,7 +702,7 @@ class _ModuleParser:
         if ty.width != 64:
             cur.fail("address constants use i64")
         index_tok = cur.expect("INT")
-        index = int(index_tok.text)
+        index = cur.int_value(index_tok)
         if index < 0:
             cur.fail("static addresses must be non-negative", index_tok)
         cur.expect("WORD", "to")
@@ -702,6 +752,18 @@ def coerce_static_kinds(call: Call) -> None:
                 arg.value = StaticAddr(arg.value.index, kind)
 
 
+def _call_args(text: str | None) -> list[CallArg] | None:
+    """The arguments of a call-line match; None for an address past
+    Python's int-string limit, which the token parser then reports."""
+    try:
+        return [CallArg(DOUBLE, ConstFloat(_parse_float(double))) if double
+                else CallArg(PTR, StaticAddr(int(index) if index else 0,
+                                             QUBIT))
+                for index, double in _CALL_ARG.findall(text or "")]
+    except ValueError:
+        return None
+
+
 def _parse_float(text: str) -> float:
     if text.startswith("0x"):
         # IEEE-754 bit pattern spelling of a double
@@ -717,18 +779,6 @@ def _peek_punct(cur: _Cursor, text: str) -> bool:
 def _peek_word_in(cur: _Cursor, words) -> bool:
     tok = cur.peek()
     return tok is not None and tok.kind == "WORD" and tok.text in words
-
-
-def _strip_ignored(text: str) -> str:
-    """Blank out module metadata lines the grammar does not model."""
-    kept = []
-    for line in text.splitlines():
-        stripped = line.lstrip()
-        if stripped.startswith("!") or stripped.startswith("target "):
-            kept.append("")
-        else:
-            kept.append(line)
-    return "\n".join(kept)
 
 
 def parse_module(text: str) -> QirModule:

@@ -105,6 +105,19 @@ class _Reader:
         return False
 
 
+def _integer(tok: _Token, what: str) -> int:
+    """The number a digit token spells, checked against the int-string
+    limit; ``what`` names it when ``tok`` is not one."""
+    if tok.kind != "NUMBER" or not tok.text.isdigit():
+        raise ParseError(f"{what} must be an integer", tok.line, tok.column,
+                         tok.text)
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError("integer literal too long", tok.line, tok.column,
+                         tok.text) from None
+
+
 @dataclass(frozen=True)
 class _Register:
     base: int
@@ -185,10 +198,7 @@ class _QasmParser:
                              name.line, name.column, name.text)
         self.reader.expect("[")
         size_tok = self.reader.next()
-        if size_tok.kind != "NUMBER" or not size_tok.text.isdigit():
-            raise ParseError("register size must be an integer",
-                             size_tok.line, size_tok.column, size_tok.text)
-        size = int(size_tok.text)
+        size = _integer(size_tok, "register size")
         if size < 1:
             raise ParseError("register size must be positive",
                              size_tok.line, size_tok.column, size_tok.text)
@@ -211,11 +221,7 @@ class _QasmParser:
         index = None
         if self.reader.accept("["):
             index_tok = self.reader.next()
-            if index_tok.kind != "NUMBER" or not index_tok.text.isdigit():
-                raise ParseError("index must be an integer",
-                                 index_tok.line, index_tok.column,
-                                 index_tok.text)
-            index = int(index_tok.text)
+            index = _integer(index_tok, "index")
             if index >= register.size:
                 raise ParseError(
                     f"index {index} out of range for {name.text!r} "

@@ -51,6 +51,19 @@ def test_parse_failure_exits_two(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("name, text", [
+    ("huge.qasm", "OPENQASM 2.0;\nqreg q[" + "1" * 5000 + "];\n"),
+    ("huge.ll", genutil.corpus_text("bell_static.ll").replace(
+        "i64 1 to ptr", "i64 " + "1" * 5000 + " to ptr", 1)),
+], ids=["qasm", "ll"])
+def test_integer_past_the_int_string_limit_exits_two(tmp_path, capsys,
+                                                     name, text):
+    bad = tmp_path / name
+    bad.write_text(text)
+    assert main(["run", str(bad)]) == 2
+    assert "integer literal too long" in capsys.readouterr().err
+
+
 def test_dangling_attribute_group_is_a_parse_error(tmp_path, capsys):
     # bell_dynamic.ll without its closing ``attributes #0 = ...`` line
     lines = genutil.corpus_text("bell_dynamic.ll").rstrip("\n").splitlines()

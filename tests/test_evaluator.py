@@ -131,3 +131,28 @@ def test_error_paths_are_pinned_in_both_domains(body, step_limit, unrolled,
     assert type(err) is ExecutionError
     assert (err.reason, err.shot, err.location, str(err)) == \
         (reason, shot, location, text)
+
+
+def _foreign_ext():
+    """A module whose one ``Ext`` has an op the parser never makes."""
+    module = parse_module(_main("entry:\n  %w = zext i1 1 to i64\n"
+                                "  ret void\n"))
+    [ext] = module.entry.blocks[0].instructions
+    ext.op = "fpext"
+    return module
+
+
+def test_unknown_ext_op_is_unsupported_when_unrolled():
+    with pytest.raises(TransformError) as info:
+        unroll_and_fold(_foreign_ext())
+    assert type(info.value) is TransformError
+    assert str(info.value) == "Unsupported: cannot evaluate Ext fpext"
+
+
+def test_unknown_ext_op_is_a_bad_operand_when_run():
+    with pytest.raises(ExecutionError) as info:
+        interpret(_foreign_ext(), shots=1)
+    err = info.value
+    assert (err.reason, err.shot, err.location, str(err)) == (
+        "BadOperand", 0, "main:entry:0",
+        "BadOperand: cannot execute Ext fpext [shot 0] [main:entry:0]")

@@ -214,3 +214,38 @@ def test_unterminated_block_is_rejected():
            "declare void @__quantum__qis__h__body(ptr)\n")
     with pytest.raises(ParseError):
         parse_module(bad)
+
+
+_DIGITS = "9" * 5000
+
+
+@pytest.mark.parametrize("text, line, column", [
+    # an iN constant
+    ("define void @main() {\nentry:\n"
+     f"  %x = add i64 {_DIGITS}, 1\n  ret void\n}}\n", 3, 16),
+    # an address constant on a line the token parser reads
+    ("declare void @__quantum__qis__h__body(ptr)\n"
+     "define void @main() {\nentry:\n"
+     f"  call void @__quantum__qis__h__body(%Qubit* inttoptr (i64 {_DIGITS} "
+     "to %Qubit*))\n  ret void\n}\n", 4, 60),
+    # the same on a line of the base call shape
+    ("declare void @__quantum__qis__h__body(ptr)\n"
+     "define void @main() {\nentry:\n"
+     f"  call void @__quantum__qis__h__body(ptr inttoptr (i64 {_DIGITS} "
+     "to ptr))\n  ret void\n}\n", 4, 56),
+    # attribute group numbers
+    (f"declare void @f() #{_DIGITS}\n"
+     "define void @main() {\nentry:\n  ret void\n}\n", 1, 19),
+    (f"define void @main() #{_DIGITS} {{\nentry:\n  ret void\n}}\n", 1, 21),
+    ("define void @main() {\nentry:\n  ret void\n}\n"
+     f"attributes #{_DIGITS} = {{ }}\n", 5, 12),
+], ids=["int", "address", "base-call-address", "declare-group",
+        "define-group", "attributes-group"])
+def test_integer_literal_past_the_int_string_limit_is_a_parse_error(
+        text, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_module(text)
+    err = exc.value
+    assert (err.message, err.line, err.column) == \
+        ("integer literal too long", line, column)
+    assert err.token.lstrip("#") == _DIGITS

@@ -188,3 +188,16 @@ def test_random_circuits_round_trip(seed):
     circuit = genutil.random_circuit(random.Random(seed), measured="subset",
                                      allow_resets=True)
     assert import_openqasm2(export_openqasm2(circuit)) == circuit
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("OPENQASM 2.0;\nqreg q[" + "1" * 5000 + "];\n", 2, 8),
+    ("OPENQASM 2.0;\nqreg q[2];\nh q[" + "1" * 5000 + "];\n", 3, 5),
+], ids=["register-size", "index"])
+def test_integer_past_the_int_string_limit_is_a_parse_error(text, line,
+                                                           column):
+    with pytest.raises(ParseError) as exc:
+        import_openqasm2(text)
+    err = exc.value
+    assert (err.message, err.line, err.column, err.token) == \
+        ("integer literal too long", line, column, "1" * 5000)
