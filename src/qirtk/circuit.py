@@ -7,7 +7,8 @@ Output bitstrings print clbit 0 leftmost.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+
+from .node import factory, node
 
 
 class GateKind(enum.Enum):
@@ -58,20 +59,20 @@ for _kind, _arity in _ARITY.items():
 del _kind, _arity
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class Gate:
     kind: GateKind
     params: tuple[float, ...]
     qubits: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class Measure:
     qubit: int
     clbit: int
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class Reset:
     qubit: int
 
@@ -79,11 +80,11 @@ class Reset:
 CircuitOp = Gate | Measure | Reset
 
 
-@dataclass
+@node
 class QuantumCircuit:
     num_qubits: int
     num_clbits: int
-    ops: list[CircuitOp] = field(default_factory=list)
+    ops: list[CircuitOp] = factory(list)
 
     def __post_init__(self):
         self.validate()

@@ -12,20 +12,30 @@ Input format is detected from the file extension (``.qasm`` is OpenQASM
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import errors
-from .bridge import circuit_from_base_qir, circuit_to_base_qir
-from .errors import ParseError, QirError
-from .interpreter import (DEFAULT_MAX_QUBITS, DEFAULT_STEP_LIMIT,
-                          ExecOptions, interpret)
-from .parser import parse_module
-from .printer import print_module
-from .profile import Profile, validate_profile
-from .qasm2 import export_openqasm2, import_openqasm2
-from .transforms import (DEFAULT_ITERATION_CAP, lower_to_base,
-                         unroll_and_fold)
+from .errors import (DEFAULT_ITERATION_CAP, DEFAULT_MAX_QUBITS,
+                     DEFAULT_STEP_LIMIT, ParseError, QirError)
+
+#: the names the commands call from the other layers. Each resolves on
+#: first use through the package's lazy names, and the handlers call it
+#: through this module (``_cli``), so a command loads only the layers it
+#: runs and a wrapper set on ``qirtk.cli`` with ``setattr`` is what runs.
+_LAYER_NAMES = frozenset({
+    "ExecOptions", "Profile", "circuit_from_base_qir",
+    "circuit_to_base_qir", "export_openqasm2", "import_openqasm2",
+    "interpret", "lower_to_base", "parse_module", "print_module",
+    "unroll_and_fold", "validate_profile",
+})
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAYER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
 
 
 def _detect_format(path: str, override: str | None) -> str:
@@ -43,8 +53,8 @@ def _read(path: str) -> str:
 def _load_module(args):
     text = _read(args.path)
     if _detect_format(args.path, args.input_format) == "qasm2":
-        return circuit_to_base_qir(import_openqasm2(text))
-    return parse_module(text)
+        return _cli.circuit_to_base_qir(_cli.import_openqasm2(text))
+    return _cli.parse_module(text)
 
 
 def _emit(args, text: str) -> None:
@@ -60,8 +70,9 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_validate(args) -> int:
-    report = validate_profile(_load_module(args))
+    report = _cli.validate_profile(_load_module(args))
     if args.format == "json":
+        import json
         payload = {
             "profile": report.profile.value,
             "violations": [{"location": v.location, "reason": v.reason}
@@ -75,32 +86,32 @@ def _cmd_validate(args) -> int:
                   for v in report.violations]
         lines += [f"warning: {w}" for w in report.warnings]
         _emit(args, "\n".join(lines) + "\n")
-    return 0 if report.profile is not Profile.UNSUPPORTED else 1
+    return 0 if report.profile is not _cli.Profile.UNSUPPORTED else 1
 
 
 def _cmd_transpile(args) -> int:
     module = _load_module(args)
-    if validate_profile(module).profile is not Profile.BASE:
-        module = lower_to_base(module, args.iteration_cap)
+    if _cli.validate_profile(module).profile is not _cli.Profile.BASE:
+        module = _cli.lower_to_base(module, args.iteration_cap)
     if args.to == "qasm2":
-        _emit(args, export_openqasm2(circuit_from_base_qir(module)))
+        _emit(args, _cli.export_openqasm2(_cli.circuit_from_base_qir(module)))
     else:
-        _emit(args, print_module(module))
+        _emit(args, _cli.print_module(module))
     return 0
 
 
 def _cmd_unroll(args) -> int:
-    module = unroll_and_fold(_load_module(args), args.iteration_cap)
-    _emit(args, print_module(module))
+    module = _cli.unroll_and_fold(_load_module(args), args.iteration_cap)
+    _emit(args, _cli.print_module(module))
     return 0
 
 
 def _cmd_run(args) -> int:
     module = _load_module(args)
-    options = ExecOptions(max_qubits=args.max_qubits,
-                          step_limit=args.step_limit)
-    result = interpret(module, shots=args.shots, seed=args.seed,
-                       options=options)
+    options = _cli.ExecOptions(max_qubits=args.max_qubits,
+                               step_limit=args.step_limit)
+    result = _cli.interpret(module, shots=args.shots, seed=args.seed,
+                            options=options)
     if args.format == "json":
         _emit(args, result.to_json(include_memory=args.memory) + "\n")
     else:

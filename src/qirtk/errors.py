@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and the input-size limit
-of the two source readers."""
+"""Exception types shared across the toolkit, the input-size limit of the
+two source readers, and the default limits of the transforms and the
+interpreter, which the command line offers without importing either."""
 
 from __future__ import annotations
 
@@ -37,6 +38,13 @@ def check_input_size(text: str) -> None:
     """Refuse source text longer than ``MAX_INPUT_CHARS``."""
     if len(text) > MAX_INPUT_CHARS:
         raise ParseError(f"text longer than {MAX_INPUT_CHARS} characters")
+
+
+#: default loop iteration cap of ``unroll_and_fold`` and ``lower_to_base``
+DEFAULT_ITERATION_CAP = 65536
+#: default qubit and step limits of ``interpret`` (``ExecOptions``)
+DEFAULT_MAX_QUBITS = 26
+DEFAULT_STEP_LIMIT = 10_000_000
 
 
 class ConversionError(QirError):

@@ -27,16 +27,15 @@ belongs to the domain; the evaluator uses its ``slots`` and ``steps``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import QirError
 from .ir import (BINOP_FUNCS, EXT_OPS, ICMP_FUNCS, Alloca, BinOp, Br, Call,
                  CondBr, ConstFloat, ConstInt, Ext, FuncDef, I1, ICmp,
                  IntToAddr, Load, LocalRef, Ret, Select, StaticAddr, Store,
                  Value, eval_cast)
+from .node import node
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class Slot:
     """The address of a stack slot (an ``alloca`` result)."""
 

@@ -25,27 +25,24 @@ classical registers that initialize to zero.
 from __future__ import annotations
 
 import heapq
-import json
-from dataclasses import dataclass
 
 from . import intrinsics
 from .circuit import GateKind
-from .errors import ExecutionError
+from .errors import (DEFAULT_MAX_QUBITS, DEFAULT_STEP_LIMIT,
+                     ExecutionError)
 from .evaluator import Compiler, Run, raising
 from .ir import Call, Load, QirModule, StaticAddr, REQUIRED_QUBITS_ATTR
+from .node import node
 from .rng import ShotRng
 
-DEFAULT_MAX_QUBITS = 26
-DEFAULT_STEP_LIMIT = 10_000_000
 
-
-@dataclass
+@node
 class ExecOptions:
     max_qubits: int = DEFAULT_MAX_QUBITS
     step_limit: int = DEFAULT_STEP_LIMIT
 
 
-@dataclass
+@node
 class ExecutionResult:
     """Aggregated run: per-shot bitstrings plus their histogram.
 
@@ -60,6 +57,7 @@ class ExecutionResult:
     counts: dict[str, int]
 
     def to_json(self, include_memory: bool = False) -> str:
+        import json
         payload = {
             "shots": self.shots,
             "seed": self.seed,
@@ -74,17 +72,17 @@ class ExecutionResult:
 # runtime values for ptr-typed registers
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class _Qubit:
     key: tuple
 
 
-@dataclass
+@node
 class _Array:
     elements: list
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class _ElemPtr:
     array: int  # id into RuntimeState.arrays
     index: int
@@ -345,7 +343,7 @@ _ACTIONS = {
 }
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class _ArrayRef:
     id: int
 

@@ -9,10 +9,9 @@ and ignores them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .circuit import GateKind
 from .ir import DOUBLE, I1, I64, PTR, VOID, FuncDecl, Type
+from .node import node
 
 QUBIT_ARG = "qubit"
 RESULT_ARG = "result"
@@ -37,7 +36,7 @@ RECORD_ARRAY = "record_array"
 BASE_RECORD_ACTIONS = frozenset({RECORD, RECORD_ARRAY})
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class IntrinsicSpec:
     name: str
     action: str

@@ -1,8 +1,9 @@
 """In-memory form of the textual IR subset.
 
-Instances compare structurally (dataclass equality), which the round-trip
-and idempotence tests rely on. SSA registers are immutable values; mutable
-program state lives in alloca slots addressed through ``Store``/``Load``.
+Nodes are ``node`` classes (see ``node.py``): instances compare
+structurally, which the round-trip and idempotence tests rely on. SSA
+registers are immutable values; mutable program state lives in alloca
+slots addressed through ``Store``/``Load``.
 
 Integer semantics are two's complement at the declared width. The stored
 canonical representative is the signed value for widths above one and the
@@ -12,8 +13,8 @@ plain bit for ``i1``, so constants print back exactly as parsed.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
+from .node import factory, node
 QUBIT = "qubit"
 RESULT = "result"
 
@@ -22,7 +23,7 @@ RESULT = "result"
 # types
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class IntType:
     width: int
 
@@ -30,19 +31,19 @@ class IntType:
         return f"i{self.width}"
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class DoubleType:
     def __str__(self) -> str:
         return "double"
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class PtrType:
     def __str__(self) -> str:
         return "ptr"
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class VoidType:
     def __str__(self) -> str:
         return "void"
@@ -64,23 +65,23 @@ INT_WIDTHS = (1, 32, 64)
 # values
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class LocalRef:
     name: str
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class ConstInt:
     width: int
     value: int
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class ConstFloat:
     value: float
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class StaticAddr:
     """Constant qubit or result address; index 0 prints as ``null``."""
 
@@ -88,7 +89,7 @@ class StaticAddr:
     kind: str = QUBIT
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class GlobalRef:
     name: str
 
@@ -146,13 +147,13 @@ def eval_cast(op: str, value: int, from_width: int, to_width: int) -> int:
 # instructions
 
 
-@dataclass
+@node
 class CallArg:
     ty: Type
     value: Value
 
 
-@dataclass
+@node
 class Call:
     callee: str
     args: list[CallArg]
@@ -160,20 +161,20 @@ class Call:
     ret_type: Type = VOID
 
 
-@dataclass
+@node
 class Alloca:
     result: str
     slot_type: Type = I32
 
 
-@dataclass
+@node
 class Store:
     value_type: Type
     value: Value
     slot: Value
 
 
-@dataclass
+@node
 class Load:
     result: str
     ty: Type
@@ -183,7 +184,7 @@ class Load:
 BINOPS = ("add", "sub", "mul", "and", "or", "xor")
 
 
-@dataclass
+@node
 class BinOp:
     op: str
     ty: IntType
@@ -195,7 +196,7 @@ class BinOp:
 ICMP_PREDS = ("eq", "ne", "slt", "sle", "sgt", "sge")
 
 
-@dataclass
+@node
 class ICmp:
     pred: str
     ty: IntType
@@ -204,7 +205,7 @@ class ICmp:
     result: str
 
 
-@dataclass
+@node
 class IntToAddr:
     """Dynamic integer-to-address cast (the ``inttoptr`` instruction)."""
 
@@ -216,7 +217,7 @@ class IntToAddr:
 EXT_OPS = ("zext", "sext", "trunc")
 
 
-@dataclass
+@node
 class Ext:
     op: str
     result: str
@@ -225,7 +226,7 @@ class Ext:
     to_type: IntType
 
 
-@dataclass
+@node
 class Select:
     result: str
     cond: Value
@@ -241,19 +242,19 @@ Instruction = Call | Alloca | Store | Load | BinOp | ICmp | IntToAddr | Ext | Se
 # terminators, blocks, functions, modules
 
 
-@dataclass
+@node
 class Br:
     label: str
 
 
-@dataclass
+@node
 class CondBr:
     cond: Value
     true_label: str
     false_label: str
 
 
-@dataclass
+@node
 class Ret:
     pass
 
@@ -261,29 +262,29 @@ class Ret:
 Terminator = Br | CondBr | Ret
 
 
-@dataclass
+@node
 class PhiNode:
     result: str
     ty: Type
     incomings: list[tuple[Value, str]]
 
 
-@dataclass
+@node
 class BasicBlock:
     label: str
-    phis: list[PhiNode] = field(default_factory=list)
-    instructions: list[Instruction] = field(default_factory=list)
+    phis: list[PhiNode] = factory(list)
+    instructions: list[Instruction] = factory(list)
     terminator: Terminator | None = None
 
 
-@dataclass
+@node
 class FuncDecl:
     name: str
     param_types: list[Type]
     ret_type: Type = VOID
 
 
-@dataclass
+@node
 class FuncDef:
     name: str
     blocks: list[BasicBlock]
@@ -295,12 +296,12 @@ REQUIRED_QUBITS_ATTR = "required_num_qubits"
 REQUIRED_RESULTS_ATTR = "required_num_results"
 
 
-@dataclass
+@node
 class QirModule:
     source_name: str = ""
-    declarations: list[FuncDecl] = field(default_factory=list)
-    functions: list[FuncDef] = field(default_factory=list)
-    attribute_groups: dict[int, dict[str, str]] = field(default_factory=dict)
+    declarations: list[FuncDecl] = factory(list)
+    functions: list[FuncDef] = factory(list)
+    attribute_groups: dict[int, dict[str, str]] = factory(dict)
 
     def function_attributes(self, fn: FuncDef) -> dict[str, str]:
         if fn.attr_group is None:

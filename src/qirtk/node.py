@@ -1,0 +1,96 @@
+"""The ``node`` class decorator: value classes without ``dataclasses``.
+
+``@node`` turns a class body's annotated fields into a ``__slots__`` class
+with what ``@dataclass`` would generate: ``__init__`` (defaults,
+``factory`` defaults, ``__post_init__``), ``__eq__`` (same class, equal
+fields) and ``__repr__``. ``@node(frozen=True)`` also hashes the fields
+and refuses assignment; other nodes are unhashable. ``__init__``,
+``__eq__`` and ``__hash__`` are compiled per class, so they read each
+field directly and are as fast as the dataclass versions, while building
+a class costs a fraction of ``@dataclass`` and loads no ``inspect``.
+"""
+
+from __future__ import annotations
+
+_MISSING = object()
+
+
+class factory:
+    """A field default built afresh for every instance: ``factory(list)``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+
+def node(cls=None, *, frozen: bool = False):
+    """Class decorator; use as ``@node`` or ``@node(frozen=True)``."""
+    if cls is None:
+        return lambda cls: _build(cls, frozen)
+    return _build(cls, frozen)
+
+
+def replace(obj, **changes):
+    """A new node like ``obj`` with the fields in ``changes`` replaced."""
+    fields = {name: getattr(obj, name) for name in obj.__slots__}
+    return obj.__class__(**{**fields, **changes})
+
+
+def _build(cls, frozen: bool):
+    ns = dict(cls.__dict__)
+    names = tuple(ns.get("__annotations__", ()))
+    scope = {"_MISSING": _MISSING, "_set": object.__setattr__}
+    params, body = ["self"], []
+    for name in names:
+        default, value = ns.pop(name, _MISSING), name
+        if isinstance(default, factory):
+            scope[f"_f_{name}"] = default.make
+            params.append(f"{name}=_MISSING")
+            value = f"_f_{name}() if {name} is _MISSING else {name}"
+        elif default is not _MISSING:
+            scope[f"_d_{name}"] = default
+            params.append(f"{name}=_d_{name}")
+        else:
+            params.append(name)
+        body.append(f"_set(self, {name!r}, {value})" if frozen
+                    else f"self.{name} = {value}")
+    if "__post_init__" in ns:
+        body.append("self.__post_init__()")
+    mine = "".join(f"self.{name}," for name in names)
+    theirs = "".join(f"other.{name}," for name in names)
+    source = (f"def __init__({', '.join(params)}):\n"
+              f" {'; '.join(body) or 'pass'}\n"
+              "def __eq__(self, other):\n"
+              " if other.__class__ is self.__class__:\n"
+              f"  return ({mine}) == ({theirs})\n"
+              " return NotImplemented\n")
+    if frozen:
+        source += f"def __hash__(self):\n return hash(({mine}))\n"
+    exec(source, scope)
+    ns.pop("__dict__", None)
+    ns.pop("__weakref__", None)
+    ns.update(__slots__=names, __qualname__=cls.__qualname__,
+              __init__=scope["__init__"], __eq__=scope["__eq__"],
+              __repr__=_repr, __reduce__=_reduce,
+              __hash__=scope.get("__hash__"))
+    if frozen:
+        ns.update(__setattr__=_refuse, __delattr__=_refuse)
+    return type(cls)(cls.__name__, cls.__bases__, ns)
+
+
+def _repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                       for name in self.__slots__)
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def _reduce(self):
+    # rebuilt through __init__, so copy, deepcopy and pickle also work on
+    # frozen nodes
+    return self.__class__, tuple(getattr(self, name)
+                                 for name in self.__slots__)
+
+
+def _refuse(self, name, *value):
+    raise AttributeError(f"cannot assign to or delete field {name!r}")

@@ -158,7 +158,7 @@ class _ModuleParser:
             self.last_line = line
             if type(item) is not list:  # a call-line match
                 block = self.block
-                args = (_call_args(item[2]) if block is not None
+                args = (_call_args(item[1], item[2]) if block is not None
                         and block.terminator is None else None)
                 if args is not None:
                     self._add_call(Call(item[1], args, None, VOID), line)
@@ -467,11 +467,12 @@ class _ModuleParser:
                 break
         cur.expect("PUNCT", ")")
         cur.expect_end()
-        self._add_call(Call(callee, args, result, ret_type), callee_tok.line)
+        call = Call(callee, args, result, ret_type)
+        coerce_static_kinds(call)
+        self._add_call(call, callee_tok.line)
 
     def _add_call(self, call: Call, line: int) -> None:
         assert self.block is not None
-        coerce_static_kinds(call)
         self.call_sites.append((call.callee, line))
         self.block.instructions.append(call)
 
@@ -752,14 +753,20 @@ def coerce_static_kinds(call: Call) -> None:
                 arg.value = StaticAddr(arg.value.index, kind)
 
 
-def _call_args(text: str | None) -> list[CallArg] | None:
-    """The arguments of a call-line match; None for an address past
+def _call_args(callee: str, text: str | None) -> list[CallArg] | None:
+    """The arguments of a call-line match, each address built with the
+    kind ``coerce_static_kinds`` would give it; None for an address past
     Python's int-string limit, which the token parser then reports."""
+    found = _CALL_ARG.findall(text or "")
+    spec = intrinsics.lookup(callee)
+    kinds = (spec.arg_kinds if spec is not None
+             and len(spec.arg_kinds) == len(found) else (QUBIT,) * len(found))
     try:
         return [CallArg(DOUBLE, ConstFloat(_parse_float(double))) if double
                 else CallArg(PTR, StaticAddr(int(index) if index else 0,
-                                             QUBIT))
-                for index, double in _CALL_ARG.findall(text or "")]
+                                             RESULT if kind == RESULT
+                                             else QUBIT))
+                for kind, (index, double) in zip(kinds, found)]
     except ValueError:
         return None
 

@@ -11,7 +11,6 @@ runtime cannot execute at all is unsupported.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from . import intrinsics
 from .ir import (Call, ConstFloat, ConstInt, QirModule, StaticAddr,
@@ -19,6 +18,7 @@ from .ir import (Call, ConstFloat, ConstInt, QirModule, StaticAddr,
 from .intrinsics import (ANGLE_ARG, ARRAY_ARG, GATE, INT_ARG, LABEL_ARG,
                          MEASURE, QUBIT_ARG, RECORD, RECORD_ARRAY, RESET,
                          RESULT_ARG)
+from .node import factory, node
 
 
 class Profile(enum.Enum):
@@ -27,17 +27,17 @@ class Profile(enum.Enum):
     UNSUPPORTED = "unsupported"
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class Violation:
     location: str
     reason: str
 
 
-@dataclass
+@node
 class ProfileReport:
     profile: Profile
-    violations: list[Violation] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    violations: list[Violation] = factory(list)
+    warnings: list[str] = factory(list)
 
 
 def _loc(fn_name: str, block_label: str, index: int) -> str:

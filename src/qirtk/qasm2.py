@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 from math import pi
 
 from .circuit import Gate, GateKind, Measure, QuantumCircuit, Reset
 from .errors import ParseError, check_input_size
+from .node import node
 
 _GATES_BY_NAME = {kind.value: kind for kind in GateKind}
 
@@ -40,7 +40,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class _Token:
     kind: str
     text: str
@@ -118,13 +118,13 @@ def _integer(tok: _Token, what: str) -> int:
                          tok.text) from None
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class _Register:
     base: int
     size: int
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class _Operand:
     """A register reference: whole register when ``index`` is None."""
 

@@ -23,10 +23,9 @@ from __future__ import annotations
 import copy
 import heapq
 import math
-from dataclasses import dataclass, replace
 
 from . import intrinsics
-from .errors import TransformError
+from .errors import DEFAULT_ITERATION_CAP, TransformError
 from .evaluator import Compiler, Run, Slot, raising
 from .ir import (Alloca, BasicBlock, BinOp, Call, CallArg, ConstFloat,
                  ConstInt, DoubleType, Ext, FuncDef, GlobalRef, ICmp,
@@ -34,9 +33,9 @@ from .ir import (Alloca, BasicBlock, BinOp, Call, CallArg, ConstFloat,
                  RESULT, Ret, Select, StaticAddr, Store, Value,
                  REQUIRED_QUBITS_ATTR, REQUIRED_RESULTS_ATTR, entry_calls,
                  make_int)
+from .node import node, replace
 from .profile import Profile, validate_profile
 
-DEFAULT_ITERATION_CAP = 65536
 #: largest qubit array ``allocate_static_addresses`` assigns indices to
 MAX_ARRAY_QUBITS = 65536
 
@@ -49,7 +48,7 @@ MAX_ARRAY_QUBITS = 65536
 # known only at run time is a _Res.
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class _Res:
     """A value produced by an instruction kept in the output."""
 
@@ -266,17 +265,17 @@ class _IndexPool:
         heapq.heappush(self.free, index)
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class _Single:
     index: int
 
 
-@dataclass
+@node
 class _ArrayHandle:
     indices: list[int]
 
 
-@dataclass(frozen=True)
+@node(frozen=True)
 class _ElemHandle:
     array: "_ArrayHandle"
     offset: int

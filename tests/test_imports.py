@@ -1,21 +1,25 @@
-"""What importing the package loads: numpy only once a statevector is
-built, so that validating and transpiling never pay for it."""
+"""What importing the package and running a command load: each command
+loads only the layers it runs, numpy only once a statevector is built,
+and never ``dataclasses``."""
 
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 import genutil
 
 SRC = str(genutil.ROOT / "src")
 
 
-def _python(*args):
-    """Run a fresh interpreter on ``args``; return its stdout."""
+def _python(*args, path=()):
+    """Run a fresh interpreter on ``args``, with ``src/`` and ``path`` on
+    its import path; return its stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        [SRC, *path] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, cwd=genutil.ROOT)
     assert proc.returncode == 0, proc.stderr
@@ -75,3 +79,102 @@ def test_run_through_the_cli_prints_the_pinned_counts():
                   str(genutil.corpus_path("bell_static.ll")),
                   "--shots", "100", "--seed", "0")
     assert json.loads(out)["counts"] == {"00": 51, "11": 49}
+
+
+_LOADED = ("import contextlib, io, sys\n"
+           "from qirtk.cli import main\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    code = main(sys.argv[1:])\n"
+           "print(code, *sorted(m for m in sys.modules\n"
+           "                    if m.startswith('qirtk.')\n"
+           "                    or m in ('dataclasses', 'json')))")
+
+
+def _loaded(*argv):
+    """(exit code, modules loaded) of one command in a fresh process; the
+    modules are the ``qirtk`` layers, ``dataclasses`` and ``json``."""
+    code, *modules = _python("-c", _LOADED, *argv).split()
+    return int(code), set(modules)
+
+
+def test_importing_the_package_and_the_cli_loads_only_errors():
+    for name in ("qirtk", "qirtk.cli"):
+        out = _python("-c", f"import sys, {name}\n"
+                            "print(*sorted(m for m in sys.modules\n"
+                            "              if m.startswith('qirtk')))")
+        assert out.split() == sorted({"qirtk", "qirtk.errors", name})
+
+
+def test_converting_a_base_module_loads_no_interpreter_or_transforms():
+    code, loaded = _loaded("transpile",
+                           str(genutil.corpus_path("bell_static.ll")),
+                           "--to", "qasm2")
+    assert code == 0
+    assert "qirtk.qasm2" in loaded and "qirtk.bridge" in loaded
+    assert not loaded & {"qirtk.interpreter", "qirtk.evaluator", "qirtk.rng",
+                         "qirtk.transforms", "qirtk.printer"}
+
+
+def test_running_a_qir_file_loads_no_transforms_or_bridges():
+    code, loaded = _loaded("run", str(genutil.corpus_path("feedback.ll")),
+                           "--shots", "2")
+    assert code == 0
+    assert "qirtk.interpreter" in loaded
+    assert not loaded & {"qirtk.transforms", "qirtk.printer", "qirtk.qasm2",
+                         "qirtk.bridge"}
+
+
+COMMANDS = [
+    ["validate", "ghz_dynamic.ll", "--format", "json"],
+    ["transpile", "ghz_dynamic.ll", "--to", "qir-base"],
+    ["transpile", "bell.qasm", "--to", "qasm2"],
+    ["unroll", "phi_loop.ll"],
+    ["run", "feedback.ll", "--shots", "2", "--format", "text"],
+    ["run", "bell.qasm", "--shots", "2"],
+]
+
+
+def test_no_command_loads_dataclasses():
+    for command, name, *rest in COMMANDS:
+        code, loaded = _loaded(command, str(genutil.corpus_path(name)),
+                               *rest)
+        assert code == 0
+        assert "dataclasses" not in loaded, command
+        # JSON is imported only by the commands that write it
+        assert ("json" in loaded) == (command == "run" and "text" not in rest
+                                      or "json" in rest), command
+
+
+_WRAPPED = ("import contextlib, io, json, sys\n"
+            "from tracer import _FUNCTIONS\n"
+            "from qirtk import cli\n"
+            "def run_all():\n"
+            "    for argv in json.loads(sys.argv[1]):\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            assert cli.main(argv) == 0, argv\n"
+            "if sys.argv[2] == 'warm':\n"
+            "    run_all()\n"
+            "called = set()\n"
+            "def wrap(name, fn):\n"
+            "    def wrapper(*args, **kwargs):\n"
+            "        called.add(name)\n"
+            "        return fn(*args, **kwargs)\n"
+            "    return wrapper\n"
+            "names = {attr for module, attr, _ in _FUNCTIONS\n"
+            "         if module == 'qirtk.cli'}\n"
+            "for name in names:\n"
+            "    setattr(cli, name, wrap(name, getattr(cli, name)))\n"
+            "run_all()\n"
+            "print(sorted(names - called), len(names) > 0)")
+
+
+@pytest.mark.parametrize("start", ["cold", "warm"])
+def test_tracer_wrappers_on_the_cli_are_what_commands_call(start):
+    # perfbench/tracer.py wraps each of its names on qirtk.cli with
+    # setattr, before a command has resolved the name (cold) or after
+    # (warm); the commands must call the wrapper
+    commands = [[command, str(genutil.corpus_path(name)), *rest]
+                for command, name, *rest in COMMANDS]
+    out = _python("-c", _WRAPPED, json.dumps(commands), start,
+                  path=[str(genutil.ROOT / "perfbench")])
+    assert out == "[] True\n"
