@@ -105,6 +105,14 @@ def test_importing_the_package_and_the_cli_loads_only_errors():
         assert out.split() == sorted({"qirtk", "qirtk.errors", name})
 
 
+def test_the_cli_resolves_only_the_names_its_commands_call():
+    out = _python("-c", "import qirtk.cli as cli\n"
+                        "print(cli.parse_module.__module__,\n"
+                        "      hasattr(cli, 'QirModule'),\n"
+                        "      hasattr(cli, '__path__'))")
+    assert out == "qirtk.parser False False\n"
+
+
 def test_converting_a_base_module_loads_no_interpreter_or_transforms():
     code, loaded = _loaded("transpile",
                            str(genutil.corpus_path("bell_static.ll")),
@@ -134,7 +142,7 @@ COMMANDS = [
 ]
 
 
-def test_no_command_loads_dataclasses():
+def test_commands_load_no_dataclasses_and_json_only_to_write_it():
     for command, name, *rest in COMMANDS:
         code, loaded = _loaded(command, str(genutil.corpus_path(name)),
                                *rest)
