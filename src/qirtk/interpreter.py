@@ -28,8 +28,7 @@ import heapq
 
 from . import intrinsics
 from .circuit import GateKind
-from .errors import (DEFAULT_MAX_QUBITS, DEFAULT_STEP_LIMIT,
-                     ExecutionError)
+from .errors import DEFAULT_MAX_QUBITS, DEFAULT_STEP_LIMIT, ExecutionError
 from .evaluator import Compiler, Run, raising
 from .ir import Call, Load, QirModule, StaticAddr, REQUIRED_QUBITS_ATTR
 from .node import node

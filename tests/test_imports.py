@@ -132,25 +132,28 @@ def test_running_a_qir_file_loads_no_transforms_or_bridges():
                          "qirtk.bridge"}
 
 
+# (command line with a corpus file, whether it writes JSON); together they
+# call every name perfbench/tracer.py wraps on qirtk.cli
 COMMANDS = [
-    ["validate", "ghz_dynamic.ll", "--format", "json"],
-    ["transpile", "ghz_dynamic.ll", "--to", "qir-base"],
-    ["transpile", "bell.qasm", "--to", "qasm2"],
-    ["unroll", "phi_loop.ll"],
-    ["run", "feedback.ll", "--shots", "2", "--format", "text"],
-    ["run", "bell.qasm", "--shots", "2"],
+    (["validate", "ghz_dynamic.ll", "--format", "json"], True),
+    (["transpile", "ghz_dynamic.ll", "--to", "qir-base"], False),
+    (["transpile", "bell.qasm", "--to", "qasm2"], False),
+    (["unroll", "phi_loop.ll"], False),
+    (["run", "feedback.ll", "--shots", "2", "--format", "text"], False),
+    (["run", "bell.qasm", "--shots", "2"], True),
 ]
 
 
+def _argv(command, name, *rest):
+    return [command, str(genutil.corpus_path(name)), *rest]
+
+
 def test_commands_load_no_dataclasses_and_json_only_to_write_it():
-    for command, name, *rest in COMMANDS:
-        code, loaded = _loaded(command, str(genutil.corpus_path(name)),
-                               *rest)
+    for argv, writes_json in COMMANDS:
+        code, loaded = _loaded(*_argv(*argv))
         assert code == 0
-        assert "dataclasses" not in loaded, command
-        # JSON is imported only by the commands that write it
-        assert ("json" in loaded) == (command == "run" and "text" not in rest
-                                      or "json" in rest), command
+        assert "dataclasses" not in loaded, argv
+        assert ("json" in loaded) == writes_json, argv
 
 
 _WRAPPED = ("import contextlib, io, json, sys\n"
@@ -181,8 +184,7 @@ def test_tracer_wrappers_on_the_cli_are_what_commands_call(start):
     # perfbench/tracer.py wraps each of its names on qirtk.cli with
     # setattr, before a command has resolved the name (cold) or after
     # (warm); the commands must call the wrapper
-    commands = [[command, str(genutil.corpus_path(name)), *rest]
-                for command, name, *rest in COMMANDS]
+    commands = [_argv(*argv) for argv, _ in COMMANDS]
     out = _python("-c", _WRAPPED, json.dumps(commands), start,
                   path=[str(genutil.ROOT / "perfbench")])
     assert out == "[] True\n"
