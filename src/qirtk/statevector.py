@@ -28,6 +28,18 @@ squared norm of the 1-half, ``collapse`` zeroes one half and rescales
 the other. ``apply_matrix`` applies an arbitrary unitary by moving the
 target axes to the front.
 
+A gate application runs through a plan, a closure over what its kernel
+derives from the key ``(kind, params, targets, num_qubits)``: the view
+indices, the phases, the 2x2 matrix and the reshape shapes. The first
+application of a key validates it and builds the plan; later ones find
+it in ``_PLANS`` and run it. Measurement keeps its validated half shape
+there too, under ``(qubit, num_qubits)``. A plan never holds amplitudes
+or a view of them, so one plan serves every state of its width. The
+cache holds at most ``_MAX_PLANS`` entries; past that, plans are built,
+run and not stored. Params with a zero or a NaN are never stored, since
+``0.0 == -0.0`` and a NaN equals nothing, so no key finds a plan built
+from other bits. The Kronecker-lifted matrix is rebuilt on every call.
+
 ``StateVector`` methods mutate in place; the module-level ``apply_gate``
 is the pure variant used where value semantics read better.
 """
@@ -133,6 +145,12 @@ _PHASES: dict[GateKind, tuple[tuple[tuple[int, ...], complex], ...]] = {
 _KRON_MAX_RUN = 16
 _KRON_BLOCK = 1 << 15
 
+# gate plans and measured half shapes by key (see the module docstring)
+_PLANS: dict[tuple, object] = {}
+_MAX_PLANS = 1024
+
+_FLIP = (slice(None), slice(None, None, -1))
+
 
 def _diagonal_phases(kind: GateKind, params: tuple[float, ...]):
     if kind is GateKind.RZ:
@@ -140,6 +158,143 @@ def _diagonal_phases(kind: GateKind, params: tuple[float, ...]):
         return (((0,), cmath.exp(-1j * theta / 2)),
                 ((1,), cmath.exp(1j * theta / 2)))
     return _PHASES.get(kind)
+
+
+def _check_targets(targets: tuple[int, ...], arity: int,
+                   num_qubits: int) -> None:
+    if len(targets) != arity:
+        raise ValueError("matrix size does not match target count")
+    if len(set(targets)) != arity:
+        raise ValueError("duplicate target qubit")
+    for q in targets:
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"qubit {q} out of range")
+
+
+def _gate_plan(kind: GateKind, params: tuple[float, ...],
+               targets: tuple[int, ...], num_qubits: int):
+    """Validate one gate application and build its plan."""
+    if len(params) != kind.num_params:
+        raise ValueError(f"{kind.value} expects {kind.num_params} "
+                         f"parameters, got {len(params)}")
+    _check_targets(targets, kind.num_qubits, num_qubits)
+    plan = _build_plan(kind, params, targets, num_qubits)
+    # 0.0 == -0.0 and a NaN equals nothing, so such a key would share a
+    # plan with different bits or never be found: it is not stored
+    if len(_PLANS) < _MAX_PLANS and all(p == p and p != 0 for p in params):
+        _PLANS[kind, params, targets, num_qubits] = plan
+    return plan
+
+
+def _build_plan(kind: GateKind, params: tuple[float, ...],
+                targets: tuple[int, ...], num_qubits: int):
+    if kind is GateKind.X:
+        # every amplitude moves, so one copy in swapped order beats a
+        # swap through a temporary
+        shape = _half_shape(targets[0], num_qubits)
+
+        def flip(sv):
+            sv.amplitudes = sv.amplitudes.reshape(shape)[_FLIP].reshape(-1)
+        return flip
+    swap = _PERMUTATIONS.get(kind)
+    if swap is not None:
+        shape, index = _views(targets, num_qubits)
+        first, second = index(swap[0]), index(swap[1])
+
+        def trade(sv):
+            psi = sv.amplitudes.reshape(shape)
+            a, b = psi[first], psi[second]
+            held = a.copy()
+            a[...] = b
+            b[...] = held
+        return trade
+    phases = _diagonal_phases(kind, params)
+    if phases is not None:
+        shape, index = _views(targets, num_qubits)
+        parts = [(index(bits), phase) for bits, phase in phases
+                 if phase != 1]
+
+        def rephase(sv):
+            psi = sv.amplitudes.reshape(shape)
+            for where, phase in parts:
+                part = psi[where]
+                part *= phase
+        return rephase
+    return _dense_plan(gate_matrix(kind, params), targets[0], num_qubits)
+
+
+def _views(qubits: tuple[int, ...], num_qubits: int):
+    """A shape of the state with an axis per qubit of ``qubits`` and one
+    per run of other qubits (axis 0 most significant), and a function
+    from a bit pattern to the index of the view where bit ``qubits[i]``
+    equals ``pattern[i]``."""
+    shape: list[int] = []
+    axis_of: dict[int, int] = {}
+    merging = False
+    for q in range(num_qubits - 1, -1, -1):
+        if q in qubits:
+            axis_of[q] = len(shape)
+            shape.append(2)
+            merging = False
+        elif merging:
+            shape[-1] *= 2
+        else:
+            shape.append(2)
+            merging = True
+
+    def index(pattern: tuple[int, ...]) -> tuple:
+        # the trailing Ellipsis keeps a view even when every axis is fixed
+        out: list = [slice(None)] * len(shape) + [...]
+        for q, bit in zip(qubits, pattern):
+            out[axis_of[q]] = bit
+        return tuple(out)
+    return tuple(shape), index
+
+
+def _dense_plan(matrix: np.ndarray, qubit: int, num_qubits: int):
+    run = 1 << qubit
+    if run > _KRON_MAX_RUN:
+        # one 2x2 product per block of (qubit bit, lower qubits)
+        shape = _half_shape(qubit, num_qubits)
+
+        def multiply(sv):
+            sv.amplitudes = np.matmul(
+                matrix, sv.amplitudes.reshape(shape)).reshape(-1)
+        return multiply
+    # a short run would make numpy loop over tiny slices, so each row of
+    # (qubit bit, lower qubits) is multiplied by (matrix kron I_run)^T
+    # instead; a few rows at a time and in place, because a product over
+    # the whole state makes BLAS pack state-sized buffers
+    width = 2 * run
+    step = _KRON_BLOCK // width
+    blocks = [slice(start, start + step)
+              for start in range(0, (1 << num_qubits) // width, step)]
+    left = matrix.T[:, None, :, None]
+
+    def lift_rows(sv):
+        # the lift is rebuilt on every call: kept in the plan, these
+        # arrays of up to 16 KB outlive the states and fragment the heap
+        # between the large ones, which raised peak RSS by a tenth
+        lift = (left * np.eye(run)[None, :, None, :]).reshape(width, width)
+        rows = sv.amplitudes.reshape(-1, width)
+        for block in blocks:
+            part = rows[block]
+            part[...] = part @ lift
+    return lift_rows
+
+
+def _half_shape(qubit: int, num_qubits: int) -> tuple[int, int, int]:
+    """The state shaped (higher qubits, ``qubit``, lower qubits)."""
+    return (1 << (num_qubits - 1 - qubit), 2, 1 << qubit)
+
+
+def _measured_shape(qubit: int, num_qubits: int) -> tuple[int, int, int]:
+    """Validate a measured qubit and plan its half shape."""
+    _check_targets((qubit,), 1, num_qubits)
+    shape = _half_shape(qubit, num_qubits)
+    if len(_PLANS) < _MAX_PLANS:
+        _PLANS[qubit, num_qubits] = shape
+    return shape
 
 
 class StateVector:
@@ -173,36 +328,13 @@ class StateVector:
 
     # ------------------------------------------------------------------
 
-    def _check_targets(self, targets: tuple[int, ...], arity: int) -> None:
-        if len(targets) != arity:
-            raise ValueError("matrix size does not match target count")
-        if len(set(targets)) != arity:
-            raise ValueError("duplicate target qubit")
-        for q in targets:
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(f"qubit {q} out of range")
-
-    def _slices(self, qubits: tuple[int, ...],
-                *patterns: tuple[int, ...]) -> list[np.ndarray]:
-        """One strided view of the amplitudes per bit pattern: pattern j
-        selects the amplitudes whose index has bit ``qubits[i]`` equal to
-        ``patterns[j][i]``."""
-        n = self.num_qubits
-        psi = self.amplitudes.reshape((2,) * n)
-        views = []
-        for bits in patterns:
-            # the trailing Ellipsis keeps a view even when every axis is
-            # fixed; axis 0 is the most significant index bit
-            index: list = [slice(None)] * n + [...]
-            for q, bit in zip(qubits, bits):
-                index[n - 1 - q] = bit
-            views.append(psi[tuple(index)])
-        return views
-
     def _halves(self, qubit: int) -> tuple[np.ndarray, np.ndarray]:
         """The amplitudes with ``qubit`` at 0 and at 1, each shaped
         (higher qubits, lower qubits)."""
-        psi = self.amplitudes.reshape(-1, 2, 1 << qubit)
+        shape = _PLANS.get((qubit, self.num_qubits))
+        if shape is None:
+            shape = _measured_shape(qubit, self.num_qubits)
+        psi = self.amplitudes.reshape(shape)
         return psi[:, 0], psi[:, 1]
 
     def apply_matrix(self, matrix: np.ndarray,
@@ -212,8 +344,8 @@ class StateVector:
         k = len(targets)
         if matrix.shape != (1 << k, 1 << k):
             raise ValueError("matrix size does not match target count")
-        self._check_targets(targets, k)
         n = self.num_qubits
+        _check_targets(targets, k, n)
         psi = self.amplitudes.reshape([2] * n)
         # front axes ordered so the flattened group index has operand j
         # at bit j (operand k-1 lands on the most significant position);
@@ -230,62 +362,22 @@ class StateVector:
 
     def apply_gate_inplace(self, kind: GateKind, params: tuple[float, ...],
                            targets: tuple[int, ...]) -> None:
-        if len(params) != kind.num_params:
-            raise ValueError(f"{kind.value} expects {kind.num_params} "
-                             f"parameters, got {len(params)}")
-        self._check_targets(targets, kind.num_qubits)
-        if kind is GateKind.X:
-            # every amplitude moves, so one copy in swapped order beats a
-            # swap through a temporary
-            psi = self.amplitudes.reshape(-1, 2, 1 << targets[0])
-            self.amplitudes = psi[:, ::-1].reshape(-1)
-            return
-        swap = _PERMUTATIONS.get(kind)
-        if swap is not None:
-            a, b = self._slices(targets, *swap)
-            held = a.copy()
-            a[...] = b
-            b[...] = held
-            return
-        phases = _diagonal_phases(kind, params)
-        if phases is not None:
-            for bits, phase in phases:
-                if phase == 1:
-                    continue
-                (part,) = self._slices(targets, bits)
-                part *= phase
-            return
-        self._dense(gate_matrix(kind, params), targets[0])
-
-    def _dense(self, matrix: np.ndarray, qubit: int) -> None:
-        run = 1 << qubit
-        if run > _KRON_MAX_RUN:
-            # one 2x2 product per block of (qubit bit, lower qubits)
-            out = np.matmul(matrix, self.amplitudes.reshape(-1, 2, run))
-            self.amplitudes = out.reshape(-1)
-            return
-        # a short run would make numpy loop over tiny slices, so each row
-        # of (qubit bit, lower qubits) is multiplied by (matrix kron
-        # I_run)^T instead; a few rows at a time and in place, because a
-        # product over the whole state makes BLAS pack state-sized buffers
-        lift = (matrix.T[:, None, :, None]
-                * np.eye(run)[None, :, None, :]).reshape(2 * run, 2 * run)
-        rows = self.amplitudes.reshape(-1, 2 * run)
-        step = _KRON_BLOCK // (2 * run)
-        for start in range(0, len(rows), step):
-            block = rows[start:start + step]
-            block[...] = block @ lift
+        """Apply one gate through its plan, built and validated on the
+        first application of its key; ``params`` and ``targets`` are
+        tuples, as they are part of the key."""
+        plan = _PLANS.get((kind, params, targets, self.num_qubits))
+        if plan is None:
+            plan = _gate_plan(kind, params, targets, self.num_qubits)
+        plan(self)
 
     # ------------------------------------------------------------------
 
     def prob_one(self, qubit: int) -> float:
         """Probability of measuring ``qubit`` as 1."""
-        self._check_targets((qubit,), 1)
         return _norm2(self._halves(qubit)[1])
 
     def collapse(self, qubit: int, outcome: int) -> None:
         """Zero amplitudes inconsistent with ``outcome`` and renormalize."""
-        self._check_targets((qubit,), 1)
         halves = self._halves(qubit)
         _collapse(halves, outcome, _norm2(halves[outcome]))
 
@@ -295,7 +387,6 @@ class StateVector:
         ``uniform`` is a draw in [0, 1); the outcome is 1 when it falls
         below the probability of one. Always consumes exactly one draw.
         """
-        self._check_targets((qubit,), 1)
         halves = self._halves(qubit)
         p_one = _norm2(halves[1])
         outcome = 1 if uniform < p_one else 0

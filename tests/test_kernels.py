@@ -6,6 +6,10 @@ random normalised 4- and 5-qubit state, and must agree with
 state. On a 16-qubit state, too large for the oracle, every kind must
 agree with ``apply_matrix``. ``prob_one`` and ``collapse`` are checked
 against plain index arithmetic over the flat amplitude vector.
+
+Kernels run through plans cached per gate application: a plan from a
+warm cache must give the bytes a freshly built one gives, serve any state
+of its width, and leave validation to fail the same way on every call.
 """
 
 import itertools
@@ -15,7 +19,7 @@ import random
 import numpy as np
 import pytest
 
-from qirtk import GateKind, StateVector
+from qirtk import GateKind, StateVector, statevector
 from qirtk.statevector import gate_matrix
 
 import genutil
@@ -160,14 +164,155 @@ def test_collapse_onto_a_zero_half_is_rejected_on_any_qubit():
             state.collapse(qubit, 1)
 
 
+@pytest.fixture
+def plans(monkeypatch):
+    """An empty plan cache for the test, and the old one back after it."""
+    cache = {}
+    monkeypatch.setattr(statevector, "_PLANS", cache)
+    return cache
+
+
+def _with_signed_zeros(state: StateVector) -> StateVector:
+    # a product with a zero angle's matrix keeps or flips the sign of a
+    # zero, so states with zeros of both signs tell 0.0 from -0.0
+    state.amplitudes[1::5] = -0.0
+    state.amplitudes[2::7] = complex(0.0, -0.0)
+    return state
+
+
+def _edge_angles(kind: GateKind) -> list[tuple[float, ...]]:
+    if kind.num_params == 0:
+        return [()]
+    return [(0.0,), (-0.0,), (math.pi,), (-math.pi,), (float("nan"),),
+            (0.7,)]
+
+
+@pytest.mark.parametrize("n", WIDTHS)
 @pytest.mark.parametrize("kind", list(GateKind))
-def test_bad_targets_raise_the_same_value_errors(kind):
+def test_warm_plans_give_the_bytes_of_cold_ones(kind, n, plans):
+    cases = [(targets, params) for targets in itertools.permutations(
+        range(n), kind.num_qubits) for params in _edge_angles(kind)]
+    start = _with_signed_zeros(_random_state(n, 7))
+    cold = []
+    for targets, params in cases:
+        plans.clear()
+        state = start.copy()
+        state.apply_gate_inplace(kind, params, targets)
+        cold.append(state.amplitudes.tobytes())
+    # warm: every earlier key stays cached, so 0.0 is planned before -0.0
+    for _ in range(2):
+        for (targets, params), expected in zip(cases, cold):
+            state = start.copy()
+            state.apply_gate_inplace(kind, params, targets)
+            assert state.amplitudes.tobytes() == expected, (targets, params)
+
+
+@pytest.mark.parametrize("kind,params,targets", [
+    (GateKind.H, (), (1,)), (GateKind.H, (), (5,)), (GateKind.X, (), (2,)),
+    (GateKind.CNOT, (), (4, 0)), (GateKind.RZ, (0.4,), (3,)),
+    (GateKind.CCX, (), (5, 1, 3)),
+])
+def test_one_plan_serves_two_states_alternately(kind, params, targets,
+                                                plans):
+    n = 6
+    alone = []
+    for seed in (1, 2):
+        plans.clear()
+        state = _random_state(n, seed)
+        for _ in range(3):
+            state.apply_gate_inplace(kind, params, targets)
+        alone.append(state.amplitudes.tobytes())
+    plans.clear()
+    states = [_random_state(n, 1), _random_state(n, 2)]
+    for _ in range(3):
+        for state in states:
+            state.apply_gate_inplace(kind, params, targets)
+    assert len(plans) == 1
+    assert [s.amplitudes.tobytes() for s in states] == alone
+
+
+def test_the_width_is_part_of_the_plan_key(plans):
+    for n in (4, 5, 4, 5):
+        state = _random_state(n, n)
+        expected = genutil.embed(genutil.reference_matrix(GateKind.H, ()),
+                                 (0,), n) @ state.amplitudes
+        state.apply_gate_inplace(GateKind.H, (), (0,))
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0,
+                                   atol=ATOL)
+    assert set(plans) == {(GateKind.H, (), (0,), 4),
+                          (GateKind.H, (), (0,), 5)}
+
+
+def _errors(call) -> list[str]:
+    """The message of the ValueError ``call`` raises, on three calls."""
+    messages = []
+    for _ in range(3):
+        with pytest.raises(ValueError) as err:
+            call()
+        messages.append(str(err.value))
+    return messages
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_bad_targets_raise_the_same_value_errors(kind, plans):
     state = StateVector(3)
     params = (0.5,) * kind.num_params
-    with pytest.raises(ValueError, match="out of range"):
-        state.apply_gate_inplace(kind, params,
-                                 (3, *range(kind.num_qubits - 1)))
+    good = tuple(range(kind.num_qubits))
+    bad = {
+        "qubit 3 out of range": (kind, params,
+                                 (3, *range(kind.num_qubits - 1))),
+        f"{kind.value} expects {kind.num_params} parameters, got "
+        f"{kind.num_params + 1}": (kind, params + (0.5,), good),
+    }
     if kind.num_qubits > 1:
-        with pytest.raises(ValueError, match="duplicate target qubit"):
-            state.apply_gate_inplace(kind, params,
-                                     (0,) * kind.num_qubits)
+        bad["duplicate target qubit"] = (kind, params,
+                                         (0,) * kind.num_qubits)
+    for message, args in bad.items():
+        before = _errors(lambda: state.apply_gate_inplace(*args))
+        # a valid call on a neighbouring key plans it, and must not let
+        # the bad key through
+        state.apply_gate_inplace(kind, params, good)
+        after = _errors(lambda: state.apply_gate_inplace(*args))
+        assert before == after == [message] * 3
+    assert set(plans) == {(kind, params, good, 3)}
+
+
+def test_a_missing_qubit_is_rejected_after_a_measured_one(plans):
+    state = StateVector(2)
+    state.measure(1, 0.5)
+    assert _errors(lambda: state.measure(2, 0.5)) == [
+        "qubit 2 out of range"] * 3
+
+
+def test_a_repeated_gate_builds_its_plan_once(plans, monkeypatch):
+    built = []
+    build = statevector._build_plan
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+    monkeypatch.setattr(statevector, "_build_plan", counted)
+    state = StateVector(3)
+    for _ in range(5):
+        state.apply_gate_inplace(GateKind.H, (), (2,))
+        state.apply_gate_inplace(GateKind.RX, (0.25,), (1,))
+    assert len(built) == 2
+    # a zero angle is never stored, so it is planned on every call
+    for _ in range(3):
+        state.apply_gate_inplace(GateKind.RX, (0.0,), (1,))
+    assert len(built) == 5
+
+
+def test_the_cache_stops_at_its_bound(plans):
+    n = 4
+    rng = random.Random(5)
+    for i in range(statevector._MAX_PLANS + 50):
+        theta = rng.uniform(-math.pi, math.pi)
+        state = _random_state(n, i % 7)
+        expected = genutil.embed(
+            genutil.reference_matrix(GateKind.RX, (theta,)), (i % n,),
+            n) @ state.amplitudes
+        state.apply_gate_inplace(GateKind.RX, (theta,), (i % n,))
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0,
+                                   atol=ATOL)
+    assert len(plans) == statevector._MAX_PLANS
