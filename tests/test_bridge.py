@@ -8,6 +8,9 @@ from qirtk import (ConversionError, Gate, GateKind, Measure, Profile,
                    QuantumCircuit, Reset, circuit_from_base_qir,
                    circuit_to_base_qir, parse_module, print_module,
                    validate_profile)
+from qirtk.ir import (DOUBLE, I1, I64, PTR, BasicBlock, BinOp, Br, Call,
+                      CallArg, ConstInt, FuncDecl, FuncDef, LocalRef,
+                      QirModule, Ret, StaticAddr)
 
 import genutil
 
@@ -25,10 +28,48 @@ def test_static_bell_module_converts_to_the_bell_circuit():
     assert circuit_from_base_qir(module) == BELL
 
 
-def test_non_base_module_is_refused():
-    module = parse_module(genutil.corpus_text("bell_dynamic.ll"))
-    with pytest.raises(ConversionError):
+def _entry(*blocks, declarations=()):
+    return QirModule("m", list(declarations),
+                     [FuncDef("main", list(blocks), 0)],
+                     {0: {"entry_point": ""}})
+
+
+def _block(label, *instructions, terminator=None):
+    return BasicBlock(label, [], list(instructions), terminator or Ret())
+
+
+_H = "__quantum__qis__h__body"
+_Q0 = CallArg(PTR, StaticAddr(0))
+
+NON_BASE = {
+    "bell_dynamic": parse_module(genutil.corpus_text("bell_dynamic.ll")),
+    "local_qubit": _entry(_block(
+        "entry", Call(_H, [CallArg(PTR, LocalRef("q"))]))),
+    "int_angle": _entry(_block(
+        "entry", Call("__quantum__qis__rx__body",
+                      [CallArg(DOUBLE, ConstInt(64, 1)), _Q0]))),
+    "classical": _entry(_block(
+        "entry", BinOp("add", I64, ConstInt(64, 1), ConstInt(64, 2), "s"),
+        Call(_H, [_Q0]))),
+    "second_block": _entry(
+        _block("entry", Call(_H, [_Q0]), terminator=Br("next")),
+        _block("next", Call(_H, [_Q0]))),
+    "non_intrinsic": _entry(_block("entry", Call("f", [_Q0])),
+                            declarations=[FuncDecl("f", [PTR])]),
+    "readback": _entry(_block(
+        "entry", Call("__quantum__rt__read_result", [_Q0], "r", I1))),
+}
+
+
+@pytest.mark.parametrize("name", NON_BASE)
+def test_non_base_module_is_refused(name):
+    module = NON_BASE[name]
+    report = validate_profile(module)
+    assert report.profile is not Profile.BASE
+    first = report.violations[0]
+    with pytest.raises(ConversionError) as info:
         circuit_from_base_qir(module)
+    assert f"({first.reason} at {first.location})" in str(info.value)
 
 
 def test_emitted_module_validates_as_base():

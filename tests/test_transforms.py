@@ -494,3 +494,30 @@ def test_lowering_passes_keep_the_label_of_their_block():
     assert [b.label for b in sunk.entry.blocks] == ["start"]
     lowered = lower_to_base(parse_module(_START_BLOCK))
     assert [b.label for b in lowered.entry.blocks] == ["entry"]
+
+
+NON_INTRINSIC = """\
+define void @main() #0 {
+entry:
+  call void @__quantum__qis__h__body(ptr null)
+  call void @f(ptr null)
+  ret void
+}
+declare void @__quantum__qis__h__body(ptr)
+declare void @f(ptr)
+attributes #0 = { "entry_point" }
+"""
+
+
+@pytest.mark.parametrize("transform, gate", [
+    (unroll_and_fold, "unroll_and_fold"),
+    (allocate_static_addresses, "allocate_static_addresses"),
+    (lower_to_base, "unroll_and_fold"),
+], ids=["unroll_and_fold", "allocate_static_addresses", "lower_to_base"])
+def test_a_call_to_a_non_intrinsic_is_refused(transform, gate):
+    with pytest.raises(TransformError) as info:
+        transform(parse_module(NON_INTRINSIC))
+    assert info.value.reason == "Unsupported"
+    assert info.value.message == (
+        f"{gate} requires a supported module: call to non-intrinsic "
+        "symbol @f at main:entry:1")
