@@ -11,12 +11,11 @@ bitstring layout (bit 0 leftmost) used across the toolkit.
 from __future__ import annotations
 
 from . import intrinsics
-from .circuit import Gate, GateKind, Measure, QuantumCircuit, Reset
+from .circuit import Gate, Measure, QuantumCircuit, Reset
 from .errors import ConversionError
-from .ir import (BasicBlock, Call, CallArg, ConstFloat, ConstInt, FuncDef,
-                 QUBIT, QirModule, RESULT, Ret, StaticAddr, DOUBLE, PTR,
-                 ENTRY_POINT_ATTR, REQUIRED_QUBITS_ATTR,
-                 REQUIRED_RESULTS_ATTR)
+from .ir import (BasicBlock, Call, CallArg, ConstFloat, FuncDef, QirModule,
+                 Ret, StaticAddr, DOUBLE, PTR, ENTRY_POINT_ATTR,
+                 REQUIRED_QUBITS_ATTR, REQUIRED_RESULTS_ATTR, entry_calls)
 from .profile import Profile, validate_profile
 
 
@@ -35,54 +34,32 @@ def circuit_from_base_qir(module: QirModule) -> QuantumCircuit:
         raise ConversionError(
             f"only base-form modules convert to circuits{detail}")
 
+    # a base report guarantees one block of known intrinsics, each with
+    # its arity, static qubit and result addresses and constant angles
     ops: list = []
     max_qubit = -1
     max_clbit = -1
-    for block in module.entry.blocks:
-        for instr in block.instructions:
-            if not isinstance(instr, Call):
-                raise ConversionError(
-                    f"cannot convert {type(instr).__name__} instruction")
-            spec = intrinsics.lookup(instr.callee)
-            if spec is None:
-                raise ConversionError(
-                    f"@{instr.callee} is not a known intrinsic")
-            qubits: list[int] = []
-            results: list[int] = []
-            params: list[float] = []
-            for kind, arg in zip(spec.arg_kinds, instr.args):
-                value = arg.value
-                if kind == intrinsics.QUBIT_ARG:
-                    if not isinstance(value, StaticAddr):
-                        raise ConversionError(
-                            f"@{instr.callee} uses a non-constant qubit")
-                    qubits.append(value.index)
-                    max_qubit = max(max_qubit, value.index)
-                elif kind == intrinsics.RESULT_ARG:
-                    if not isinstance(value, StaticAddr):
-                        raise ConversionError(
-                            f"@{instr.callee} uses a non-constant result")
-                    results.append(value.index)
-                    max_clbit = max(max_clbit, value.index)
-                elif kind == intrinsics.ANGLE_ARG:
-                    if isinstance(value, ConstFloat):
-                        params.append(value.value)
-                    elif isinstance(value, ConstInt):
-                        params.append(float(value.value))
-                    else:
-                        raise ConversionError(
-                            f"@{instr.callee} uses a non-constant angle")
-            if spec.action == intrinsics.GATE:
-                ops.append(Gate(spec.gate, tuple(params), tuple(qubits)))
-            elif spec.action == intrinsics.MEASURE:
-                ops.append(Measure(qubits[0], results[0]))
-            elif spec.action == intrinsics.RESET:
-                ops.append(Reset(qubits[0]))
-            elif spec.action in intrinsics.BASE_RECORD_ACTIONS:
-                pass  # recording is implicit on the circuit side
-            else:
-                raise ConversionError(
-                    f"@{instr.callee} has no circuit equivalent")
+    for call in entry_calls(module):
+        spec = intrinsics.lookup(call.callee)
+        qubits: list[int] = []
+        results: list[int] = []
+        params: list[float] = []
+        for kind, arg in zip(spec.arg_kinds, call.args):
+            if kind == intrinsics.QUBIT_ARG:
+                qubits.append(arg.value.index)
+                max_qubit = max(max_qubit, arg.value.index)
+            elif kind == intrinsics.RESULT_ARG:
+                results.append(arg.value.index)
+                max_clbit = max(max_clbit, arg.value.index)
+            elif kind == intrinsics.ANGLE_ARG:
+                params.append(arg.value.value)
+        if spec.action == intrinsics.GATE:
+            ops.append(Gate(spec.gate, tuple(params), tuple(qubits)))
+        elif spec.action == intrinsics.MEASURE:
+            ops.append(Measure(qubits[0], results[0]))
+        elif spec.action == intrinsics.RESET:
+            ops.append(Reset(qubits[0]))
+        # recording is implicit on the circuit side
 
     num_qubits = max(max_qubit + 1,
                      module.required_count(REQUIRED_QUBITS_ATTR) or 0)
@@ -104,31 +81,27 @@ def circuit_to_base_qir(circuit: QuantumCircuit,
     instructions: list[Call] = []
     used: set[str] = set()
 
-    def qubit_arg(index: int) -> CallArg:
-        return CallArg(PTR, StaticAddr(index, QUBIT))
-
-    def result_arg(index: int) -> CallArg:
-        return CallArg(PTR, StaticAddr(index, RESULT))
+    def addr(index: int) -> CallArg:
+        return CallArg(PTR, StaticAddr(index))
 
     for op in circuit.ops:
         if isinstance(op, Gate):
             callee = intrinsics.gate_intrinsic_name(op.kind)
             args = [CallArg(DOUBLE, ConstFloat(p)) for p in op.params]
-            args += [qubit_arg(q) for q in op.qubits]
+            args += [addr(q) for q in op.qubits]
         elif isinstance(op, Measure):
             callee = "__quantum__qis__mz__body"
-            args = [qubit_arg(op.qubit), result_arg(op.clbit)]
+            args = [addr(op.qubit), addr(op.clbit)]
         else:
             callee = "__quantum__qis__reset__body"
-            args = [qubit_arg(op.qubit)]
+            args = [addr(op.qubit)]
         used.add(callee)
         instructions.append(Call(callee, args))
 
     record = "__quantum__rt__result_record_output"
     for clbit in range(circuit.num_clbits):
         used.add(record)
-        instructions.append(Call(record, [result_arg(clbit),
-                                          CallArg(PTR, StaticAddr(0))]))
+        instructions.append(Call(record, [addr(clbit), addr(0)]))
 
     declarations = [intrinsics.declaration_for(n)
                     for n in intrinsics.intrinsic_table()

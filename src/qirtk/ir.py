@@ -15,8 +15,6 @@ from __future__ import annotations
 import operator
 
 from .node import factory, node
-QUBIT = "qubit"
-RESULT = "result"
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +81,14 @@ class ConstFloat:
 
 @node(frozen=True)
 class StaticAddr:
-    """Constant qubit or result address; index 0 prints as ``null``."""
+    """Constant address; index 0 prints as ``null``.
+
+    The address does not say what it names: the intrinsic operand it is
+    passed to (``intrinsics`` ``arg_kinds``) decides whether it is a qubit
+    or a result.
+    """
 
     index: int
-    kind: str = QUBIT
 
 
 @node(frozen=True)

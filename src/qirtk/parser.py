@@ -9,8 +9,9 @@ metadata (``target ...`` and ``!...`` lines) is skipped.
 
 Normalizations applied while parsing:
   * legacy typed pointers (``%Qubit*``, ``%Result*``) become opaque ``ptr``
-  * ``null`` and ``inttoptr (i64 N to ptr)`` constants become StaticAddr,
-    with the qubit/result kind inferred from the callee signature
+  * ``null`` and ``inttoptr (i64 N to ptr)`` constants become StaticAddr
+    with just their index; whether one names a qubit or a result is left
+    to the intrinsic table, read at the operand it is passed to
   * ``writeonly``/``readonly`` annotations and ``align``/``nsw``/``nuw``
     flags are accepted and dropped
 
@@ -27,14 +28,13 @@ from __future__ import annotations
 import re
 import struct
 
-from . import intrinsics
 from .errors import ParseError, check_input_size
-from .ir import (BINOPS, DOUBLE, EXT_OPS, I1, I64, ICMP_PREDS, PTR, QUBIT,
-                 RESULT, VOID, Alloca, BasicBlock, BinOp, Br, Call, CallArg,
-                 CondBr, ConstFloat, ConstInt, DoubleType, Ext, FuncDecl,
-                 FuncDef, GlobalRef, ICmp, Instruction, IntToAddr, IntType,
-                 Load, LocalRef, PhiNode, PtrType, QirModule, Ret, Select,
-                 StaticAddr, Store, Type, Value, make_int)
+from .ir import (BINOPS, DOUBLE, EXT_OPS, I1, I64, ICMP_PREDS, PTR, VOID,
+                 Alloca, BasicBlock, BinOp, Br, Call, CallArg, CondBr,
+                 ConstFloat, DoubleType, Ext, FuncDecl, FuncDef, GlobalRef,
+                 ICmp, Instruction, IntToAddr, IntType, Load, LocalRef,
+                 PhiNode, PtrType, QirModule, Ret, Select, StaticAddr, Store,
+                 Type, Value, make_int)
 from .lexer import (FLOAT, NAME, Token, global_name, local_name, tokenize,
                     tokenize_line)
 
@@ -50,8 +50,8 @@ _TYPE_WORDS: dict[str, Type] = {
 _ARG_ANNOTATIONS = {"writeonly", "readonly"}
 _BINOP_FLAGS = {"nsw", "nuw"}
 
-#: legacy typed pointer spellings and the address kind they imply
-_LEGACY_PTR_KINDS = {"Qubit": QUBIT, "Result": RESULT}
+#: legacy typed pointer spellings, read as ``ptr``
+_LEGACY_PTRS = {"Qubit", "Result"}
 
 # a base-shape call argument: groups are the address (empty for ``null``)
 # and the double; the line's arguments are one group that findall splits
@@ -158,7 +158,7 @@ class _ModuleParser:
             self.last_line = line
             if type(item) is not list:  # a call-line match
                 block = self.block
-                args = (_call_args(item[1], item[2]) if block is not None
+                args = (_call_args(item[2]) if block is not None
                         and block.terminator is None else None)
                 if args is not None:
                     self._add_call(Call(item[1], args, None, VOID), line)
@@ -202,13 +202,13 @@ class _ModuleParser:
 
     def _parse_declare(self, cur: _Cursor) -> None:
         cur.next()
-        ret_type, _ = self._parse_type(cur)
+        ret_type = self._parse_type(cur)
         name = global_name(cur.expect("GLOBAL").text)
         cur.expect("PUNCT", "(")
         params: list[Type] = []
         if not _peek_punct(cur, ")"):
             while True:
-                ty, _ = self._parse_type(cur)
+                ty = self._parse_type(cur)
                 while _peek_word_in(cur, _ARG_ANNOTATIONS):
                     cur.next()
                 params.append(ty)
@@ -449,17 +449,17 @@ class _ModuleParser:
 
     def _finish_call(self, cur: _Cursor, result: str | None) -> None:
         assert self.block is not None
-        ret_type, _ = self._parse_type(cur)
+        ret_type = self._parse_type(cur)
         callee_tok = cur.expect("GLOBAL")
         callee = global_name(callee_tok.text)
         cur.expect("PUNCT", "(")
         args: list[CallArg] = []
         if not _peek_punct(cur, ")"):
             while True:
-                ty, hint = self._parse_type(cur)
+                ty = self._parse_type(cur)
                 while _peek_word_in(cur, _ARG_ANNOTATIONS):
                     cur.next()
-                value = self._parse_value(cur, ty, hint)
+                value = self._parse_value(cur, ty)
                 args.append(CallArg(ty, value))
                 if _peek_punct(cur, ","):
                     cur.next()
@@ -467,9 +467,7 @@ class _ModuleParser:
                 break
         cur.expect("PUNCT", ")")
         cur.expect_end()
-        call = Call(callee, args, result, ret_type)
-        coerce_static_kinds(call)
-        self._add_call(call, callee_tok.line)
+        self._add_call(Call(callee, args, result, ret_type), callee_tok.line)
 
     def _add_call(self, call: Call, line: int) -> None:
         assert self.block is not None
@@ -477,7 +475,7 @@ class _ModuleParser:
         self.block.instructions.append(call)
 
     def _parse_alloca(self, cur: _Cursor, result: str) -> None:
-        ty, _ = self._parse_type(cur)
+        ty = self._parse_type(cur)
         if ty == VOID:
             cur.fail("alloca of void")
         self._skip_align(cur)
@@ -486,26 +484,26 @@ class _ModuleParser:
 
     def _parse_store(self, cur: _Cursor) -> None:
         cur.next()
-        ty, hint = self._parse_type(cur)
-        value = self._parse_value(cur, ty, hint)
+        ty = self._parse_type(cur)
+        value = self._parse_value(cur, ty)
         cur.expect("PUNCT", ",")
-        slot_ty, _ = self._parse_type(cur)
+        slot_ty = self._parse_type(cur)
         if not isinstance(slot_ty, PtrType):
             cur.fail("store destination must be a pointer")
-        slot = self._parse_value(cur, slot_ty, None)
+        slot = self._parse_value(cur, slot_ty)
         self._skip_align(cur)
         cur.expect_end()
         self._append(Store(ty, value, slot))
 
     def _parse_load(self, cur: _Cursor, result: str) -> None:
-        ty, _ = self._parse_type(cur)
+        ty = self._parse_type(cur)
         if ty == VOID:
             cur.fail("load of void")
         cur.expect("PUNCT", ",")
-        slot_ty, _ = self._parse_type(cur)
+        slot_ty = self._parse_type(cur)
         if not isinstance(slot_ty, PtrType):
             cur.fail("load source must be a pointer")
-        slot = self._parse_value(cur, slot_ty, None)
+        slot = self._parse_value(cur, slot_ty)
         self._skip_align(cur)
         cur.expect_end()
         self._append(Load(result, ty, slot))
@@ -525,9 +523,9 @@ class _ModuleParser:
         while _peek_word_in(cur, _BINOP_FLAGS):
             cur.next()
         ty = self._parse_int_type(cur)
-        lhs = self._parse_value(cur, ty, None)
+        lhs = self._parse_value(cur, ty)
         cur.expect("PUNCT", ",")
-        rhs = self._parse_value(cur, ty, None)
+        rhs = self._parse_value(cur, ty)
         cur.expect_end()
         self._append(BinOp(op, ty, lhs, rhs, result))
 
@@ -536,17 +534,17 @@ class _ModuleParser:
         if pred.text not in ICMP_PREDS:
             cur.fail("unsupported icmp predicate", pred)
         ty = self._parse_int_type(cur)
-        lhs = self._parse_value(cur, ty, None)
+        lhs = self._parse_value(cur, ty)
         cur.expect("PUNCT", ",")
-        rhs = self._parse_value(cur, ty, None)
+        rhs = self._parse_value(cur, ty)
         cur.expect_end()
         self._append(ICmp(pred.text, ty, lhs, rhs, result))
 
     def _parse_inttoptr(self, cur: _Cursor, result: str) -> None:
         ty = self._parse_int_type(cur)
-        source = self._parse_value(cur, ty, None)
+        source = self._parse_value(cur, ty)
         cur.expect("WORD", "to")
-        to_ty, _ = self._parse_type(cur)
+        to_ty = self._parse_type(cur)
         if not isinstance(to_ty, PtrType):
             cur.fail("inttoptr must cast to a pointer")
         cur.expect_end()
@@ -554,7 +552,7 @@ class _ModuleParser:
 
     def _parse_ext(self, cur: _Cursor, op: str, result: str) -> None:
         from_ty = self._parse_int_type(cur)
-        source = self._parse_value(cur, from_ty, None)
+        source = self._parse_value(cur, from_ty)
         cur.expect("WORD", "to")
         to_ty = self._parse_int_type(cur)
         if op == "trunc":
@@ -569,17 +567,17 @@ class _ModuleParser:
         cond_ty = self._parse_int_type(cur)
         if cond_ty.width != 1:
             cur.fail("select condition must be i1")
-        cond = self._parse_value(cur, cond_ty, None)
+        cond = self._parse_value(cur, cond_ty)
         cur.expect("PUNCT", ",")
-        ty, hint = self._parse_type(cur)
+        ty = self._parse_type(cur)
         if ty == VOID:
             cur.fail("select of void")
-        if_true = self._parse_value(cur, ty, hint)
+        if_true = self._parse_value(cur, ty)
         cur.expect("PUNCT", ",")
-        ty2, hint2 = self._parse_type(cur)
+        ty2 = self._parse_type(cur)
         if ty2 != ty:
             cur.fail("select arms must share one type")
-        if_false = self._parse_value(cur, ty2, hint2)
+        if_false = self._parse_value(cur, ty2)
         cur.expect_end()
         self._append(Select(result, cond, ty, if_true, if_false))
 
@@ -587,13 +585,13 @@ class _ModuleParser:
         assert self.block is not None
         if self.block.instructions:
             cur.fail("phi must precede ordinary instructions", op_tok)
-        ty, hint = self._parse_type(cur)
+        ty = self._parse_type(cur)
         if ty == VOID:
             cur.fail("phi of void")
         incomings: list[tuple[Value, str]] = []
         while True:
             cur.expect("PUNCT", "[")
-            value = self._parse_value(cur, ty, hint)
+            value = self._parse_value(cur, ty)
             cur.expect("PUNCT", ",")
             label = self._parse_label_ref(cur)
             cur.expect("PUNCT", "]")
@@ -620,7 +618,7 @@ class _ModuleParser:
         ty = self._parse_int_type(cur)
         if ty.width != 1:
             cur.fail("conditional branch condition must be i1")
-        cond = self._parse_value(cur, ty, None)
+        cond = self._parse_value(cur, ty)
         cur.expect("PUNCT", ",")
         cur.expect("WORD", "label")
         true_label = self._parse_label_ref(cur, bare=True)
@@ -649,30 +647,28 @@ class _ModuleParser:
     # ------------------------------------------------------------------
     # types and values
 
-    def _parse_type(self, cur: _Cursor) -> tuple[Type, str | None]:
-        """Parse a type; returns (type, address-kind hint)."""
+    def _parse_type(self, cur: _Cursor) -> Type:
         tok = cur.next()
         if tok.kind == "WORD":
             ty = _TYPE_WORDS.get(tok.text)
             if ty is None:
                 cur.fail(f"unknown type {tok.text!r}", tok)
-            return ty, None
+            return ty
         if tok.kind == "LOCAL":
-            name = local_name(tok.text)
-            if name in _LEGACY_PTR_KINDS:
+            if local_name(tok.text) in _LEGACY_PTRS:
                 cur.expect("PUNCT", "*")
-                return PTR, _LEGACY_PTR_KINDS[name]
+                return PTR
         cur.fail("expected a type", tok)
         raise AssertionError  # unreachable
 
     def _parse_int_type(self, cur: _Cursor) -> IntType:
-        ty, _ = self._parse_type(cur)
+        ty = self._parse_type(cur)
         if not isinstance(ty, IntType):
             cur.fail("expected an integer type")
         assert isinstance(ty, IntType)
         return ty
 
-    def _parse_value(self, cur: _Cursor, ty: Type, hint: str | None):
+    def _parse_value(self, cur: _Cursor, ty: Type):
         tok = cur.next()
         if tok.kind == "LOCAL":
             name = local_name(tok.text)
@@ -688,16 +684,16 @@ class _ModuleParser:
             cur.fail("expected a floating constant or register", tok)
         if isinstance(ty, PtrType):
             if tok.kind == "WORD" and tok.text == "null":
-                return StaticAddr(0, hint or QUBIT)
+                return StaticAddr(0)
             if tok.kind == "WORD" and tok.text == "inttoptr":
-                return self._parse_addr_const(cur, hint)
+                return self._parse_addr_const(cur)
             if tok.kind == "GLOBAL":
                 return GlobalRef(global_name(tok.text))
             cur.fail("expected a pointer value", tok)
         cur.fail(f"cannot read a value of type {ty}", tok)
         raise AssertionError  # unreachable
 
-    def _parse_addr_const(self, cur: _Cursor, hint: str | None) -> StaticAddr:
+    def _parse_addr_const(self, cur: _Cursor) -> StaticAddr:
         cur.expect("PUNCT", "(")
         ty = self._parse_int_type(cur)
         if ty.width != 64:
@@ -707,11 +703,11 @@ class _ModuleParser:
         if index < 0:
             cur.fail("static addresses must be non-negative", index_tok)
         cur.expect("WORD", "to")
-        to_ty, _ = self._parse_type(cur)
+        to_ty = self._parse_type(cur)
         if not isinstance(to_ty, PtrType):
             cur.fail("address constants cast to a pointer")
         cur.expect("PUNCT", ")")
-        return StaticAddr(index, hint or QUBIT)
+        return StaticAddr(index)
 
     # ------------------------------------------------------------------
     # whole-module checks
@@ -742,31 +738,13 @@ class _ModuleParser:
                 line=self.define_lines[-1])
 
 
-def coerce_static_kinds(call: Call) -> None:
-    """Stamp qubit/result kinds onto constant addresses per the callee."""
-    spec = intrinsics.lookup(call.callee)
-    if spec is None or len(spec.arg_kinds) != len(call.args):
-        return
-    for kind, arg in zip(spec.arg_kinds, call.args):
-        if kind in (QUBIT, RESULT) and isinstance(arg.value, StaticAddr):
-            if arg.value.kind != kind:
-                arg.value = StaticAddr(arg.value.index, kind)
-
-
-def _call_args(callee: str, text: str | None) -> list[CallArg] | None:
-    """The arguments of a call-line match, each address built with the
-    kind ``coerce_static_kinds`` would give it; None for an address past
+def _call_args(text: str | None) -> list[CallArg] | None:
+    """The arguments of a call-line match; None for an address past
     Python's int-string limit, which the token parser then reports."""
-    found = _CALL_ARG.findall(text or "")
-    spec = intrinsics.lookup(callee)
-    kinds = (spec.arg_kinds if spec is not None
-             and len(spec.arg_kinds) == len(found) else (QUBIT,) * len(found))
     try:
         return [CallArg(DOUBLE, ConstFloat(_parse_float(double))) if double
-                else CallArg(PTR, StaticAddr(int(index) if index else 0,
-                                             RESULT if kind == RESULT
-                                             else QUBIT))
-                for kind, (index, double) in zip(kinds, found)]
+                else CallArg(PTR, StaticAddr(int(index) if index else 0))
+                for index, double in _CALL_ARG.findall(text or "")]
     except ValueError:
         return None
 

@@ -26,13 +26,12 @@ import math
 
 from . import intrinsics
 from .errors import DEFAULT_ITERATION_CAP, TransformError
-from .evaluator import Compiler, Run, Slot, raising
+from .evaluator import Compiler, Run, Slot
 from .ir import (Alloca, BasicBlock, BinOp, Call, CallArg, ConstFloat,
                  ConstInt, DoubleType, Ext, FuncDef, GlobalRef, ICmp,
-                 IntToAddr, IntType, Load, LocalRef, QUBIT, QirModule,
-                 RESULT, Ret, Select, StaticAddr, Store, Value,
-                 REQUIRED_QUBITS_ATTR, REQUIRED_RESULTS_ATTR, entry_calls,
-                 make_int)
+                 IntToAddr, IntType, Load, LocalRef, QirModule, Ret, Select,
+                 StaticAddr, Store, Value, REQUIRED_QUBITS_ATTR,
+                 REQUIRED_RESULTS_ATTR, entry_calls, make_int)
 from .node import node, replace
 from .profile import Profile, validate_profile
 
@@ -138,7 +137,7 @@ class _Unroller(Compiler):
             return target
         return visit
 
-    def _concretize(self, abstract, ty, kind_hint: str | None = None):
+    def _concretize(self, abstract, ty):
         if isinstance(abstract, bool):
             abstract = int(abstract)
         if isinstance(abstract, int):
@@ -148,13 +147,7 @@ class _Unroller(Compiler):
             return make_int(width, abstract)
         if isinstance(abstract, float):
             return ConstFloat(abstract)
-        if isinstance(abstract, StaticAddr):
-            if kind_hint == intrinsics.QUBIT_ARG:
-                return replace(abstract, kind=QUBIT)
-            if kind_hint == intrinsics.RESULT_ARG:
-                return replace(abstract, kind=RESULT)
-            return abstract
-        if isinstance(abstract, GlobalRef):
+        if isinstance(abstract, (StaticAddr, GlobalRef)):
             return abstract
         if isinstance(abstract, _Res):
             return LocalRef(abstract.name)
@@ -193,16 +186,11 @@ class _Unroller(Compiler):
         return _Res(name)
 
     def _call(self, instr: Call):
-        spec = intrinsics.lookup(instr.callee)
-        if spec is None:
-            return raising(TransformError, "Unsupported",
-                           f"@{instr.callee} is not an intrinsic")
-        args = [(arg.ty, self._key(arg.value), kind)
-                for kind, arg in zip(spec.arg_kinds, instr.args)]
+        args = [(arg.ty, self._key(arg.value)) for arg in instr.args]
 
         def op(env, state):
-            values = [CallArg(ty, self._concretize(env[key], ty, kind))
-                      for ty, key, kind in args]
+            values = [CallArg(ty, self._concretize(env[key], ty))
+                      for ty, key in args]
             result = None
             if instr.result is not None:
                 result = self.fresh()
@@ -248,7 +236,6 @@ class _IndexPool:
         self.pinned = set(pinned)
         self.free: list[int] = []
         self.next = 0
-        self.high_water = max(pinned) + 1 if pinned else 0
 
     def take(self) -> int:
         if self.free:
@@ -258,7 +245,6 @@ class _IndexPool:
                 self.next += 1
             index = self.next
             self.next += 1
-        self.high_water = max(self.high_water, index + 1)
         return index
 
     def give_back(self, index: int) -> None:
@@ -307,10 +293,8 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
 
     pinned: set[int] = set()
     for call in entry_calls(module):
-        spec = intrinsics.lookup(call.callee)
-        if spec is None:
-            continue
-        for kind, arg in zip(spec.arg_kinds, call.args):
+        for kind, arg in zip(intrinsics.lookup(call.callee).arg_kinds,
+                             call.args):
             if (kind == intrinsics.QUBIT_ARG
                     and isinstance(arg.value, StaticAddr)):
                 pinned.add(arg.value.index)
@@ -389,7 +373,7 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
             continue
         if isinstance(instr, Call):
             spec = intrinsics.lookup(instr.callee)
-            action = spec.action if spec else None
+            action = spec.action
             if action in _HANDLE_ACTIONS:
                 had_allocations = True
                 self_result = instr.result
@@ -448,8 +432,7 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                         pool.give_back(index)
                 continue
             new_args = []
-            for kind, arg in zip(spec.arg_kinds if spec else [],
-                                 instr.args):
+            for kind, arg in zip(spec.arg_kinds, instr.args):
                 handle = as_handle(arg.value)
                 if handle is None:
                     new_args.append(arg)
@@ -465,8 +448,7 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                     raise TransformError(
                         "EscapingHandle",
                         "a qubit handle flows into a non-qubit argument")
-                new_args.append(CallArg(arg.ty,
-                                        StaticAddr(handle.index, QUBIT)))
+                new_args.append(CallArg(arg.ty, StaticAddr(handle.index)))
             kept.append(Call(instr.callee, new_args, instr.result,
                              instr.ret_type))
             continue
@@ -518,9 +500,8 @@ def _set_required_attrs(module: QirModule) -> QirModule:
     max_qubit = -1
     max_result = -1
     for call in entry_calls(module):
-        spec = intrinsics.lookup(call.callee)
-        kinds = spec.arg_kinds if spec else []
-        for kind, arg in zip(kinds, call.args):
+        for kind, arg in zip(intrinsics.lookup(call.callee).arg_kinds,
+                             call.args):
             if not isinstance(arg.value, StaticAddr):
                 continue
             if kind == intrinsics.QUBIT_ARG:
@@ -568,9 +549,8 @@ def _is_dead(instr, used: set[str]) -> bool:
     if isinstance(instr, _PURE_CLASSICAL):
         return instr.result not in used
     if isinstance(instr, Call) and instr.result is not None:
-        spec = intrinsics.lookup(instr.callee)
-        return (spec is not None and spec.action == intrinsics.READ_RESULT
-                and instr.result not in used)
+        return (intrinsics.lookup(instr.callee).action
+                == intrinsics.READ_RESULT and instr.result not in used)
     return False
 
 
@@ -637,7 +617,7 @@ def _sink_measurements(module: QirModule) -> QirModule:
             body.append(instr)
             continue
         spec = intrinsics.lookup(instr.callee)
-        action = spec.action if spec else None
+        action = spec.action
         if action == intrinsics.MEASURE:
             result = _static_result(spec, instr)
             if result in recorded_results:

@@ -11,7 +11,7 @@ import pytest
 
 from qirtk.circuit import Gate, GateKind, Measure, QuantumCircuit, Reset
 from qirtk.intrinsics import lookup
-from qirtk.ir import (DOUBLE, I1, I64, PTR, RESULT, VOID, Alloca, BasicBlock,
+from qirtk.ir import (DOUBLE, I1, I64, PTR, VOID, Alloca, BasicBlock,
                       BinOp, Br, Call, CallArg, CondBr, ConstFloat, ConstInt,
                       Ext, FuncDecl, FuncDef, GlobalRef, ICmp, IntToAddr,
                       Load, LocalRef, PhiNode, QirModule, Ret, Select,
@@ -30,13 +30,13 @@ REPRS = [
     (LocalRef("x"), "LocalRef(name='x')"),
     (ConstInt(64, -3), "ConstInt(width=64, value=-3)"),
     (ConstFloat(0.5), "ConstFloat(value=0.5)"),
-    (StaticAddr(2, RESULT), "StaticAddr(index=2, kind='result')"),
+    (StaticAddr(2), "StaticAddr(index=2)"),
     (GlobalRef("g"), "GlobalRef(name='g')"),
     (CallArg(PTR, StaticAddr(1)),
-     "CallArg(ty=PtrType(), value=StaticAddr(index=1, kind='qubit'))"),
+     "CallArg(ty=PtrType(), value=StaticAddr(index=1))"),
     (Call("__quantum__qis__h__body", [CallArg(PTR, StaticAddr(0))]),
      "Call(callee='__quantum__qis__h__body', args=[CallArg(ty=PtrType(), "
-     "value=StaticAddr(index=0, kind='qubit'))], result=None, "
+     "value=StaticAddr(index=0))], result=None, "
      "ret_type=VoidType())"),
     (Alloca("s"), "Alloca(result='s', slot_type=IntType(width=32))"),
     (Store(I64, ConstInt(64, 1), LocalRef("s")),
@@ -106,8 +106,8 @@ def test_equality_needs_the_same_class():
     assert LocalRef("x") != GlobalRef("x")
     assert GlobalRef("x") != LocalRef("x")
     assert DOUBLE != PTR
-    assert StaticAddr(0) == StaticAddr(0, "qubit")
-    assert StaticAddr(0) != StaticAddr(0, RESULT)
+    assert ConstInt(64, 0) == ConstInt(64, 0)
+    assert ConstInt(64, 0) != ConstInt(32, 0)
     assert Call("f", []) != Call("f", [], "r")
 
 
@@ -127,19 +127,19 @@ def test_assigning_to_a_frozen_node_raises(value):
 
 
 def test_equal_frozen_nodes_hash_equal_and_key_a_dict():
-    table = {StaticAddr(3, RESULT): "r3", Gate(GateKind.RX, (0.5,), (1,)): 1}
-    assert table[StaticAddr(3, RESULT)] == "r3"
+    table = {ConstInt(64, 3): "r3", Gate(GateKind.RX, (0.5,), (1,)): 1}
+    assert table[ConstInt(64, 3)] == "r3"
     assert table[Gate(GateKind.RX, (0.5,), (1,))] == 1
-    assert StaticAddr(3) not in table
+    assert ConstInt(32, 3) not in table
     # the dataclass hash, so sets of nodes iterate in the same order
-    assert hash(StaticAddr(3, RESULT)) == hash((3, RESULT))
+    assert hash(ConstInt(64, 3)) == hash((64, 3))
     assert hash(DOUBLE) == hash(())
 
 
 def test_mutable_nodes_are_unhashable_and_assignable():
     arg = CallArg(PTR, StaticAddr(0))
-    arg.value = StaticAddr(0, RESULT)
-    assert arg == CallArg(PTR, StaticAddr(0, RESULT))
+    arg.value = StaticAddr(1)
+    assert arg == CallArg(PTR, StaticAddr(1))
     with pytest.raises(TypeError):
         hash(arg)
 
@@ -149,11 +149,11 @@ def test_replace_leaves_the_original_untouched():
     new = replace(call, result="s")
     assert new == Call("f", call.args, "s", I64)
     assert call == Call("f", [CallArg(PTR, StaticAddr(0))], "r", I64)
-    addr = StaticAddr(4)
-    assert replace(addr, kind=RESULT) == StaticAddr(4, RESULT)
-    assert addr.kind == "qubit"
+    const = ConstInt(64, 4)
+    assert replace(const, width=32) == ConstInt(32, 4)
+    assert const.width == 64
     with pytest.raises(TypeError):
-        replace(addr, no_such_field=1)
+        replace(const, no_such_field=1)
 
 
 def test_default_factories_build_a_list_per_instance():
@@ -174,7 +174,7 @@ def test_arguments_by_position_and_keyword():
     with pytest.raises(TypeError):
         Call("f")
     with pytest.raises(TypeError):
-        StaticAddr(1, RESULT, 2)
+        ConstInt(64, 1, 2)
 
 
 def test_a_parsed_module_survives_deepcopy_and_pickle():

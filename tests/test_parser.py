@@ -5,7 +5,7 @@ import struct
 import pytest
 
 from qirtk import ParseError, parse_module
-from qirtk.ir import (Call, ConstFloat, PhiNode, StaticAddr, QUBIT, RESULT)
+from qirtk.ir import (Call, ConstFloat, PhiNode, StaticAddr)
 from qirtk.lexer import tokenize, tokenize_line
 
 import genutil
@@ -27,11 +27,11 @@ def test_static_addresses_get_kind_from_signature_position():
              if isinstance(i, Call)]
     h = calls[0]
     assert h.callee == "__quantum__qis__h__body"
-    assert h.args[0].value == StaticAddr(0, QUBIT)
+    assert h.args[0].value == StaticAddr(0)
     mz = calls[3]
     assert mz.callee == "__quantum__qis__mz__body"
-    assert mz.args[0].value == StaticAddr(1, QUBIT)
-    assert mz.args[1].value == StaticAddr(1, RESULT)
+    assert mz.args[0].value == StaticAddr(1)
+    assert mz.args[1].value == StaticAddr(1)
 
 
 def test_null_and_inttoptr_spellings():
