@@ -59,7 +59,10 @@ class TransformError(QirError):
                         ``transforms.MAX_ARRAY_QUBITS``
       CapExceeded       a loop ran past the configured iteration cap
       DataDependent     control flow depends on a measurement outcome
-      EscapingHandle    a qubit handle flows outside intrinsic arguments
+      EscapingHandle    a qubit handle flows outside intrinsic arguments,
+                        or a constant into an operand whose type
+                        cannot spell it: an int or float as ptr, an
+                        address as an int or double, a float as an int
       FeedbackRequired  the program is not expressible in the base profile
     plus precondition codes such as NotStraightLine and
     NonConstantAllocation.

@@ -56,8 +56,6 @@ VOID = VoidType()
 
 Type = IntType | DoubleType | PtrType | VoidType
 
-INT_WIDTHS = (1, 32, 64)
-
 
 # ---------------------------------------------------------------------------
 # values

@@ -161,14 +161,28 @@ def _diagonal_phases(kind: GateKind, params: tuple[float, ...]):
 
 
 def _check_targets(targets: tuple[int, ...], arity: int,
-                   num_qubits: int) -> None:
+                   num_qubits: int) -> tuple[int, ...]:
+    """``targets`` as ints, or a ``ValueError`` for a bad target."""
     if len(targets) != arity:
         raise ValueError("matrix size does not match target count")
-    if len(set(targets)) != arity:
+    ints = tuple(map(_qubit, targets))
+    if len(set(ints)) != arity:
         raise ValueError("duplicate target qubit")
-    for q in targets:
+    for q in ints:
         if not 0 <= q < num_qubits:
             raise ValueError(f"qubit {q} out of range")
+    return ints
+
+
+def _qubit(q) -> int:
+    # a key finds the plan of an equal key, so a target is taken only
+    # when it equals an int: 1.0, True and numpy.int64(1) all name qubit 1
+    try:
+        if int(q) == q:
+            return int(q)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"qubit {q!r} is not an integer")
 
 
 def _gate_plan(kind: GateKind, params: tuple[float, ...],
@@ -177,7 +191,7 @@ def _gate_plan(kind: GateKind, params: tuple[float, ...],
     if len(params) != kind.num_params:
         raise ValueError(f"{kind.value} expects {kind.num_params} "
                          f"parameters, got {len(params)}")
-    _check_targets(targets, kind.num_qubits, num_qubits)
+    targets = _check_targets(targets, kind.num_qubits, num_qubits)
     plan = _build_plan(kind, params, targets, num_qubits)
     # 0.0 == -0.0 and a NaN equals nothing, so such a key would share a
     # plan with different bits or never be found: it is not stored
@@ -290,7 +304,7 @@ def _half_shape(qubit: int, num_qubits: int) -> tuple[int, int, int]:
 
 def _measured_shape(qubit: int, num_qubits: int) -> tuple[int, int, int]:
     """Validate a measured qubit and plan its half shape."""
-    _check_targets((qubit,), 1, num_qubits)
+    (qubit,) = _check_targets((qubit,), 1, num_qubits)
     shape = _half_shape(qubit, num_qubits)
     if len(_PLANS) < _MAX_PLANS:
         _PLANS[qubit, num_qubits] = shape
@@ -345,7 +359,7 @@ class StateVector:
         if matrix.shape != (1 << k, 1 << k):
             raise ValueError("matrix size does not match target count")
         n = self.num_qubits
-        _check_targets(targets, k, n)
+        targets = _check_targets(targets, k, n)
         psi = self.amplitudes.reshape([2] * n)
         # front axes ordered so the flattened group index has operand j
         # at bit j (operand k-1 lands on the most significant position);

@@ -4,10 +4,13 @@
 with the evaluator the interpreter also compiles (``evaluator.py``): integer
 arithmetic on known values folds, branches on known conditions are
 taken, loop bodies replicate, and intrinsic calls are emitted in
-execution order with concretized operands. ``allocate_static_addresses``
-then eliminates dynamic qubit allocation by assigning each handle a
-fixed index, reusing freed indices first-fit the way a register
-allocator reuses registers. ``lower_to_base`` composes the two with
+execution order with concretized operands; a constant that its
+operand's type cannot spell is refused as ``EscapingHandle``.
+``allocate_static_addresses`` then eliminates dynamic qubit allocation
+by assigning each handle a fixed index, reusing freed indices first-fit
+the way a register allocator reuses registers. It walks only calls and
+element-pointer loads, and lets the unroller fold any other classical
+code and stack slots first. ``lower_to_base`` composes the two with
 measurement sinking so that the result is a plain gate sequence followed
 by measurements and output recording.
 
@@ -27,10 +30,10 @@ import math
 from . import intrinsics
 from .errors import DEFAULT_ITERATION_CAP, TransformError
 from .evaluator import Compiler, Run, Slot
-from .ir import (Alloca, BasicBlock, BinOp, Call, CallArg, ConstFloat,
-                 ConstInt, DoubleType, Ext, FuncDef, GlobalRef, ICmp,
-                 IntToAddr, IntType, Load, LocalRef, QirModule, Ret, Select,
-                 StaticAddr, Store, Value, REQUIRED_QUBITS_ATTR,
+from .ir import (BasicBlock, BinOp, Call, CallArg, ConstFloat, ConstInt,
+                 DoubleType, Ext, FuncDef, GlobalRef, ICmp, IntToAddr,
+                 IntType, Load, LocalRef, PtrType, QirModule, Ret, Select,
+                 StaticAddr, Value, REQUIRED_QUBITS_ATTR,
                  REQUIRED_RESULTS_ATTR, entry_calls, make_int)
 from .node import node, replace
 from .profile import Profile, validate_profile
@@ -44,14 +47,8 @@ MAX_ARRAY_QUBITS = 65536
 #
 # Known classical constants are plain Python ints/floats; known pointer
 # constants are StaticAddr/GlobalRef, and stack slots are Slot. A value
-# known only at run time is a _Res.
-
-
-@node(frozen=True)
-class _Res:
-    """A value produced by an instruction kept in the output."""
-
-    name: str
+# known only at run time is the LocalRef of the emitted instruction that
+# makes it.
 
 
 def _profile_gate(module: QirModule, what: str) -> None:
@@ -138,29 +135,31 @@ class _Unroller(Compiler):
         return visit
 
     def _concretize(self, abstract, ty):
-        if isinstance(abstract, bool):
-            abstract = int(abstract)
-        if isinstance(abstract, int):
-            width = ty.width if isinstance(ty, IntType) else 64
-            if isinstance(ty, DoubleType):
-                return ConstFloat(float(abstract))
-            return make_int(width, abstract)
-        if isinstance(abstract, float):
-            return ConstFloat(abstract)
-        if isinstance(abstract, (StaticAddr, GlobalRef)):
+        if isinstance(abstract, LocalRef):
             return abstract
-        if isinstance(abstract, _Res):
-            return LocalRef(abstract.name)
+        if isinstance(abstract, Slot):
+            raise TransformError(
+                "EscapingHandle",
+                "a stack-slot address flows into an emitted instruction")
+        if isinstance(ty, PtrType):
+            if isinstance(abstract, (StaticAddr, GlobalRef)):
+                return abstract
+        elif isinstance(abstract, int) and isinstance(ty, IntType):
+            return make_int(ty.width, abstract)
+        elif isinstance(abstract, (int, float)) and isinstance(ty, DoubleType):
+            return ConstFloat(float(abstract))
+        kind = ("an integer" if isinstance(abstract, int) else
+                "a float" if isinstance(abstract, float) else "an address")
         raise TransformError(
             "EscapingHandle",
-            "a stack-slot address flows into an emitted instruction")
+            f"{kind} constant flows into an operand of type {ty}")
 
-    def _residual(self, env, instr, operands) -> _Res:
+    def _residual(self, env, instr, operands) -> LocalRef:
         name = self.fresh()
         self.out.append(replace(instr, result=name, **{
             field: self._concretize(env[key], ty)
             for field, key, ty in operands}))
-        return _Res(name)
+        return LocalRef(name)
 
     def _store_slot(self, state, index: int, value) -> None:
         if isinstance(value, Slot):
@@ -174,16 +173,16 @@ class _Unroller(Compiler):
             "EscapingHandle",
             "store through a pointer that is not a stack slot")
 
-    def _load_through(self, state, pointer, instr: Load) -> _Res:
-        if not isinstance(pointer, _Res):
+    def _load_through(self, state, pointer, instr: Load) -> LocalRef:
+        if not isinstance(pointer, LocalRef):
             raise TransformError(
                 "EscapingHandle",
                 "load through a pointer that is not a stack slot "
                 "or an array element")
         # loading a qubit handle out of an array element pointer
         name = self.fresh()
-        self.out.append(Load(name, instr.ty, LocalRef(pointer.name)))
-        return _Res(name)
+        self.out.append(Load(name, instr.ty, pointer))
+        return LocalRef(name)
 
     def _call(self, instr: Call):
         args = [(arg.ty, self._key(arg.value)) for arg in instr.args]
@@ -194,7 +193,7 @@ class _Unroller(Compiler):
             result = None
             if instr.result is not None:
                 result = self.fresh()
-                env[instr.result] = _Res(result)
+                env[instr.result] = LocalRef(result)
             self.out.append(Call(instr.callee, values, result,
                                  instr.ret_type))
         return op
@@ -281,6 +280,9 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
     are reused lowest-first, and indices already referenced statically
     are never reassigned, so no two simultaneously live qubits share an
     index. Sets the required-count attributes to the high-water marks.
+    A block that holds anything but calls and loads is first folded by
+    ``unroll_and_fold``, so classical code and stack slots reach this
+    pass as constants; the result keeps the module's block label.
     """
     _profile_gate(module, "allocate_static_addresses")
     entry = module.entry
@@ -289,21 +291,21 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
             "NotStraightLine",
             "static allocation requires a single-block module; run "
             "unroll_and_fold first")
-    block = entry.blocks[0]
+    instructions = entry.blocks[0].instructions
+    if not all(isinstance(i, (Call, Load)) for i in instructions):
+        instructions = unroll_and_fold(module, 1).entry.blocks[0].instructions
 
     pinned: set[int] = set()
-    for call in entry_calls(module):
-        for kind, arg in zip(intrinsics.lookup(call.callee).arg_kinds,
-                             call.args):
-            if (kind == intrinsics.QUBIT_ARG
-                    and isinstance(arg.value, StaticAddr)):
-                pinned.add(arg.value.index)
+    for call in instructions:
+        if isinstance(call, Call):
+            for kind, arg in zip(intrinsics.lookup(call.callee).arg_kinds,
+                                 call.args):
+                if (kind == intrinsics.QUBIT_ARG
+                        and isinstance(arg.value, StaticAddr)):
+                    pinned.add(arg.value.index)
     pool = _IndexPool(pinned)
 
     handles: dict[str, object] = {}   # SSA name -> handle description
-    slots: dict[str, object] = {}     # alloca name -> last handle or None
-    handle_slots: set[str] = set()    # slots that ever held a handle
-    classical_slots: set[str] = set()  # slots with kept stores or loads
     had_allocations = False
     kept: list = []
 
@@ -312,63 +314,18 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
             return handles.get(value.name)
         return None
 
-    for instr in block.instructions:
-        if isinstance(instr, Alloca):
-            slots[instr.result] = None
-            kept.append(instr)
-            continue
-        if isinstance(instr, Store):
-            handle = as_handle(instr.value)
-            target = instr.slot
-            if isinstance(target, LocalRef) and target.name in slots:
-                name = target.name
-                if handle is not None:
-                    if name in classical_slots:
-                        raise TransformError(
-                            "EscapingHandle",
-                            f"slot %{name} mixes qubit handles with "
-                            "classical values")
-                    handle_slots.add(name)
-                    slots[name] = handle
-                    continue  # handle-carrying store disappears
-                if name in handle_slots:
-                    raise TransformError(
-                        "EscapingHandle",
-                        f"slot %{name} mixes qubit handles with "
-                        "classical values")
-                classical_slots.add(name)
-            elif handle is not None:
+    for instr in instructions:
+        if isinstance(instr, Load):
+            handle = as_handle(instr.slot)
+            if isinstance(handle, _ElemHandle):
+                index = handle.array.indices[handle.offset]
+                handles[instr.result] = _Single(index)
+                continue
+            if handle is not None:
                 raise TransformError(
                     "EscapingHandle",
-                    "a qubit handle is stored through an untracked "
-                    "pointer")
-            kept.append(instr)
-            continue
-        if isinstance(instr, Load):
-            source = instr.slot
-            if isinstance(source, LocalRef):
-                name = source.name
-                if name in handle_slots:
-                    stored = slots[name]
-                    if stored is None:
-                        raise TransformError(
-                            "UseBeforeDef",
-                            f"%{instr.result} loads slot %{name} "
-                            "before any store")
-                    handles[instr.result] = stored
-                    continue  # load of a handle folds away
-                handle = as_handle(source)
-                if isinstance(handle, _ElemHandle):
-                    index = handle.array.indices[handle.offset]
-                    handles[instr.result] = _Single(index)
-                    continue
-                if handle is not None:
-                    raise TransformError(
-                        "EscapingHandle",
-                        "load through a qubit handle that is not an "
-                        "array element pointer")
-                if name in slots:
-                    classical_slots.add(name)
+                    "load through a qubit handle that is not an "
+                    "array element pointer")
             kept.append(instr)
             continue
         if isinstance(instr, Call):
@@ -376,9 +333,8 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
             action = spec.action
             if action in _HANDLE_ACTIONS:
                 had_allocations = True
-                self_result = instr.result
                 if action == intrinsics.ALLOCATE:
-                    handles[self_result] = _Single(pool.take())
+                    handles[instr.result] = _Single(pool.take())
                 elif action == intrinsics.ALLOCATE_ARRAY:
                     size = _const_int(instr.args[0].value,
                                       "array allocation size")
@@ -391,7 +347,7 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                             "AllocationLimit",
                             f"array allocation of {size} qubits exceeds "
                             f"the limit of {MAX_ARRAY_QUBITS}")
-                    handles[self_result] = _ArrayHandle(
+                    handles[instr.result] = _ArrayHandle(
                         [pool.take() for _ in range(size)])
                 elif action == intrinsics.GET_ELEMENT:
                     array = as_handle(instr.args[0].value)
@@ -407,20 +363,18 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                             "NonConstantAllocation",
                             f"array element index {offset} is out of "
                             f"bounds for {len(array.indices)} elements")
-                    handles[self_result] = _ElemHandle(array, offset)
+                    handles[instr.result] = _ElemHandle(array, offset)
                 elif action == intrinsics.RELEASE:
-                    handle = as_handle(instr.args[0].value)
-                    target = (handle.index
-                              if isinstance(handle, _Single) else None)
-                    if target is None:
-                        addr = instr.args[0].value
-                        if isinstance(addr, StaticAddr):
-                            continue  # releasing a pinned static index
+                    value = instr.args[0].value
+                    handle = as_handle(value)
+                    if isinstance(handle, _Single):
+                        pool.give_back(handle.index)
+                    elif not isinstance(value, StaticAddr):
+                        # a pinned static index is released as a no-op
                         raise TransformError(
                             "EscapingHandle",
                             "release of a value that is not a tracked "
                             "qubit handle")
-                    pool.give_back(target)
                 else:  # RELEASE_ARRAY
                     handle = as_handle(instr.args[0].value)
                     if not isinstance(handle, _ArrayHandle):
@@ -460,9 +414,7 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                     "a qubit handle flows into a classical instruction")
         kept.append(instr)
 
-    out = _with_body(module, [i for i in kept
-                              if not (isinstance(i, Alloca)
-                                      and i.result in handle_slots)])
+    out = _with_body(module, kept)
     has_attrs = (REQUIRED_QUBITS_ATTR in module.attributes
                  or REQUIRED_RESULTS_ATTR in module.attributes)
     if had_allocations or has_attrs:
@@ -480,16 +432,14 @@ def _const_int(value: Value, what: str) -> int:
 
 
 def _operands(instr) -> list[Value]:
-    if isinstance(instr, BinOp) or isinstance(instr, ICmp):
+    if isinstance(instr, Call):
+        return [a.value for a in instr.args]
+    if isinstance(instr, (BinOp, ICmp)):
         return [instr.lhs, instr.rhs]
-    if isinstance(instr, IntToAddr):
-        return [instr.source]
-    if isinstance(instr, Ext):
+    if isinstance(instr, (IntToAddr, Ext)):
         return [instr.source]
     if isinstance(instr, Select):
         return [instr.cond, instr.if_true, instr.if_false]
-    if isinstance(instr, Store):
-        return [instr.value, instr.slot]
     if isinstance(instr, Load):
         return [instr.slot]
     return []
@@ -536,7 +486,7 @@ def _prune_dead(module: QirModule) -> QirModule:
     instructions = module.entry.blocks[0].instructions
     while True:
         used = {operand.name for instr in instructions
-                for operand in _call_operands(instr)
+                for operand in _operands(instr)
                 if isinstance(operand, LocalRef)}
         kept = [instr for instr in instructions
                 if not _is_dead(instr, used)]
@@ -552,12 +502,6 @@ def _is_dead(instr, used: set[str]) -> bool:
         return (intrinsics.lookup(instr.callee).action
                 == intrinsics.READ_RESULT and instr.result not in used)
     return False
-
-
-def _call_operands(instr) -> list[Value]:
-    if isinstance(instr, Call):
-        return [a.value for a in instr.args]
-    return _operands(instr)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pathlib
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qirtk import Gate, GateKind, Measure, QuantumCircuit, Reset
 
@@ -304,3 +305,36 @@ def random_adaptive_module(rng: random.Random) -> str:
         decls.append("declare i1 @__quantum__rt__read_result(ptr)")
     return "\n".join(decls + [""] + lines +
                      ['attributes #0 = { "entry_point" }', ""])
+
+
+# ---------------------------------------------------------------------------
+# mutated corpus programs
+
+_PROGRAMS = [corpus_text(p.name).splitlines()
+             for p in sorted(CORPUS.glob("*.ll"))]
+
+
+@st.composite
+def mutated(draw) -> str:
+    """A corpus file with a few lines deleted, duplicated or truncated, or
+    with two tokens of a line swapped."""
+    lines = list(draw(st.sampled_from(_PROGRAMS)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["delete", "duplicate", "truncate",
+                                     "swap"]))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "truncate":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        else:
+            tokens = lines[i].split(" ")
+            a = draw(st.integers(0, len(tokens) - 1))
+            b = draw(st.integers(0, len(tokens) - 1))
+            tokens[a], tokens[b] = tokens[b], tokens[a]
+            lines[i] = " ".join(tokens)
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"

@@ -1,0 +1,217 @@
+"""Static allocation lets the unroller fold classical code and slots first.
+
+``allocate_static_addresses`` walks only calls and element-pointer loads.
+A single block that holds anything else is first folded by
+``unroll_and_fold``, so direct allocation agrees with allocating the
+unrolled module, and a constant whose type its operand cannot spell is
+refused while unrolling.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qirtk import (Profile, QirError, TransformError,
+                   allocate_static_addresses, interpret, lower_to_base,
+                   parse_module, print_module, unroll_and_fold,
+                   validate_profile)
+from qirtk import transforms
+from qirtk.ir import Call, Load
+from qirtk.node import replace
+
+import genutil
+
+_DECLS = {
+    "allocate": "declare ptr @__quantum__rt__qubit_allocate()",
+    "array": "declare ptr @__quantum__rt__qubit_allocate_array(i64)",
+    "element": "declare ptr @__quantum__rt__array_get_element_ptr_1d("
+               "ptr, i64)",
+    "release": "declare void @__quantum__rt__qubit_release(ptr)",
+    "h": "declare void @__quantum__qis__h__body(ptr)",
+    "x": "declare void @__quantum__qis__x__body(ptr)",
+    "mz": "declare void @__quantum__qis__mz__body(ptr, ptr)",
+    "read": "declare i1 @__quantum__rt__read_result(ptr)",
+    "record": "declare void @__quantum__rt__result_record_output(ptr, ptr)",
+    "record_array": "declare void @__quantum__rt__array_record_output("
+                    "i64, ptr)",
+}
+
+
+def _single_block(body: list[str], label: str = "entry") -> str:
+    return "\n".join(list(_DECLS.values()) + [
+        "define void @main() {", f"{label}:",
+        *(f"  {line}" for line in body), "  ret void", "}", ""])
+
+
+# each printed by the unroller as text its own parser rejected
+PUNNED = {
+    "add_result_passed_as_ptr": _single_block([
+        "%x = add i64 1, 2",
+        "call void @__quantum__qis__h__body(ptr %x)"]),
+    "null_stored_then_loaded_as_i64": _single_block([
+        "%s = alloca ptr",
+        "store ptr null, ptr %s",
+        "%n = load i64, ptr %s",
+        "call void @__quantum__rt__array_record_output(i64 %n, ptr null)"]),
+    "slot_mixes_a_handle_and_an_integer": _single_block([
+        "%slot = alloca i64",
+        "%q = call ptr @__quantum__rt__qubit_allocate()",
+        "store ptr %q, ptr %slot",
+        "store i64 3, ptr %slot",
+        "%back = load ptr, ptr %slot",
+        "call void @__quantum__qis__h__body(ptr %back)"]),
+}
+
+
+@pytest.mark.parametrize("transform", [
+    unroll_and_fold, allocate_static_addresses, lower_to_base])
+@pytest.mark.parametrize("name", sorted(PUNNED))
+def test_a_constant_its_operand_type_cannot_spell_is_refused(transform,
+                                                             name):
+    with pytest.raises(TransformError) as info:
+        transform(parse_module(PUNNED[name]))
+    assert info.value.reason == "EscapingHandle"
+
+
+def test_a_qubit_named_by_inttoptr_is_pinned():
+    module = parse_module(_single_block([
+        "%a = inttoptr i64 0 to ptr",
+        "%q = call ptr @__quantum__rt__qubit_allocate()",
+        "call void @__quantum__qis__x__body(ptr %q)",
+        "call void @__quantum__qis__mz__body(ptr %a, ptr null)",
+        "call void @__quantum__rt__result_record_output(ptr null, "
+        "ptr null)"]))
+    allocated = allocate_static_addresses(module)
+    assert "call void @__quantum__qis__x__body(ptr inttoptr (i64 1 to ptr))" \
+        in print_module(allocated)
+    assert interpret(module, shots=4, seed=1).counts == {"0": 4}
+    assert interpret(allocated, shots=4, seed=1).counts == {"0": 4}
+
+
+# single blocks with classical code or slots, each supported
+HAND_BUILT = {
+    "classical_arithmetic_picks_an_element": _single_block([
+        "%arr = call ptr @__quantum__rt__qubit_allocate_array(i64 3)",
+        "%i = add i64 1, 1",
+        "%p = call ptr @__quantum__rt__array_get_element_ptr_1d("
+        "ptr %arr, i64 %i)",
+        "%q = load ptr, ptr %p",
+        "call void @__quantum__qis__h__body(ptr %q)",
+        "call void @__quantum__qis__mz__body(ptr %q, ptr null)"], "start"),
+    "select_on_a_readback_stays_residual": _single_block([
+        "call void @__quantum__qis__mz__body(ptr null, ptr null)",
+        "%bit = call i1 @__quantum__rt__read_result(ptr null)",
+        "%n = zext i1 %bit to i64",
+        "%m = select i1 %bit, i64 %n, i64 7",
+        "call void @__quantum__rt__array_record_output(i64 %m, ptr null)"]),
+    "handle_through_a_slot_is_released_and_reused": _single_block([
+        "%s = alloca ptr",
+        "%q = call ptr @__quantum__rt__qubit_allocate()",
+        "store ptr %q, ptr %s",
+        "%back = load ptr, ptr %s",
+        "call void @__quantum__qis__x__body(ptr %back)",
+        "call void @__quantum__rt__qubit_release(ptr %back)",
+        "%r = call ptr @__quantum__rt__qubit_allocate()",
+        "call void @__quantum__qis__mz__body(ptr %r, ptr null)"], "body"),
+    "pinned_by_a_folded_inttoptr": _single_block([
+        "%k = add i64 2, 0",
+        "%a = inttoptr i64 %k to ptr",
+        "%q = call ptr @__quantum__rt__qubit_allocate()",
+        "%r = call ptr @__quantum__rt__qubit_allocate()",
+        "call void @__quantum__qis__x__body(ptr %a)",
+        "call void @__quantum__qis__h__body(ptr %r)"]),
+}
+
+
+def _outcome(transform, module):
+    try:
+        return transform(module)
+    except TransformError as err:
+        return err.reason, str(err)
+
+
+def _with_label(module, label: str):
+    entry = module.entry
+    block = replace(entry.blocks[0], label=label)
+    return replace(module, functions=[replace(entry, blocks=[block])])
+
+
+def _check_direct_equals_unrolled(module) -> None:
+    block = module.entry.blocks[0]
+    assert not all(isinstance(i, (Call, Load)) for i in block.instructions)
+    direct = _outcome(allocate_static_addresses, module)
+    unrolled = _outcome(
+        lambda m: allocate_static_addresses(unroll_and_fold(m, 1)), module)
+    if isinstance(unrolled, tuple):
+        assert direct == unrolled
+    else:
+        assert direct == _with_label(unrolled, block.label)
+        assert print_module(direct) == print_module(
+            _with_label(unrolled, block.label))
+
+
+def _random_single_blocks(count: int) -> list[str]:
+    rng, texts = random.Random(11), []
+    while len(texts) < count:
+        text = genutil.random_adaptive_module(rng)
+        if "br label" not in text:
+            texts.append(text)
+    return texts
+
+
+@pytest.mark.parametrize("text", [
+    genutil.corpus_text("bell_dynamic.ll"),
+    *HAND_BUILT.values(),
+    *PUNNED.values(),
+    *_random_single_blocks(20),
+], ids=["bell_dynamic", *HAND_BUILT, *PUNNED,
+        *(f"random{i}" for i in range(20))])
+def test_direct_allocation_allocates_the_unrolled_block(text):
+    _check_direct_equals_unrolled(parse_module(text))
+
+
+def test_hand_built_blocks_keep_their_shots():
+    for text in HAND_BUILT.values():
+        module = parse_module(text)
+        allocated = allocate_static_addresses(module)
+        assert interpret(allocated, shots=16, seed=3).memory == \
+            interpret(module, shots=16, seed=3).memory
+
+
+def test_lowering_a_slot_held_array_loop_unrolls_once(monkeypatch):
+    # the unrolled module holds only calls and loads, so allocation
+    # walks it as it is
+    unrolls = []
+    unroll = transforms.unroll_and_fold
+
+    def counted(*args):
+        unrolls.append(args)
+        return unroll(*args)
+    monkeypatch.setattr(transforms, "unroll_and_fold", counted)
+    rng = random.Random(5)
+    for _ in range(20):
+        unrolls.clear()
+        lower_to_base(parse_module(genutil.random_adaptive_module(rng)))
+        assert len(unrolls) == 1
+
+
+_SUPPORTED_INPUTS = st.one_of(
+    st.randoms(use_true_random=False).map(genutil.random_adaptive_module),
+    genutil.mutated())
+
+
+@settings(max_examples=200)
+@given(_SUPPORTED_INPUTS)
+def test_every_supported_module_unrolls_to_a_supported_one(text):
+    try:
+        module = parse_module(text)
+        if validate_profile(module).profile is Profile.UNSUPPORTED:
+            return
+        unrolled = unroll_and_fold(module)
+    except QirError:
+        return
+    assert validate_profile(unrolled).profile is not Profile.UNSUPPORTED
+    # what the unroller prints, its parser reads back
+    assert parse_module(print_module(unrolled)) == unrolled

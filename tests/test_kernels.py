@@ -316,3 +316,35 @@ def test_the_cache_stops_at_its_bound(plans):
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0,
                                    atol=ATOL)
     assert len(plans) == statevector._MAX_PLANS
+
+
+def _qubit_cases(qubit) -> list:
+    """What a measurement and an H on ``qubit`` of a 2-qubit state give:
+    the outcome and amplitudes, or the exception's type and message."""
+    out = []
+    for call in (lambda s: s.measure(qubit, 0.5),
+                 lambda s: s.apply_gate_inplace(GateKind.H, (), (qubit,))):
+        state = _random_state(2, 3)
+        try:
+            out.append((call(state), state.amplitudes.tobytes()))
+        except Exception as err:
+            out.append((type(err), str(err)))
+    return out
+
+
+@pytest.mark.parametrize("qubit", [1.0, True, np.int64(1), 1.5, "1"],
+                         ids=repr)
+def test_a_target_acts_the_same_with_its_plan_cold_or_warm(qubit, plans):
+    plans.clear()
+    cold = _qubit_cases(qubit)
+    # a plan is stored under int targets only
+    assert {type(q) for key in plans
+            for q in (key[2] if len(key) == 4 else key[:1])} <= {int}
+    again = _qubit_cases(qubit)
+    ints = _qubit_cases(1)
+    warm = _qubit_cases(qubit)
+    assert cold == again == warm
+    if qubit == 1:
+        assert cold == ints
+    else:
+        assert cold == [(ValueError, f"qubit {qubit!r} is not an integer")] * 2

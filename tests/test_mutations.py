@@ -13,40 +13,12 @@ import contextlib
 import io
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qirtk import (ExecOptions, QirError, interpret, lower_to_base,
                    parse_module, validate_profile)
 from qirtk.cli import main
 
 import genutil
-
-PROGRAMS = [genutil.corpus_text(p.name).splitlines()
-            for p in sorted(genutil.CORPUS.glob("*.ll"))]
-
-
-@st.composite
-def mutated(draw) -> str:
-    lines = list(draw(st.sampled_from(PROGRAMS)))
-    for _ in range(draw(st.integers(1, 3))):
-        i = draw(st.integers(0, len(lines) - 1))
-        kind = draw(st.sampled_from(["delete", "duplicate", "truncate",
-                                     "swap"]))
-        if kind == "delete":
-            del lines[i]
-        elif kind == "duplicate":
-            lines.insert(i, lines[i])
-        elif kind == "truncate":
-            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
-        else:
-            tokens = lines[i].split(" ")
-            a = draw(st.integers(0, len(tokens) - 1))
-            b = draw(st.integers(0, len(tokens) - 1))
-            tokens[a], tokens[b] = tokens[b], tokens[a]
-            lines[i] = " ".join(tokens)
-        if not lines:
-            break
-    return "\n".join(lines) + "\n"
 
 
 def _api(text: str) -> None:
@@ -65,13 +37,13 @@ def _api(text: str) -> None:
 
 
 @settings(max_examples=150)
-@given(mutated())
+@given(genutil.mutated())
 def test_only_toolkit_errors_escape_the_api(text):
     _api(text)
 
 
 @settings(max_examples=60)
-@given(mutated())
+@given(genutil.mutated())
 def test_the_command_line_keeps_its_exit_codes(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("mutated") / "program.ll"
     path.write_text(text, encoding="utf-8")
