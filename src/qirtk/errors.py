@@ -64,6 +64,7 @@ class TransformError(QirError):
                         cannot spell it: an int or float as ptr, an
                         address as an int or double, a float as an int
       FeedbackRequired  the program is not expressible in the base profile
+      UseAfterRelease   a qubit handle is used or released after its release
     plus precondition codes such as NotStraightLine and
     NonConstantAllocation.
     """

@@ -23,9 +23,15 @@ an operation whose operands are not all ints, given each operand's field,
 environment key and type; and ``_load_through`` and ``_store_through``,
 memory access through a pointer that is not a stack slot. A run's state
 belongs to the domain; the evaluator uses its ``slots`` and ``steps``.
+
+Both domains share ``IndexPool`` and ``Qubit``, so a lowered module keeps
+every shot: a dynamic ``Qubit`` takes the lowest index an ``IndexPool``
+got back from a release, and a static qubit never takes one.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .errors import QirError
 from .ir import (BINOP_FUNCS, EXT_OPS, ICMP_FUNCS, Alloca, BinOp, Br, Call,
@@ -40,6 +46,44 @@ class Slot:
     """The address of a stack slot (an ``alloca`` result)."""
 
     index: int
+
+
+class Qubit:
+    """A dynamically allocated qubit: its index, or None once released."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def live(self, error: type[QirError]) -> int:
+        """The qubit's index; ``error`` UseAfterRelease once released."""
+        if self.index is None:
+            raise error("UseAfterRelease", "qubit handle used after release")
+        return self.index
+
+
+class IndexPool:
+    """Indices of released qubits, handed out again lowest first.
+
+    ``take(fresh)`` calls ``fresh()`` only when none is free. ``fresh`` is
+    not kept, so a pool held by a state never refers back to it.
+    """
+
+    __slots__ = ("free",)
+
+    def __init__(self):
+        self.free: list[int] = []
+
+    def take(self, fresh) -> int:
+        return heapq.heappop(self.free) if self.free else fresh()
+
+    def release(self, qubit: Qubit, error: type[QirError]) -> None:
+        if qubit.index is None:
+            raise error("UseAfterRelease",
+                        "release of an unknown or released handle")
+        heapq.heappush(self.free, qubit.index)
+        qubit.index = None
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,15 @@ at a time. A fault is raised when a shot reaches it, never while
 compiling, with the shot and the ``function:block:index`` of the last
 instruction started.
 
-Qubit bookkeeping mirrors the static allocator so that a lowered module
-reproduces the original shot for shot: simulator indices are handed out
-first-fit (lowest free index first, growing the state only when no freed
-index is available), and releasing a qubit returns its index without
-scrubbing it. Programs are expected to reset qubits before release, as
-usual for quantum runtimes; the state a sloppy program leaks into a
-reused index is identical pre and post lowering, so outcomes still agree.
+Qubit bookkeeping follows one rule, the static allocator's, so that a
+lowered module reproduces the original shot for shot: a dynamically
+allocated qubit takes the lowest index a release gave back, and grows
+the state only when none is free; a static qubit grows the state on its
+first use and never takes a released index, and releasing it does
+nothing. Releasing a qubit gives back its index without scrubbing it.
+Programs are expected to reset qubits before release, as usual for
+quantum runtimes; the state a sloppy program leaks into a reused index
+is the same before and after lowering.
 
 Results live in a classical table. Reading a result before its
 measurement is an error; recording one is not, and yields 0, matching
@@ -24,12 +26,10 @@ classical registers that initialize to zero.
 
 from __future__ import annotations
 
-import heapq
-
 from . import intrinsics
 from .circuit import GateKind
 from .errors import DEFAULT_MAX_QUBITS, DEFAULT_STEP_LIMIT, ExecutionError
-from .evaluator import Compiler, Run, raising
+from .evaluator import Compiler, IndexPool, Qubit, Run, raising
 from .ir import Call, Load, QirModule, StaticAddr, REQUIRED_QUBITS_ATTR
 from .node import node
 from .rng import ShotRng
@@ -68,22 +68,13 @@ class ExecutionResult:
         return json.dumps(payload, indent=2)
 
 
-# runtime values for ptr-typed registers
-
-
-@node(frozen=True)
-class _Qubit:
-    key: tuple
+# runtime values for ptr-typed registers: a static address, a ``Qubit``,
+# an array (the list of its elements) and an element pointer
 
 
 @node
-class _Array:
-    elements: list
-
-
-@node(frozen=True)
 class _ElemPtr:
-    array: int  # id into RuntimeState.arrays
+    array: list
     index: int
 
 
@@ -97,15 +88,12 @@ class RuntimeState:
         # build a state (validate, transpile) do not load numpy
         from .statevector import StateVector
         self.statevector = StateVector(0)
-        self.qubit_indices: dict[tuple, int] = {}
-        self.free_indices: list[int] = []
-        self.released: set[tuple] = set()
-        self.results: dict[tuple, int] = {}
+        self.qubit_indices: dict[int, int] = {}  # static qubit -> index
+        self.pool = IndexPool()
+        self.results: dict[int, int] = {}
         self.record: list[int] = []
-        self.arrays: list[_Array] = []
         self.slots: list = []
         self.steps = 0
-        self.next_dynamic = 0
 
     # ------------------------------------------------------------------
     # qubit table
@@ -114,22 +102,17 @@ class RuntimeState:
         # static qubit i is index i, as growing a fresh state would give
         from .statevector import StateVector
         self.statevector = StateVector(count)
-        self.qubit_indices = {("s", i): i for i in range(count)}
+        self.qubit_indices = {i: i for i in range(count)}
 
-    def qubit_index(self, key: tuple) -> int:
-        index = self.qubit_indices.get(key)
-        if index is not None:
-            return index  # a key in the table was never released
-        if key in self.released:
-            raise ExecutionError("UseAfterRelease",
-                                 "qubit handle used after release")
-        index = self._take_index()
-        self.qubit_indices[key] = index
+    def qubit_index(self, qubit) -> int:
+        if isinstance(qubit, Qubit):
+            return qubit.live(ExecutionError)
+        index = self.qubit_indices.get(qubit.index)
+        if index is None:
+            index = self.qubit_indices[qubit.index] = self._grow()
         return index
 
-    def _take_index(self) -> int:
-        if self.free_indices:
-            return heapq.heappop(self.free_indices)
+    def _grow(self) -> int:
         if self.statevector.num_qubits >= self.options.max_qubits:
             raise ExecutionError(
                 "QubitLimit",
@@ -137,58 +120,49 @@ class RuntimeState:
                 "qubits")
         return self.statevector.grow()
 
-    def allocate_dynamic(self) -> _Qubit:
-        key = ("d", self.next_dynamic)
-        self.next_dynamic += 1
-        self.qubit_index(key)
-        return _Qubit(key)
+    def allocate_dynamic(self) -> Qubit:
+        return Qubit(self.pool.take(self._grow))
 
-    def release(self, key: tuple) -> None:
-        index = self.qubit_indices.pop(key, None)
-        if index is None or key in self.released:
-            raise ExecutionError("UseAfterRelease",
-                                 "release of an unknown or released handle")
-        self.released.add(key)
-        heapq.heappush(self.free_indices, index)
+    def release(self, qubit) -> None:
+        if isinstance(qubit, Qubit):
+            self.pool.release(qubit, ExecutionError)
 
     # ------------------------------------------------------------------
     # measurement and recording
 
-    def measure(self, qubit_key: tuple, result_key: tuple) -> None:
-        index = self.qubit_index(qubit_key)
+    def measure(self, qubit, result: int) -> None:
+        index = self.qubit_index(qubit)
         outcome = self.statevector.measure(index, self.rng.next_double())
-        self.results[result_key] = outcome
+        self.results[result] = outcome
 
-    def reset(self, qubit_key: tuple) -> None:
-        index = self.qubit_index(qubit_key)
+    def reset(self, qubit) -> None:
+        index = self.qubit_index(qubit)
         outcome = self.statevector.measure(index, self.rng.next_double())
         if outcome == 1:
             self.statevector.apply_gate_inplace(GateKind.X, (), (index,))
 
-    def read_result(self, result_key: tuple) -> int:
-        bit = self.results.get(result_key)
+    def read_result(self, result: int) -> int:
+        bit = self.results.get(result)
         if bit is None:
             raise ExecutionError(
                 "ReadBeforeMeasure",
-                f"result {result_key[1]} read before it was measured")
+                f"result {result} read before it was measured")
         return bit
 
-    def record_result(self, result_key: tuple) -> None:
+    def record_result(self, result: int) -> None:
         # unmeasured results record as 0, like zero-initialized registers
-        self.record.append(self.results.get(result_key, 0))
+        self.record.append(self.results.get(result, 0))
 
 
-def _qubit_key(value) -> tuple:
-    if isinstance(value, StaticAddr):
-        return ("s", value.index)
-    if isinstance(value, _Qubit):
-        return value.key
+def _qubit(value):
+    if isinstance(value, (StaticAddr, Qubit)):
+        return value
     raise ExecutionError("BadOperand", "expected a qubit reference")
 
 
-def _result_key(value) -> tuple:
+def _result(value) -> int:
     if isinstance(value, StaticAddr):
-        return ("s", value.index)
+        return value.index
     raise ExecutionError("BadOperand", "expected a result reference")
 
 
@@ -206,8 +180,8 @@ def _count(value) -> int:
     return value
 
 
-def _array(value) -> "_ArrayRef":
-    if not isinstance(value, _ArrayRef):
+def _array(value) -> list:
+    if not isinstance(value, list):
         raise ExecutionError("BadOperand", "expected an array handle")
     return value
 
@@ -236,12 +210,12 @@ class _ShotCompiler(Compiler):
     def _store_through(self, state: RuntimeState, pointer, value) -> None:
         if not isinstance(pointer, _ElemPtr):
             raise self._error("BadOperand", "store through a non-pointer")
-        state.arrays[pointer.array].elements[pointer.index] = value
+        pointer.array[pointer.index] = value
 
     def _load_through(self, state: RuntimeState, pointer, instr: Load):
         if not isinstance(pointer, _ElemPtr):
             raise self._error("BadOperand", "load through a non-pointer")
-        return state.arrays[pointer.array].elements[pointer.index]
+        return pointer.array[pointer.index]
 
     def _call(self, instr: Call):
         spec = intrinsics.lookup(instr.callee)
@@ -281,7 +255,7 @@ def _gate(gate: GateKind, keys):
     def op(env, state):
         args = list(map(env.__getitem__, keys))
         params = tuple(map(_angle, args[:n])) if n else ()
-        targets = tuple(map(state.qubit_index, map(_qubit_key, args[n:])))
+        targets = tuple(map(state.qubit_index, map(_qubit, args[n:])))
         if len(targets) > 1 and len(set(targets)) != len(targets):
             raise ExecutionError("BadOperand",
                                  "duplicate qubit operand in a gate")
@@ -295,8 +269,8 @@ def _same(value):
 
 #: operand kind (``intrinsics.arg_kinds``) -> its conversion
 _CONVERTERS = {
-    intrinsics.QUBIT_ARG: _qubit_key,
-    intrinsics.RESULT_ARG: _result_key,
+    intrinsics.QUBIT_ARG: _qubit,
+    intrinsics.RESULT_ARG: _result,
     intrinsics.ANGLE_ARG: _angle,
     intrinsics.INT_ARG: _count,
     intrinsics.ARRAY_ARG: _array,
@@ -304,26 +278,24 @@ _CONVERTERS = {
 }
 
 
-def _allocate_array(state: RuntimeState, size: int) -> "_ArrayRef":
-    array = _Array([state.allocate_dynamic() for _ in range(size)])
-    state.arrays.append(array)
-    return _ArrayRef(len(state.arrays) - 1)
+def _allocate_array(state: RuntimeState, size: int) -> list:
+    if size < 0:
+        raise ExecutionError("BadOperand",
+                             f"array allocation size {size} is negative")
+    return [state.allocate_dynamic() for _ in range(size)]
 
 
-def _get_element(state: RuntimeState, array_ref: "_ArrayRef",
-                 index: int) -> _ElemPtr:
-    array = state.arrays[array_ref.id]
-    if not 0 <= index < len(array.elements):
+def _get_element(state: RuntimeState, array: list, index: int) -> _ElemPtr:
+    if not 0 <= index < len(array):
         raise ExecutionError(
             "BadOperand", f"array index {index} out of bounds "
-                          f"({len(array.elements)} elements)")
-    return _ElemPtr(array_ref.id, index)
+                          f"({len(array)} elements)")
+    return _ElemPtr(array, index)
 
 
-def _release_array(state: RuntimeState, array_ref: "_ArrayRef") -> None:
-    for element in state.arrays[array_ref.id].elements:
-        if isinstance(element, _Qubit):
-            state.release(element.key)
+def _release_array(state: RuntimeState, array: list) -> None:
+    for element in array:
+        state.release(element)  # a no-op on anything but a Qubit
 
 
 #: action -> what the call does with its converted operands; an array's
@@ -340,11 +312,6 @@ _ACTIONS = {
     intrinsics.RECORD: lambda state, key, label: state.record_result(key),
     intrinsics.RECORD_ARRAY: lambda state, *args: None,
 }
-
-
-@node(frozen=True)
-class _ArrayRef:
-    id: int
 
 
 def run_shot(module: QirModule, seed: int = 0, shot_index: int = 0,

@@ -24,12 +24,12 @@ either module in place.
 from __future__ import annotations
 
 import copy
-import heapq
+import itertools
 import math
 
 from . import intrinsics
 from .errors import DEFAULT_ITERATION_CAP, TransformError
-from .evaluator import Compiler, Run, Slot
+from .evaluator import Compiler, IndexPool, Qubit, Run, Slot
 from .ir import (BasicBlock, BinOp, Call, CallArg, ConstFloat, ConstInt,
                  DoubleType, Ext, FuncDef, GlobalRef, ICmp, IntToAddr,
                  IntType, Load, LocalRef, PtrType, QirModule, Ret, Select,
@@ -228,42 +228,11 @@ def unroll_and_fold(module: QirModule,
 # allocate_static_addresses
 
 
-class _IndexPool:
-    """First-fit index pool that never hands out pinned indices."""
-
-    def __init__(self, pinned: set[int]):
-        self.pinned = set(pinned)
-        self.free: list[int] = []
-        self.next = 0
-
-    def take(self) -> int:
-        if self.free:
-            index = heapq.heappop(self.free)
-        else:
-            while self.next in self.pinned:
-                self.next += 1
-            index = self.next
-            self.next += 1
-        return index
-
-    def give_back(self, index: int) -> None:
-        heapq.heappush(self.free, index)
-
-
 @node(frozen=True)
-class _Single:
-    index: int
+class _Element:
+    """An array element pointer, resolved to its qubit on lookup."""
 
-
-@node
-class _ArrayHandle:
-    indices: list[int]
-
-
-@node(frozen=True)
-class _ElemHandle:
-    array: "_ArrayHandle"
-    offset: int
+    qubit: Qubit
 
 
 _HANDLE_ACTIONS = frozenset({
@@ -279,7 +248,9 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
     of a handle becomes a constant address. Indices freed by a release
     are reused lowest-first, and indices already referenced statically
     are never reassigned, so no two simultaneously live qubits share an
-    index. Sets the required-count attributes to the high-water marks.
+    index; a handle used or released after its release is refused as
+    UseAfterRelease. Sets the required-count attributes to the
+    high-water marks.
     A block that holds anything but calls and loads is first folded by
     ``unroll_and_fold``, so classical code and stack slots reach this
     pass as constants; the result keeps the module's block label.
@@ -295,17 +266,20 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
     if not all(isinstance(i, (Call, Load)) for i in instructions):
         instructions = unroll_and_fold(module, 1).entry.blocks[0].instructions
 
-    pinned: set[int] = set()
+    pinned: set[int] = set()  # releasing a static qubit does nothing
     for call in instructions:
-        if isinstance(call, Call):
-            for kind, arg in zip(intrinsics.lookup(call.callee).arg_kinds,
-                                 call.args):
+        spec = isinstance(call, Call) and intrinsics.lookup(call.callee)
+        if spec and spec.action != intrinsics.RELEASE:
+            for kind, arg in zip(spec.arg_kinds, call.args):
                 if (kind == intrinsics.QUBIT_ARG
                         and isinstance(arg.value, StaticAddr)):
                     pinned.add(arg.value.index)
-    pool = _IndexPool(pinned)
+    fresh = itertools.filterfalse(pinned.__contains__,
+                                  itertools.count()).__next__
+    pool = IndexPool()
 
-    handles: dict[str, object] = {}   # SSA name -> handle description
+    # SSA name -> a Qubit, an array (a list of Qubits) or an _Element
+    handles: dict[str, object] = {}
     had_allocations = False
     kept: list = []
 
@@ -317,9 +291,8 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
     for instr in instructions:
         if isinstance(instr, Load):
             handle = as_handle(instr.slot)
-            if isinstance(handle, _ElemHandle):
-                index = handle.array.indices[handle.offset]
-                handles[instr.result] = _Single(index)
+            if isinstance(handle, _Element):
+                handles[instr.result] = handle.qubit
                 continue
             if handle is not None:
                 raise TransformError(
@@ -334,7 +307,7 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
             if action in _HANDLE_ACTIONS:
                 had_allocations = True
                 if action == intrinsics.ALLOCATE:
-                    handles[instr.result] = _Single(pool.take())
+                    handles[instr.result] = Qubit(pool.take(fresh))
                 elif action == intrinsics.ALLOCATE_ARRAY:
                     size = _const_int(instr.args[0].value,
                                       "array allocation size")
@@ -347,43 +320,42 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                             "AllocationLimit",
                             f"array allocation of {size} qubits exceeds "
                             f"the limit of {MAX_ARRAY_QUBITS}")
-                    handles[instr.result] = _ArrayHandle(
-                        [pool.take() for _ in range(size)])
+                    handles[instr.result] = [Qubit(pool.take(fresh))
+                                             for _ in range(size)]
                 elif action == intrinsics.GET_ELEMENT:
                     array = as_handle(instr.args[0].value)
-                    if not isinstance(array, _ArrayHandle):
+                    if not isinstance(array, list):
                         raise TransformError(
                             "EscapingHandle",
                             "element lookup on a value that is not a "
                             "tracked array handle")
                     offset = _const_int(instr.args[1].value,
                                         "array element index")
-                    if not 0 <= offset < len(array.indices):
+                    if not 0 <= offset < len(array):
                         raise TransformError(
                             "NonConstantAllocation",
                             f"array element index {offset} is out of "
-                            f"bounds for {len(array.indices)} elements")
-                    handles[instr.result] = _ElemHandle(array, offset)
+                            f"bounds for {len(array)} elements")
+                    handles[instr.result] = _Element(array[offset])
                 elif action == intrinsics.RELEASE:
                     value = instr.args[0].value
                     handle = as_handle(value)
-                    if isinstance(handle, _Single):
-                        pool.give_back(handle.index)
+                    if isinstance(handle, Qubit):
+                        pool.release(handle, TransformError)
                     elif not isinstance(value, StaticAddr):
-                        # a pinned static index is released as a no-op
                         raise TransformError(
                             "EscapingHandle",
                             "release of a value that is not a tracked "
                             "qubit handle")
                 else:  # RELEASE_ARRAY
                     handle = as_handle(instr.args[0].value)
-                    if not isinstance(handle, _ArrayHandle):
+                    if not isinstance(handle, list):
                         raise TransformError(
                             "EscapingHandle",
                             "array release of a value that is not a "
                             "tracked array handle")
-                    for index in handle.indices:
-                        pool.give_back(index)
+                    for qubit in handle:
+                        pool.release(qubit, TransformError)
                 continue
             new_args = []
             for kind, arg in zip(spec.arg_kinds, instr.args):
@@ -391,9 +363,7 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                 if handle is None:
                     new_args.append(arg)
                     continue
-                if isinstance(handle, _ElemHandle):
-                    handle = _Single(handle.array.indices[handle.offset])
-                if not isinstance(handle, _Single):
+                if isinstance(handle, list):
                     raise TransformError(
                         "EscapingHandle",
                         "an array handle is passed where a qubit is "
@@ -402,7 +372,13 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                     raise TransformError(
                         "EscapingHandle",
                         "a qubit handle flows into a non-qubit argument")
-                new_args.append(CallArg(arg.ty, StaticAddr(handle.index)))
+                if isinstance(handle, _Element):
+                    raise TransformError(
+                        "EscapingHandle",
+                        "an array element pointer is passed where a "
+                        "qubit is expected")
+                new_args.append(CallArg(
+                    arg.ty, StaticAddr(handle.live(TransformError))))
             kept.append(Call(instr.callee, new_args, instr.result,
                              instr.ret_type))
             continue
@@ -543,12 +519,7 @@ def _sink_measurements(module: QirModule) -> QirModule:
     being recorded) raise TransformError(FeedbackRequired): such
     programs need feedback and have no equivalent static schedule.
     """
-    entry = module.entry
-    if len(entry.blocks) != 1 or entry.blocks[0].phis:
-        raise TransformError(
-            "NotStraightLine",
-            "measurement sinking requires a single-block module")
-    block = entry.blocks[0]
+    block = module.entry.blocks[0]
 
     body: list = []
     measures: list[Call] = []

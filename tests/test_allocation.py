@@ -5,6 +5,9 @@ A single block that holds anything else is first folded by
 ``unroll_and_fold``, so direct allocation agrees with allocating the
 unrolled module, and a constant whose type its operand cannot spell is
 refused while unrolling.
+
+The allocator and the interpreter share one qubit-handle model, so a
+program that lowers also runs, and keeps its shots.
 """
 
 import random
@@ -13,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qirtk import (Profile, QirError, TransformError,
-                   allocate_static_addresses, interpret, lower_to_base,
-                   parse_module, print_module, unroll_and_fold,
-                   validate_profile)
+from qirtk import (ExecOptions, ExecutionError, Profile, QirError,
+                   TransformError, allocate_static_addresses, interpret,
+                   lower_to_base, parse_module, print_module,
+                   unroll_and_fold, validate_profile)
 from qirtk import transforms
 from qirtk.ir import Call, Load
 from qirtk.node import replace
@@ -29,8 +32,11 @@ _DECLS = {
     "element": "declare ptr @__quantum__rt__array_get_element_ptr_1d("
                "ptr, i64)",
     "release": "declare void @__quantum__rt__qubit_release(ptr)",
+    "release_array": "declare void @__quantum__rt__qubit_release_array("
+                     "ptr)",
     "h": "declare void @__quantum__qis__h__body(ptr)",
     "x": "declare void @__quantum__qis__x__body(ptr)",
+    "cnot": "declare void @__quantum__qis__cnot__body(ptr, ptr)",
     "mz": "declare void @__quantum__qis__mz__body(ptr, ptr)",
     "read": "declare i1 @__quantum__rt__read_result(ptr)",
     "record": "declare void @__quantum__rt__result_record_output(ptr, ptr)",
@@ -215,3 +221,189 @@ def test_every_supported_module_unrolls_to_a_supported_one(text):
     assert validate_profile(unrolled).profile is not Profile.UNSUPPORTED
     # what the unroller prints, its parser reads back
     assert parse_module(print_module(unrolled)) == unrolled
+
+
+# ---------------------------------------------------------------------------
+# one qubit-handle model for the interpreter and the allocator
+
+_RECORD = "call void @__quantum__rt__result_record_output(ptr null, ptr null)"
+
+# a static qubit neither takes an index a dynamic release gave back nor
+# gives its own to a later allocation
+SAME_SHOTS = {
+    "static_release_keeps_the_index": _single_block([
+        "call void @__quantum__qis__x__body(ptr null)",
+        "call void @__quantum__rt__qubit_release(ptr null)",
+        "%q = call ptr @__quantum__rt__qubit_allocate()",
+        "call void @__quantum__qis__mz__body(ptr %q, ptr null)", _RECORD]),
+    "static_never_takes_a_released_index": _single_block([
+        "%q = call ptr @__quantum__rt__qubit_allocate()",
+        "call void @__quantum__qis__x__body(ptr %q)",
+        "call void @__quantum__rt__qubit_release(ptr %q)",
+        "call void @__quantum__qis__mz__body(ptr null, ptr null)", _RECORD]),
+}
+
+
+def test_releasing_a_static_qubit_pins_no_index():
+    # the interpreter needs three qubits, and so does the lowered module
+    module = parse_module(_single_block([
+        "call void @__quantum__rt__qubit_release("
+        "ptr inttoptr (i64 2 to ptr))",
+        *(line for i in range(3) for line in (
+            f"%q{i} = call ptr @__quantum__rt__qubit_allocate()",
+            f"call void @__quantum__qis__x__body(ptr %q{i})"))]))
+    options = ExecOptions(max_qubits=3)
+    assert interpret(module, shots=1, options=options).counts == {"": 1}
+    lowered = lower_to_base(module)
+    assert lowered.required_count("required_num_qubits") == 3
+    assert interpret(lowered, shots=1, options=options).counts == {"": 1}
+
+
+@pytest.mark.parametrize("name", sorted(SAME_SHOTS))
+def test_static_and_dynamic_qubits_keep_apart_before_and_after_lowering(
+        name):
+    module = parse_module(SAME_SHOTS[name])
+    assert interpret(module, shots=4, seed=1).counts == {"0": 4}
+    assert interpret(lower_to_base(module), shots=4, seed=1).counts == \
+        {"0": 4}
+
+
+_ELEMENT = [
+    "%a = call ptr @__quantum__rt__qubit_allocate_array(i64 1)",
+    "%p = call ptr @__quantum__rt__array_get_element_ptr_1d(ptr %a, i64 0)"]
+
+# body -> (interpreter reason, lowering reason, lowering message)
+REFUSED = {
+    "element_pointer_passed_as_a_qubit": (_ELEMENT + [
+        "call void @__quantum__qis__x__body(ptr %p)",
+        "call void @__quantum__qis__mz__body(ptr %p, ptr null)"],
+        "BadOperand", "EscapingHandle",
+        "an array element pointer is passed where a qubit is expected"),
+    "use_after_release": ([
+        "%q = call ptr @__quantum__rt__qubit_allocate()",
+        "call void @__quantum__rt__qubit_release(ptr %q)",
+        "call void @__quantum__qis__h__body(ptr %q)"],
+        "UseAfterRelease", "UseAfterRelease",
+        "qubit handle used after release"),
+    "double_release": ([
+        "%q = call ptr @__quantum__rt__qubit_allocate()",
+        "call void @__quantum__rt__qubit_release(ptr %q)",
+        "call void @__quantum__rt__qubit_release(ptr %q)"],
+        "UseAfterRelease", "UseAfterRelease",
+        "release of an unknown or released handle"),
+    "load_from_an_element_of_a_released_array": (_ELEMENT + [
+        "call void @__quantum__rt__qubit_release_array(ptr %a)",
+        "%q = load ptr, ptr %p",
+        "call void @__quantum__qis__x__body(ptr %q)"],
+        "UseAfterRelease", "UseAfterRelease",
+        "qubit handle used after release"),
+}
+
+
+@pytest.mark.parametrize("transform", [
+    allocate_static_addresses, lower_to_base])
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_lowering_refuses_what_the_interpreter_refuses(transform, name):
+    body, run_reason, reason, message = REFUSED[name]
+    module = parse_module(_single_block(body))
+    with pytest.raises(ExecutionError) as run_info:
+        interpret(module, shots=1)
+    assert run_info.value.reason == run_reason
+    with pytest.raises(TransformError) as info:
+        transform(module)
+    assert (info.value.reason, info.value.message) == (reason, message)
+    if run_reason == reason:
+        assert run_info.value.message == message
+
+
+def test_a_negative_array_size_is_refused_by_both():
+    module = parse_module(_single_block([
+        "%a = call ptr @__quantum__rt__qubit_allocate_array(i64 -1)"]))
+    with pytest.raises(ExecutionError) as run_info:
+        interpret(module, shots=1)
+    assert (run_info.value.reason, run_info.value.message) == (
+        "BadOperand", "array allocation size -1 is negative")
+    with pytest.raises(TransformError) as info:
+        lower_to_base(module)
+    assert info.value.reason == "NonConstantAllocation"
+
+
+_STATIC = ["null", "inttoptr (i64 1 to ptr)", "inttoptr (i64 2 to ptr)"]
+
+
+@st.composite
+def handle_programs(draw) -> str:
+    """A straight-line program over static qubits, dynamic qubits and
+    arrays, whose draws include releases of static qubits, double
+    releases and uses after release.
+
+    A qubit operand is (text, identity): loads of one array element share
+    their element's identity, and a ``cnot`` takes two identities, so no
+    gate names one qubit twice.
+    """
+    qubits = [(text, ("static", i)) for i, text in enumerate(_STATIC)]
+    arrays: list[tuple[str, list]] = []
+    lines: list[str] = []
+    names = iter(range(1_000_000))
+    for _ in range(draw(st.integers(1, 14))):
+        step = draw(st.sampled_from([
+            "allocate", "array", "element", "release", "release_array",
+            "x", "h", "cnot", "mz", "record"]))
+        n = next(names)
+        if step == "allocate":
+            lines.append(f"%q{n} = call ptr @__quantum__rt__qubit_allocate()")
+            qubits.append((f"%q{n}", n))
+        elif step == "array":
+            size = draw(st.integers(0, 3))
+            lines.append(f"%a{n} = call ptr "
+                         f"@__quantum__rt__qubit_allocate_array(i64 {size})")
+            arrays.append((f"%a{n}", [(n, k) for k in range(size)]))
+        elif step == "element" and any(elements for _, elements in arrays):
+            array, elements = draw(st.sampled_from(
+                [a for a in arrays if a[1]]))
+            k = draw(st.integers(0, len(elements) - 1))
+            lines.append(f"%p{n} = call ptr "
+                         "@__quantum__rt__array_get_element_ptr_1d("
+                         f"ptr {array}, i64 {k})")
+            lines.append(f"%q{n} = load ptr, ptr %p{n}")
+            qubits.append((f"%q{n}", elements[k]))
+        elif step == "release":
+            qubit, _ = draw(st.sampled_from(qubits))
+            lines.append(f"call void @__quantum__rt__qubit_release(ptr "
+                         f"{qubit})")
+        elif step == "release_array" and arrays:
+            array, _ = draw(st.sampled_from(arrays))
+            lines.append("call void @__quantum__rt__qubit_release_array("
+                         f"ptr {array})")
+        elif step in ("x", "h"):
+            qubit, _ = draw(st.sampled_from(qubits))
+            lines.append(f"call void @__quantum__qis__{step}__body(ptr "
+                         f"{qubit})")
+        elif step == "cnot":
+            control, identity = draw(st.sampled_from(qubits))
+            target, _ = draw(st.sampled_from(
+                [q for q in qubits if q[1] != identity]))
+            lines.append("call void @__quantum__qis__cnot__body("
+                         f"ptr {control}, ptr {target})")
+        elif step == "mz":
+            qubit, _ = draw(st.sampled_from(qubits))
+            result = draw(st.sampled_from(_STATIC))
+            lines.append(f"call void @__quantum__qis__mz__body(ptr {qubit}, "
+                         f"ptr {result})")
+        elif step == "record":
+            result = draw(st.sampled_from(_STATIC))
+            lines.append("call void @__quantum__rt__result_record_output("
+                         f"ptr {result}, ptr null)")
+    return _single_block(lines)
+
+
+@settings(max_examples=300)
+@given(handle_programs())
+def test_a_program_that_lowers_runs_and_keeps_its_shots(text):
+    module = parse_module(text)
+    try:
+        lowered = lower_to_base(module)
+    except TransformError:
+        return
+    memory = interpret(module, shots=8, seed=5).memory
+    assert interpret(lowered, shots=8, seed=5).memory == memory
