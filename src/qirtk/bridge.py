@@ -87,28 +87,28 @@ def circuit_to_base_qir(circuit: QuantumCircuit,
     for op in circuit.ops:
         if isinstance(op, Gate):
             callee = intrinsics.gate_intrinsic_name(op.kind)
-            args = [CallArg(DOUBLE, ConstFloat(p)) for p in op.params]
-            args += [addr(q) for q in op.qubits]
+            args = tuple([CallArg(DOUBLE, ConstFloat(p)) for p in op.params]
+                         + [addr(q) for q in op.qubits])
         elif isinstance(op, Measure):
             callee = "__quantum__qis__mz__body"
-            args = [addr(op.qubit), addr(op.clbit)]
+            args = (addr(op.qubit), addr(op.clbit))
         else:
             callee = "__quantum__qis__reset__body"
-            args = [addr(op.qubit)]
+            args = (addr(op.qubit),)
         used.add(callee)
         instructions.append(Call(callee, args))
 
     record = "__quantum__rt__result_record_output"
     for clbit in range(circuit.num_clbits):
         used.add(record)
-        instructions.append(Call(record, [addr(clbit), addr(0)]))
+        instructions.append(Call(record, (addr(clbit), addr(0))))
 
-    declarations = [intrinsics.declaration_for(n)
-                    for n in intrinsics.intrinsic_table()
-                    if n in used]
-    fn = FuncDef(name, [BasicBlock("entry", [], instructions, Ret())],
-                 attr_group=0)
+    declarations = tuple(intrinsics.declaration_for(n)
+                         for n in intrinsics.intrinsic_table()
+                         if n in used)
+    fn = FuncDef(name, (BasicBlock("entry", (), tuple(instructions),
+                                   Ret()),), attr_group=0)
     groups = {0: {ENTRY_POINT_ATTR: "",
                   REQUIRED_QUBITS_ATTR: str(circuit.num_qubits),
                   REQUIRED_RESULTS_ATTR: str(circuit.num_clbits)}}
-    return QirModule("circuit", declarations, [fn], groups)
+    return QirModule("circuit", declarations, (fn,), groups)

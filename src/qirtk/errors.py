@@ -57,6 +57,7 @@ class TransformError(QirError):
     Reasons used by the transforms:
       AllocationLimit   a qubit array is larger than
                         ``transforms.MAX_ARRAY_QUBITS``
+      BadOperand        a gate names one qubit twice
       CapExceeded       a loop ran past the configured iteration cap
       DataDependent     control flow depends on a measurement outcome
       EscapingHandle    a qubit handle flows outside intrinsic arguments,

@@ -117,5 +117,5 @@ def gate_intrinsic_name(kind: GateKind) -> str:
 
 def declaration_for(name: str) -> FuncDecl:
     spec = _TABLE[name]
-    return FuncDecl(name, [_ARG_TYPES[k] for k in spec.arg_kinds],
+    return FuncDecl(name, tuple(_ARG_TYPES[k] for k in spec.arg_kinds),
                     spec.ret_type)

@@ -1,9 +1,19 @@
 """In-memory form of the textual IR subset.
 
-Nodes are ``node`` classes (see ``node.py``): instances compare
-structurally, which the round-trip and idempotence tests rely on. SSA
-registers are immutable values; mutable program state lives in alloca
-slots addressed through ``Store``/``Load``.
+Nodes are frozen ``node`` classes (see ``node.py``): instances compare
+structurally, which the round-trip and idempotence tests rely on, and
+refuse assignment, so a pass can share any node of its input with its
+output. Sequence fields (``args``, ``incomings``, ``phis``,
+``instructions``, ``blocks``, ``functions``, ``declarations``,
+``param_types``) are tuples; the parser collects lists while it reads a
+block or function and freezes each when it closes. Equal call operands
+read in one ``parse_module`` call share one ``args`` tuple. A module's
+``attribute_groups`` stays a dict, which no pass edits in place; it
+makes a module unhashable. A module finds its ``entry`` and its
+``ProfileReport`` once, on first use, and keeps them beside its fields.
+
+SSA registers are immutable values; mutable program state lives in
+alloca slots addressed through ``Store``/``Load``.
 
 Integer semantics are two's complement at the declared width. The stored
 canonical representative is the signed value for widths above one and the
@@ -14,7 +24,7 @@ from __future__ import annotations
 
 import operator
 
-from .node import factory, node
+from .node import factory, lazy, node
 
 
 # ---------------------------------------------------------------------------
@@ -147,34 +157,34 @@ def eval_cast(op: str, value: int, from_width: int, to_width: int) -> int:
 # instructions
 
 
-@node
+@node(frozen=True)
 class CallArg:
     ty: Type
     value: Value
 
 
-@node
+@node(frozen=True)
 class Call:
     callee: str
-    args: list[CallArg]
+    args: tuple[CallArg, ...]
     result: str | None = None
     ret_type: Type = VOID
 
 
-@node
+@node(frozen=True)
 class Alloca:
     result: str
     slot_type: Type = I32
 
 
-@node
+@node(frozen=True)
 class Store:
     value_type: Type
     value: Value
     slot: Value
 
 
-@node
+@node(frozen=True)
 class Load:
     result: str
     ty: Type
@@ -184,7 +194,7 @@ class Load:
 BINOPS = ("add", "sub", "mul", "and", "or", "xor")
 
 
-@node
+@node(frozen=True)
 class BinOp:
     op: str
     ty: IntType
@@ -196,7 +206,7 @@ class BinOp:
 ICMP_PREDS = ("eq", "ne", "slt", "sle", "sgt", "sge")
 
 
-@node
+@node(frozen=True)
 class ICmp:
     pred: str
     ty: IntType
@@ -205,7 +215,7 @@ class ICmp:
     result: str
 
 
-@node
+@node(frozen=True)
 class IntToAddr:
     """Dynamic integer-to-address cast (the ``inttoptr`` instruction)."""
 
@@ -217,7 +227,7 @@ class IntToAddr:
 EXT_OPS = ("zext", "sext", "trunc")
 
 
-@node
+@node(frozen=True)
 class Ext:
     op: str
     result: str
@@ -226,7 +236,7 @@ class Ext:
     to_type: IntType
 
 
-@node
+@node(frozen=True)
 class Select:
     result: str
     cond: Value
@@ -242,19 +252,19 @@ Instruction = Call | Alloca | Store | Load | BinOp | ICmp | IntToAddr | Ext | Se
 # terminators, blocks, functions, modules
 
 
-@node
+@node(frozen=True)
 class Br:
     label: str
 
 
-@node
+@node(frozen=True)
 class CondBr:
     cond: Value
     true_label: str
     false_label: str
 
 
-@node
+@node(frozen=True)
 class Ret:
     pass
 
@@ -262,32 +272,32 @@ class Ret:
 Terminator = Br | CondBr | Ret
 
 
-@node
+@node(frozen=True)
 class PhiNode:
     result: str
     ty: Type
-    incomings: list[tuple[Value, str]]
+    incomings: tuple[tuple[Value, str], ...]
 
 
-@node
+@node(frozen=True)
 class BasicBlock:
     label: str
-    phis: list[PhiNode] = factory(list)
-    instructions: list[Instruction] = factory(list)
+    phis: tuple[PhiNode, ...] = ()
+    instructions: tuple[Instruction, ...] = ()
     terminator: Terminator | None = None
 
 
-@node
+@node(frozen=True)
 class FuncDecl:
     name: str
-    param_types: list[Type]
+    param_types: tuple[Type, ...]
     ret_type: Type = VOID
 
 
-@node
+@node(frozen=True)
 class FuncDef:
     name: str
-    blocks: list[BasicBlock]
+    blocks: tuple[BasicBlock, ...]
     attr_group: int | None = None
 
 
@@ -296,11 +306,11 @@ REQUIRED_QUBITS_ATTR = "required_num_qubits"
 REQUIRED_RESULTS_ATTR = "required_num_results"
 
 
-@node
+@node(frozen=True)
 class QirModule:
     source_name: str = ""
-    declarations: list[FuncDecl] = factory(list)
-    functions: list[FuncDef] = factory(list)
+    declarations: tuple[FuncDecl, ...] = ()
+    functions: tuple[FuncDef, ...] = ()
     attribute_groups: dict[int, dict[str, str]] = factory(dict)
 
     def function_attributes(self, fn: FuncDef) -> dict[str, str]:
@@ -308,9 +318,9 @@ class QirModule:
             return {}
         return self.attribute_groups.get(fn.attr_group, {})
 
-    @property
+    @lazy
     def entry(self) -> FuncDef:
-        """The function executed per shot.
+        """The function executed per shot, found once per module.
 
         Either the unique function tagged ``entry_point`` or, failing that,
         the module's single definition. The parser guarantees one exists;
@@ -323,6 +333,13 @@ class QirModule:
         if not tagged and len(self.functions) == 1:
             return self.functions[0]
         raise ValueError("module has no unambiguous entry function")
+
+    @lazy
+    def profile_report(self):
+        """The module's ``ProfileReport``, classified once per module;
+        ``profile.validate_profile`` returns it."""
+        from . import profile  # profile imports this module
+        return profile._classify(self)
 
     @property
     def attributes(self) -> dict[str, str]:

@@ -74,7 +74,8 @@ def tokenize(text: str) -> list[list[Token]]:
     """Tokenize full source into one token list per nonempty line."""
     out = []
     for i, line in enumerate(text.splitlines(), start=1):
-        tokens = tokenize_line(line, i)
+        # the parser blanks the lines it reads without the lexer
+        tokens = tokenize_line(line, i) if line else None
         if tokens:
             out.append(tokens)
     return out

@@ -4,10 +4,21 @@
 with what ``@dataclass`` would generate: ``__init__`` (defaults,
 ``factory`` defaults, ``__post_init__``), ``__eq__`` (same class, equal
 fields) and ``__repr__``. ``@node(frozen=True)`` also hashes the fields
-and refuses assignment; other nodes are unhashable. ``__init__``,
-``__eq__`` and ``__hash__`` are compiled per class, so they read each
-field directly and are as fast as the dataclass versions, while building
-a class costs a fraction of ``@dataclass`` and loads no ``inspect``.
+and refuses assignment and deletion after ``__init__``; other nodes are
+unhashable. A frozen ``__init__`` stores each field through its slot's
+member descriptor, the one write ``__setattr__`` does not see. A frozen
+node is only as immutable as its fields, so frozen IR nodes hold tuples,
+never lists.
+
+A ``lazy`` method of a frozen node is computed on first read and kept in
+a slot of its own. That slot is not a field: it takes no part in
+``__init__``, eq, hash, repr, ``replace``, copying or pickling, so equal
+nodes stay equal whether or not their caches are warm.
+
+``__init__``, ``__eq__`` and ``__hash__`` are compiled per class, so they
+read each field directly and are as fast as the dataclass versions, while
+building a class costs a fraction of ``@dataclass`` and loads no
+``inspect``.
 """
 
 from __future__ import annotations
@@ -24,6 +35,29 @@ class factory:
         self.make = make
 
 
+class lazy:
+    """A method of a frozen node whose value is computed once per node,
+    on first read, and then read like a field: ``@lazy def entry(self)``.
+    A call that raises caches nothing."""
+
+    __slots__ = ("make", "slot")
+
+    def __init__(self, make):
+        self.make = make
+        self.slot = None  # the cache slot's member descriptor, set by node
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        slot = self.slot
+        try:
+            return slot.__get__(obj, owner)
+        except AttributeError:
+            value = self.make(obj)
+            slot.__set__(obj, value)
+            return value
+
+
 def node(cls=None, *, frozen: bool = False):
     """Class decorator; use as ``@node`` or ``@node(frozen=True)``."""
     if cls is None:
@@ -33,14 +67,18 @@ def node(cls=None, *, frozen: bool = False):
 
 def replace(obj, **changes):
     """A new node like ``obj`` with the fields in ``changes`` replaced."""
-    fields = {name: getattr(obj, name) for name in obj.__slots__}
+    fields = {name: getattr(obj, name) for name in obj._fields}
     return obj.__class__(**{**fields, **changes})
 
 
 def _build(cls, frozen: bool):
     ns = dict(cls.__dict__)
     names = tuple(ns.get("__annotations__", ()))
-    scope = {"_MISSING": _MISSING, "_set": object.__setattr__}
+    lazies = {name: value for name, value in ns.items()
+              if isinstance(value, lazy)}
+    if lazies and not frozen:
+        raise TypeError("a lazy value needs a frozen node")
+    scope = {"_MISSING": _MISSING}
     params, body = ["self"], []
     for name in names:
         default, value = ns.pop(name, _MISSING), name
@@ -53,7 +91,7 @@ def _build(cls, frozen: bool):
             params.append(f"{name}=_d_{name}")
         else:
             params.append(name)
-        body.append(f"_set(self, {name!r}, {value})" if frozen
+        body.append(f"_s_{name}(self, {value})" if frozen
                     else f"self.{name} = {value}")
     if "__post_init__" in ns:
         body.append("self.__post_init__()")
@@ -70,26 +108,34 @@ def _build(cls, frozen: bool):
     exec(source, scope)
     ns.pop("__dict__", None)
     ns.pop("__weakref__", None)
-    ns.update(__slots__=names, __qualname__=cls.__qualname__,
+    caches = tuple(f"_lazy_{name}" for name in lazies)
+    ns.update(__slots__=names + caches, _fields=names,
+              __qualname__=cls.__qualname__,
               __init__=scope["__init__"], __eq__=scope["__eq__"],
               __repr__=_repr, __reduce__=_reduce,
               __hash__=scope.get("__hash__"))
     if frozen:
         ns.update(__setattr__=_refuse, __delattr__=_refuse)
-    return type(cls)(cls.__name__, cls.__bases__, ns)
+    built = type(cls)(cls.__name__, cls.__bases__, ns)
+    if frozen:  # the generated __init__ resolves these when it runs
+        for name in names:
+            scope[f"_s_{name}"] = built.__dict__[name].__set__
+    for name, value in lazies.items():
+        value.slot = built.__dict__[f"_lazy_{name}"]
+    return built
 
 
 def _repr(self) -> str:
     fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                       for name in self.__slots__)
+                       for name in self._fields)
     return f"{self.__class__.__qualname__}({fields})"
 
 
 def _reduce(self):
     # rebuilt through __init__, so copy, deepcopy and pickle also work on
-    # frozen nodes
+    # frozen nodes, and leave their lazy caches behind
     return self.__class__, tuple(getattr(self, name)
-                                 for name in self.__slots__)
+                                 for name in self._fields)
 
 
 def _refuse(self, name, *value):

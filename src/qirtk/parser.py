@@ -20,7 +20,13 @@ only ``ptr null``, ``ptr inttoptr (i64 N to ptr)`` and ``double`` constant
 arguments) skip the lexer: inside an open block the ``Call`` is built from
 one regex match, anywhere else the line is lexed and parsed as usual, so
 every ``ParseError`` is the token parser's. ``tests/test_parser_fastpath.py``
-checks this against the token parser.
+checks this against the token parser. Within one parse, call lines with
+equal argument texts share one tuple of (frozen) operands.
+
+The parser collects each block's phis and instructions in lists and
+freezes the block when the next label or the closing brace is read; a
+function is built once the whole module is read and inline attributes
+are folded into groups, so no node is edited after it is built.
 """
 
 from __future__ import annotations
@@ -130,39 +136,57 @@ class _ModuleParser:
             self.lines[tokens[0].line - 1] = tokens
         self.source_name = ""
         self.declarations: list[FuncDecl] = []
-        self.functions: list[FuncDef] = []
+        # (name, blocks, attribute group) of each closed function; its
+        # FuncDef is built once inline attributes are folded into groups
+        self.functions: list[tuple[str, tuple[BasicBlock, ...],
+                                   int | None]] = []
         self.attribute_groups: dict[int, dict[str, str]] = {}
-        # string attributes written on a define line, folded into groups
-        # once the whole module is read
-        self.inline_attrs: list[tuple[FuncDef, dict[str, str]]] = []
+        # (function number, string attributes) written on a define line,
+        # folded into groups once the whole module is read
+        self.inline_attrs: list[tuple[int, dict[str, str]]] = []
         self.define_lines: list[int] = []
         # (group, line) of each ``#N`` written on a declare
         self.declare_groups: list[tuple[int, int]] = []
         self.call_sites: list[tuple[str, int]] = []
-        # per-function bookkeeping, reset in _begin_function
-        self.fn: FuncDef | None = None
-        self.block: BasicBlock | None = None
+        # argument text of a call line -> its operands, so that equal
+        # texts share one tuple of frozen CallArgs within this parse
+        self.call_args: dict[str | None, tuple[CallArg, ...] | None] = {}
+        # the open function: its name, group and closed blocks, reset in
+        # _begin_function
+        self.fn: str | None = None
+        self.group: int | None = None
+        self.blocks: list[BasicBlock] = []
+        # the open block: label, phis, instructions and terminator; the
+        # block is frozen when the next one starts or the function ends
+        self.label: str | None = None
+        self.phis: list[PhiNode] = []
+        self.body: list[Instruction] = []
+        self.term: Br | CondBr | Ret | None = None
         self.defined: set[str] = set()
         self.uses: dict[str, int] = {}
         self.label_refs: list[tuple[str, int]] = []
-        self.phi_lines: list[tuple[BasicBlock, PhiNode, int]] = []
+        self.phi_lines: list[tuple[str, PhiNode, int]] = []
         self.last_line = 1
 
     # ------------------------------------------------------------------
     # top level
 
     def parse(self) -> QirModule:
+        call_args, call_sites = self.call_args, self.call_sites
         for line, item in enumerate(self.lines, start=1):
             if item is None:
                 continue
             self.last_line = line
             if type(item) is not list:  # a call-line match
-                block = self.block
-                args = (_call_args(item[2]) if block is not None
-                        and block.terminator is None else None)
-                if args is not None:
-                    self._add_call(Call(item[1], args, None, VOID), line)
-                    continue
+                if self.label is not None and self.term is None:
+                    text = item[2]
+                    args = call_args.get(text)
+                    if args is None:
+                        args = call_args[text] = _call_args(text)
+                    if args is not None:
+                        call_sites.append((item[1], line))
+                        self.body.append(Call(item[1], args, None, VOID))
+                        continue
                 item = tokenize_line(item.string, line)
             cur = _Cursor(item, line)
             if self.fn is None:
@@ -174,9 +198,11 @@ class _ModuleParser:
         if not self.functions:
             raise ParseError("module defines no function", line=self.last_line)
         self._check_group_refs()
-        self._fold_inline_attrs()
-        module = QirModule(self.source_name, self.declarations,
-                           self.functions, self.attribute_groups)
+        functions = tuple(
+            FuncDef(name, blocks, group) for (name, blocks, _), group
+            in zip(self.functions, self._fold_inline_attrs()))
+        module = QirModule(self.source_name, tuple(self.declarations),
+                           functions, self.attribute_groups)
         self._check_module(module)
         return module
 
@@ -221,7 +247,7 @@ class _ModuleParser:
             self.declare_groups.append((cur.int_value(cur.next()),
                                         cur.line))
         cur.expect_end()
-        self.declarations.append(FuncDecl(name, params, ret_type))
+        self.declarations.append(FuncDecl(name, tuple(params), ret_type))
 
     def _parse_define(self, cur: _Cursor) -> None:
         line = cur.line
@@ -249,33 +275,37 @@ class _ModuleParser:
                 cur.fail("expected attribute or '{'", tok)
         cur.expect("PUNCT", "{")
         cur.expect_end()
-        self._begin_function(name, attr_group, line)
         if inline_attrs:
-            self.inline_attrs.append((self.fn, inline_attrs))
+            self.inline_attrs.append((len(self.functions), inline_attrs))
+        self._begin_function(name, attr_group, line)
 
-    def _fold_inline_attrs(self) -> None:
-        """Fold each define's inline string attributes into a group.
+    def _fold_inline_attrs(self) -> list[int | None]:
+        """Fold each define's inline string attributes into a group, and
+        return each function's group.
 
         The group the define names takes them when no other define uses
         it; otherwise the define gets a fresh group holding the named
         group's attributes and its own. Fresh ids are picked after every
         ``attributes`` line has been read, so they collide with none.
         """
+        groups = [group for _, _, group in self.functions]
         users: dict[int, int] = {}
-        for fn in self.functions:
-            if fn.attr_group is not None:
-                users[fn.attr_group] = users.get(fn.attr_group, 0) + 1
-        for fn, inline in self.inline_attrs:
-            if fn.attr_group is not None and users[fn.attr_group] == 1:
-                self.attribute_groups[fn.attr_group].update(inline)
+        for group in groups:
+            if group is not None:
+                users[group] = users.get(group, 0) + 1
+        for number, inline in self.inline_attrs:
+            group = groups[number]
+            if group is not None and users[group] == 1:
+                self.attribute_groups[group].update(inline)
                 continue
-            attrs = dict(self.attribute_groups.get(fn.attr_group, {}))
+            attrs = dict(self.attribute_groups.get(group, {}))
             attrs.update(inline)
             gid = 0
             while gid in self.attribute_groups:
                 gid += 1
             self.attribute_groups[gid] = attrs
-            fn.attr_group = gid
+            groups[number] = gid
+        return groups
 
     def _parse_attr_group(self, cur: _Cursor) -> None:
         cur.next()
@@ -302,8 +332,8 @@ class _ModuleParser:
 
     def _begin_function(self, name: str, attr_group: int | None,
                         line: int) -> None:
-        self.fn = FuncDef(name, [], attr_group)
-        self.block = None
+        self.fn, self.group, self.blocks = name, attr_group, []
+        self.label = None
         self.defined = set()
         self.uses = {}
         self.label_refs = []
@@ -325,30 +355,33 @@ class _ModuleParser:
             cur.expect_end()
             self._start_block(tok.text, cur)
             return
-        if self.block is None:
+        if self.label is None:
             # instructions before any label open an implicit entry block
             self._start_block("entry", cur)
-        assert self.block is not None
-        if self.block.terminator is not None:
+        if self.term is not None:
             cur.fail("instruction after block terminator", tok)
         self._parse_instruction(cur)
 
     def _start_block(self, label: str, cur: _Cursor) -> None:
         assert self.fn is not None
-        if self.block is not None and self.block.terminator is None:
-            cur.fail(f"block {self.block.label!r} has no terminator")
-        if any(b.label == label for b in self.fn.blocks):
+        if self.label is not None:
+            self._close_block(cur)
+        if any(b.label == label for b in self.blocks):
             cur.fail(f"duplicate block label {label!r}")
-        self.block = BasicBlock(label)
-        self.fn.blocks.append(self.block)
+        self.label, self.phis, self.body, self.term = label, [], [], None
+
+    def _close_block(self, cur: _Cursor) -> None:
+        if self.term is None:
+            cur.fail(f"block {self.label!r} has no terminator")
+        self.blocks.append(BasicBlock(self.label, tuple(self.phis),
+                                      tuple(self.body), self.term))
 
     def _end_function(self, cur: _Cursor) -> None:
         assert self.fn is not None
-        if self.block is None:
+        if self.label is None:
             cur.fail("function body has no blocks")
-        if self.block.terminator is None:
-            cur.fail(f"block {self.block.label!r} has no terminator")
-        labels = {b.label for b in self.fn.blocks}
+        self._close_block(cur)
+        labels = {b.label for b in self.blocks}
         for label, line in self.label_refs:
             if label not in labels:
                 raise ParseError(f"branch to unknown label {label!r}",
@@ -359,14 +392,12 @@ class _ModuleParser:
             raise ParseError(f"use of undefined value %{name}",
                              line=self.uses[name], token=f"%{name}")
         self._check_phis()
-        self.functions.append(self.fn)
-        self.fn = None
-        self.block = None
+        self.functions.append((self.fn, tuple(self.blocks), self.group))
+        self.fn = self.label = None
 
     def _check_phis(self) -> None:
-        assert self.fn is not None
-        preds: dict[str, set[str]] = {b.label: set() for b in self.fn.blocks}
-        for b in self.fn.blocks:
+        preds: dict[str, set[str]] = {b.label: set() for b in self.blocks}
+        for b in self.blocks:
             term = b.terminator
             if isinstance(term, Br):
                 preds[term.label].add(b.label)
@@ -377,16 +408,15 @@ class _ModuleParser:
             incoming = [label for _, label in phi.incomings]
             if len(set(incoming)) != len(incoming):
                 raise ParseError("phi lists a predecessor twice", line=line)
-            if set(incoming) != preds[block.label]:
+            if set(incoming) != preds[block]:
                 raise ParseError(
                     f"phi incoming labels {sorted(incoming)} do not match "
-                    f"predecessors {sorted(preds[block.label])}", line=line)
+                    f"predecessors {sorted(preds[block])}", line=line)
 
     # ------------------------------------------------------------------
     # instructions
 
     def _parse_instruction(self, cur: _Cursor) -> None:
-        assert self.block is not None
         tok = cur.peek()
         assert tok is not None
         if tok.kind == "WORD":
@@ -403,7 +433,7 @@ class _ModuleParser:
                 if word.text != "void":
                     cur.fail("only 'ret void' is supported", word)
                 cur.expect_end()
-                self.block.terminator = Ret()
+                self.term = Ret()
             else:
                 cur.fail("unsupported instruction", tok)
             return
@@ -448,7 +478,6 @@ class _ModuleParser:
         self.uses.setdefault(name, line)
 
     def _finish_call(self, cur: _Cursor, result: str | None) -> None:
-        assert self.block is not None
         ret_type = self._parse_type(cur)
         callee_tok = cur.expect("GLOBAL")
         callee = global_name(callee_tok.text)
@@ -467,12 +496,12 @@ class _ModuleParser:
                 break
         cur.expect("PUNCT", ")")
         cur.expect_end()
-        self._add_call(Call(callee, args, result, ret_type), callee_tok.line)
+        self._add_call(Call(callee, tuple(args), result, ret_type),
+                       callee_tok.line)
 
     def _add_call(self, call: Call, line: int) -> None:
-        assert self.block is not None
         self.call_sites.append((call.callee, line))
-        self.block.instructions.append(call)
+        self.body.append(call)
 
     def _parse_alloca(self, cur: _Cursor, result: str) -> None:
         ty = self._parse_type(cur)
@@ -582,8 +611,7 @@ class _ModuleParser:
         self._append(Select(result, cond, ty, if_true, if_false))
 
     def _parse_phi(self, cur: _Cursor, result: str, op_tok: Token) -> None:
-        assert self.block is not None
-        if self.block.instructions:
+        if self.body:
             cur.fail("phi must precede ordinary instructions", op_tok)
         ty = self._parse_type(cur)
         if ty == VOID:
@@ -601,19 +629,18 @@ class _ModuleParser:
                 continue
             break
         cur.expect_end()
-        phi = PhiNode(result, ty, incomings)
-        self.block.phis.append(phi)
-        self.phi_lines.append((self.block, phi, op_tok.line))
+        phi = PhiNode(result, ty, tuple(incomings))
+        self.phis.append(phi)
+        self.phi_lines.append((self.label, phi, op_tok.line))
 
     def _parse_br(self, cur: _Cursor) -> None:
-        assert self.block is not None
         cur.next()
         tok = cur.peek()
         if tok is not None and tok.kind == "WORD" and tok.text == "label":
             cur.next()
             label = self._parse_label_ref(cur, bare=True)
             cur.expect_end()
-            self.block.terminator = Br(label)
+            self.term = Br(label)
             return
         ty = self._parse_int_type(cur)
         if ty.width != 1:
@@ -626,7 +653,7 @@ class _ModuleParser:
         cur.expect("WORD", "label")
         false_label = self._parse_label_ref(cur, bare=True)
         cur.expect_end()
-        self.block.terminator = CondBr(cond, true_label, false_label)
+        self.term = CondBr(cond, true_label, false_label)
 
     def _parse_label_ref(self, cur: _Cursor, bare: bool = False) -> str:
         tok = cur.next()
@@ -641,8 +668,7 @@ class _ModuleParser:
         return label
 
     def _append(self, instr: Instruction) -> None:
-        assert self.block is not None
-        self.block.instructions.append(instr)
+        self.body.append(instr)
 
     # ------------------------------------------------------------------
     # types and values
@@ -713,8 +739,9 @@ class _ModuleParser:
     # whole-module checks
 
     def _check_group_refs(self) -> None:
-        refs = [(fn.attr_group, line)
-                for fn, line in zip(self.functions, self.define_lines)]
+        refs = [(group, line)
+                for (_, _, group), line in zip(self.functions,
+                                               self.define_lines)]
         for group, line in sorted(refs + self.declare_groups,
                                   key=lambda ref: ref[1]):
             if group is not None and group not in self.attribute_groups:
@@ -738,13 +765,14 @@ class _ModuleParser:
                 line=self.define_lines[-1])
 
 
-def _call_args(text: str | None) -> list[CallArg] | None:
+def _call_args(text: str | None) -> tuple[CallArg, ...] | None:
     """The arguments of a call-line match; None for an address past
     Python's int-string limit, which the token parser then reports."""
     try:
-        return [CallArg(DOUBLE, ConstFloat(_parse_float(double))) if double
-                else CallArg(PTR, StaticAddr(int(index) if index else 0))
-                for index, double in _CALL_ARG.findall(text or "")]
+        return tuple([
+            CallArg(DOUBLE, ConstFloat(_parse_float(double))) if double
+            else CallArg(PTR, StaticAddr(int(index) if index else 0))
+            for index, double in _CALL_ARG.findall(text or "")])
     except ValueError:
         return None
 

@@ -14,11 +14,11 @@ import enum
 
 from . import intrinsics
 from .ir import (Call, ConstFloat, ConstInt, QirModule, StaticAddr,
-                 REQUIRED_QUBITS_ATTR, entry_calls)
+                 REQUIRED_QUBITS_ATTR)
 from .intrinsics import (ANGLE_ARG, ARRAY_ARG, GATE, INT_ARG, LABEL_ARG,
                          MEASURE, QUBIT_ARG, RECORD, RECORD_ARRAY, RESET,
                          RESULT_ARG)
-from .node import factory, node
+from .node import node
 
 
 class Profile(enum.Enum):
@@ -33,11 +33,11 @@ class Violation:
     reason: str
 
 
-@node
+@node(frozen=True)
 class ProfileReport:
     profile: Profile
-    violations: list[Violation] = factory(list)
-    warnings: list[str] = factory(list)
+    violations: tuple[Violation, ...] = ()
+    warnings: tuple[str, ...] = ()
 
 
 def _loc(fn_name: str, block_label: str, index: int) -> str:
@@ -50,7 +50,13 @@ def validate_profile(module: QirModule) -> ProfileReport:
     A Base report carries no violations. An adaptive-subset report lists
     the constructs that keep the module out of the base profile. An
     unsupported report lists the constructs the runtime cannot execute.
+    A module is classified once: every call on it returns the report its
+    first call made (``QirModule.profile_report``).
     """
+    return module.profile_report
+
+
+def _classify(module: QirModule) -> ProfileReport:
     entry = module.entry
     unsupported: list[Violation] = []
     base: list[Violation] = []
@@ -62,6 +68,9 @@ def validate_profile(module: QirModule) -> ProfileReport:
 
     seen_measure = False
     seen_record = False
+    # static qubit indices the calls use and measure, for the warnings
+    used: set[int] = set()
+    measured: set[int] = set()
     for block_i, block in enumerate(entry.blocks):
         if block_i > 0:
             base.append(Violation(_loc(entry.name, block.label, 0),
@@ -86,7 +95,13 @@ def validate_profile(module: QirModule) -> ProfileReport:
                     loc, f"@{instr.callee} expects {len(spec.arg_kinds)} "
                          f"arguments, got {len(instr.args)}"))
                 continue
-            _check_base_call(instr, spec, loc, base)
+            qubits = _check_base_call(instr, spec, loc, base)
+            # fewer than two static qubits cannot repeat one
+            if len(qubits) > 1 and repeats_a_qubit(qubits):
+                unsupported.append(Violation(
+                    loc, f"duplicate qubit operand in @{instr.callee}"))
+                continue
+            used.update(qubits)
             if spec.action in (GATE, RESET):
                 if seen_measure:
                     base.append(Violation(
@@ -96,6 +111,7 @@ def validate_profile(module: QirModule) -> ProfileReport:
                     base.append(Violation(
                         loc, "measurement after output recording"))
                 seen_measure = True
+                measured.update(qubits)
             elif spec.action in (RECORD, RECORD_ARRAY):
                 seen_record = True
             else:
@@ -103,20 +119,32 @@ def validate_profile(module: QirModule) -> ProfileReport:
                                            "the base profile"))
 
     if unsupported:
-        return ProfileReport(Profile.UNSUPPORTED, unsupported)
+        return ProfileReport(Profile.UNSUPPORTED, tuple(unsupported))
     if base:
-        return ProfileReport(Profile.ADAPTIVE_SUBSET, base)
-    return ProfileReport(Profile.BASE, [], _base_warnings(module))
+        return ProfileReport(Profile.ADAPTIVE_SUBSET, tuple(base))
+    return ProfileReport(Profile.BASE, (),
+                         _base_warnings(module, used, measured))
+
+
+def repeats_a_qubit(qubits: list[int]) -> bool:
+    """Whether the static qubit indices of one call name a qubit twice,
+    as only a gate's can; the interpreter refuses such a gate."""
+    return len(set(qubits)) != len(qubits)
 
 
 def _check_base_call(instr: Call, spec, loc: str,
-                     base: list[Violation]) -> None:
+                     base: list[Violation]) -> list[int]:
+    """Add to ``base`` each operand of ``instr`` outside the base profile,
+    and return the indices of its static qubit operands."""
+    qubits = []
     for kind, arg in zip(spec.arg_kinds, instr.args):
         if kind in (QUBIT_ARG, RESULT_ARG):
             if not isinstance(arg.value, StaticAddr):
                 base.append(Violation(
                     loc, f"{kind} operand of @{instr.callee} is not a "
                          "static address"))
+            elif kind == QUBIT_ARG:
+                qubits.append(arg.value.index)
         elif kind == ANGLE_ARG:
             if not isinstance(arg.value, ConstFloat):
                 base.append(Violation(
@@ -132,26 +160,18 @@ def _check_base_call(instr: Call, spec, loc: str,
                 loc, f"@{instr.callee} takes a dynamic array handle"))
         elif kind == LABEL_ARG:
             pass
+    return qubits
 
 
-def _base_warnings(module: QirModule) -> list[str]:
-    """Warn when a base module leaves declared qubits unmeasured."""
-    used: set[int] = set()
-    measured: set[int] = set()
-    for instr in entry_calls(module):
-        spec = intrinsics.lookup(instr.callee)
-        if spec is None:
-            continue
-        for kind, arg in zip(spec.arg_kinds, instr.args):
-            if kind == QUBIT_ARG and isinstance(arg.value, StaticAddr):
-                used.add(arg.value.index)
-                if spec.action == MEASURE:
-                    measured.add(arg.value.index)
+def _base_warnings(module: QirModule, used: set[int],
+                   measured: set[int]) -> tuple[str, ...]:
+    """Warn when a base module leaves declared qubits unmeasured, given
+    the static qubits its calls use and measure."""
     required = module.required_count(REQUIRED_QUBITS_ATTR)
     if required is not None:
         used |= set(range(required))
     unmeasured = sorted(used - measured)
     if used and unmeasured:
-        return [f"qubits {unmeasured} are never measured"]
-    return []
+        return (f"qubits {unmeasured} are never measured",)
+    return ()
 

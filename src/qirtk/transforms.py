@@ -36,7 +36,7 @@ from .ir import (BasicBlock, BinOp, Call, CallArg, ConstFloat, ConstInt,
                  StaticAddr, Value, REQUIRED_QUBITS_ATTR,
                  REQUIRED_RESULTS_ATTR, entry_calls, make_int)
 from .node import node, replace
-from .profile import Profile, validate_profile
+from .profile import Profile, repeats_a_qubit, validate_profile
 
 #: largest qubit array ``allocate_static_addresses`` assigns indices to
 MAX_ARRAY_QUBITS = 65536
@@ -60,21 +60,26 @@ def _profile_gate(module: QirModule, what: str) -> None:
             "Unsupported", f"{what} requires a supported module{detail}")
 
 
-def _with_body(module: QirModule, instructions: list) -> QirModule:
+def _duplicate_operand() -> TransformError:
+    return TransformError("BadOperand", "duplicate qubit operand in a gate")
+
+
+def _with_body(module: QirModule, instructions) -> QirModule:
     """``module`` with ``instructions`` in its entry's single block.
 
     The block keeps its label, phis and terminator; every other node is
     shared, and declarations of intrinsics no longer called are dropped.
     """
     entry = module.entry
-    block = replace(entry.blocks[0], instructions=instructions)
-    fn = replace(entry, blocks=[block])
+    block = replace(entry.blocks[0], instructions=tuple(instructions))
+    fn = replace(entry, blocks=(block,))
     gone = ({c.callee for c in entry_calls(module)}
             - {i.callee for i in instructions if isinstance(i, Call)})
     return replace(
         module,
-        declarations=[d for d in module.declarations if d.name not in gone],
-        functions=[fn if f is entry else f for f in module.functions])
+        declarations=tuple(d for d in module.declarations
+                           if d.name not in gone),
+        functions=tuple(fn if f is entry else f for f in module.functions))
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +191,25 @@ class _Unroller(Compiler):
 
     def _call(self, instr: Call):
         args = [(arg.ty, self._key(arg.value)) for arg in instr.args]
+        spec = intrinsics.lookup(instr.callee)
+        # operand positions of a gate's qubits, if it takes two or more
+        qubit_at = ()
+        if (spec is not None and spec.action == intrinsics.GATE
+                and spec.gate.num_qubits > 1):
+            qubit_at = [i for i, kind in enumerate(spec.arg_kinds)
+                        if kind == intrinsics.QUBIT_ARG]
 
         def op(env, state):
-            values = [CallArg(ty, self._concretize(env[key], ty))
-                      for ty, key in args]
+            values = tuple([CallArg(ty, self._concretize(env[key], ty))
+                            for ty, key in args])
             result = None
             if instr.result is not None:
                 result = self.fresh()
                 env[instr.result] = LocalRef(result)
+            if qubit_at and repeats_a_qubit(
+                    [values[i].value.index for i in qubit_at
+                     if isinstance(values[i].value, StaticAddr)]):
+                raise _duplicate_operand()
             self.out.append(Call(instr.callee, values, result,
                                  instr.ret_type))
         return op
@@ -218,9 +234,9 @@ def unroll_and_fold(module: QirModule,
     Run(unroller.compile(), unroller).run(math.inf)
     entry = module.entry
     fn = FuncDef(entry.name,
-                 [BasicBlock("entry", [], unroller.out, Ret())],
+                 (BasicBlock("entry", (), tuple(unroller.out), Ret()),),
                  entry.attr_group)
-    return QirModule(module.source_name, module.declarations, [fn],
+    return QirModule(module.source_name, module.declarations, (fn,),
                      module.attribute_groups)
 
 
@@ -249,8 +265,9 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
     are reused lowest-first, and indices already referenced statically
     are never reassigned, so no two simultaneously live qubits share an
     index; a handle used or released after its release is refused as
-    UseAfterRelease. Sets the required-count attributes to the
-    high-water marks.
+    UseAfterRelease, and a gate whose handles name one qubit twice as
+    BadOperand. Sets the required-count attributes to the high-water
+    marks.
     A block that holds anything but calls and loads is first folded by
     ``unroll_and_fold``, so classical code and stack slots reach this
     pass as constants; the result keeps the module's block label.
@@ -357,11 +374,14 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                     for qubit in handle:
                         pool.release(qubit, TransformError)
                 continue
-            new_args = []
+            new_args, qubits, resolved = [], [], False
             for kind, arg in zip(spec.arg_kinds, instr.args):
                 handle = as_handle(arg.value)
                 if handle is None:
                     new_args.append(arg)
+                    if (kind == intrinsics.QUBIT_ARG
+                            and isinstance(arg.value, StaticAddr)):
+                        qubits.append(arg.value.index)
                     continue
                 if isinstance(handle, list):
                     raise TransformError(
@@ -377,10 +397,15 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                         "EscapingHandle",
                         "an array element pointer is passed where a "
                         "qubit is expected")
-                new_args.append(CallArg(
-                    arg.ty, StaticAddr(handle.live(TransformError))))
-            kept.append(Call(instr.callee, new_args, instr.result,
-                             instr.ret_type))
+                qubits.append(handle.live(TransformError))
+                new_args.append(CallArg(arg.ty, StaticAddr(qubits[-1])))
+                resolved = True
+            if resolved:
+                if repeats_a_qubit(qubits):
+                    raise _duplicate_operand()
+                instr = Call(instr.callee, tuple(new_args), instr.result,
+                             instr.ret_type)
+            kept.append(instr)
             continue
         # classical instruction: handles must not leak into it
         for operand in _operands(instr):
@@ -443,8 +468,8 @@ def _set_required_attrs(module: QirModule) -> QirModule:
         while gid in groups:
             gid += 1
         groups[gid] = {}
-        functions = [replace(f, attr_group=gid) if f is entry else f
-                     for f in functions]
+        functions = tuple(replace(f, attr_group=gid) if f is entry else f
+                          for f in functions)
     groups[gid][REQUIRED_QUBITS_ATTR] = str(max_qubit + 1)
     groups[gid][REQUIRED_RESULTS_ATTR] = str(max_result + 1)
     return replace(module, functions=functions, attribute_groups=groups)
@@ -609,7 +634,8 @@ def lower_to_base(module: QirModule,
         raise
     out = allocate_static_addresses(out)
     out = _prune_dead(out)
-    out = _sink_measurements(out)
+    out = _set_required_attrs(_sink_measurements(out))
+    # classified as returned, so a caller's validate_profile reuses this
     report = validate_profile(out)
     if report.profile is not Profile.BASE:
         first = report.violations[0] if report.violations else None
@@ -617,4 +643,4 @@ def lower_to_base(module: QirModule,
         raise TransformError(
             "FeedbackRequired",
             f"lowered module still fails base validation{detail}")
-    return _set_required_attrs(out)
+    return out

@@ -18,6 +18,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qirtk import Gate, GateKind, Measure, QuantumCircuit, Reset
+from qirtk.node import replace
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -25,6 +26,18 @@ CORPUS = ROOT / "corpus"
 
 def corpus_path(name: str) -> pathlib.Path:
     return CORPUS / name
+
+
+def with_entry_block(module, index: int, edit):
+    """``module`` with block ``index`` of its entry replaced by
+    ``edit(block)``; IR nodes are frozen, so a test that breaks a parsed
+    module rebuilds it."""
+    entry = module.entry
+    blocks = list(entry.blocks)
+    blocks[index] = edit(blocks[index])
+    fn = replace(entry, blocks=tuple(blocks))
+    return replace(module, functions=tuple(
+        fn if f is entry else f for f in module.functions))
 
 
 def corpus_text(name: str) -> str:

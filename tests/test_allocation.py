@@ -141,7 +141,7 @@ def _outcome(transform, module):
 def _with_label(module, label: str):
     entry = module.entry
     block = replace(entry.blocks[0], label=label)
-    return replace(module, functions=[replace(entry, blocks=[block])])
+    return replace(module, functions=(replace(entry, blocks=(block,)),))
 
 
 def _check_direct_equals_unrolled(module) -> None:
@@ -297,6 +297,19 @@ REFUSED = {
         "call void @__quantum__qis__x__body(ptr %q)"],
         "UseAfterRelease", "UseAfterRelease",
         "qubit handle used after release"),
+    # two loads of one element are two handles on one qubit
+    "one_element_loaded_twice_into_a_gate": (_ELEMENT + [
+        "%q = load ptr, ptr %p",
+        "%r = load ptr, ptr %p",
+        "call void @__quantum__qis__cnot__body(ptr %q, ptr %r)"],
+        "BadOperand", "BadOperand", "duplicate qubit operand in a gate"),
+    # the unroller folds both operands to one static address
+    "folded_addresses_name_one_qubit": ([
+        "%i = add i64 0, 1",
+        "%q = inttoptr i64 %i to ptr",
+        "call void @__quantum__qis__cnot__body(ptr %q, "
+        "ptr inttoptr (i64 1 to ptr))"],
+        "BadOperand", "BadOperand", "duplicate qubit operand in a gate"),
 }
 
 
@@ -337,12 +350,11 @@ def handle_programs(draw) -> str:
     arrays, whose draws include releases of static qubits, double
     releases and uses after release.
 
-    A qubit operand is (text, identity): loads of one array element share
-    their element's identity, and a ``cnot`` takes two identities, so no
-    gate names one qubit twice.
+    A ``cnot`` may draw one qubit twice, by one name or by two loads of
+    one array element, which both sides refuse.
     """
-    qubits = [(text, ("static", i)) for i, text in enumerate(_STATIC)]
-    arrays: list[tuple[str, list]] = []
+    qubits = list(_STATIC)
+    arrays: list[tuple[str, int]] = []
     lines: list[str] = []
     names = iter(range(1_000_000))
     for _ in range(draw(st.integers(1, 14))):
@@ -352,23 +364,23 @@ def handle_programs(draw) -> str:
         n = next(names)
         if step == "allocate":
             lines.append(f"%q{n} = call ptr @__quantum__rt__qubit_allocate()")
-            qubits.append((f"%q{n}", n))
+            qubits.append(f"%q{n}")
         elif step == "array":
             size = draw(st.integers(0, 3))
             lines.append(f"%a{n} = call ptr "
                          f"@__quantum__rt__qubit_allocate_array(i64 {size})")
-            arrays.append((f"%a{n}", [(n, k) for k in range(size)]))
-        elif step == "element" and any(elements for _, elements in arrays):
-            array, elements = draw(st.sampled_from(
+            arrays.append((f"%a{n}", size))
+        elif step == "element" and any(size for _, size in arrays):
+            array, size = draw(st.sampled_from(
                 [a for a in arrays if a[1]]))
-            k = draw(st.integers(0, len(elements) - 1))
+            k = draw(st.integers(0, size - 1))
             lines.append(f"%p{n} = call ptr "
                          "@__quantum__rt__array_get_element_ptr_1d("
                          f"ptr {array}, i64 {k})")
             lines.append(f"%q{n} = load ptr, ptr %p{n}")
-            qubits.append((f"%q{n}", elements[k]))
+            qubits.append(f"%q{n}")
         elif step == "release":
-            qubit, _ = draw(st.sampled_from(qubits))
+            qubit = draw(st.sampled_from(qubits))
             lines.append(f"call void @__quantum__rt__qubit_release(ptr "
                          f"{qubit})")
         elif step == "release_array" and arrays:
@@ -376,17 +388,16 @@ def handle_programs(draw) -> str:
             lines.append("call void @__quantum__rt__qubit_release_array("
                          f"ptr {array})")
         elif step in ("x", "h"):
-            qubit, _ = draw(st.sampled_from(qubits))
+            qubit = draw(st.sampled_from(qubits))
             lines.append(f"call void @__quantum__qis__{step}__body(ptr "
                          f"{qubit})")
         elif step == "cnot":
-            control, identity = draw(st.sampled_from(qubits))
-            target, _ = draw(st.sampled_from(
-                [q for q in qubits if q[1] != identity]))
+            control = draw(st.sampled_from(qubits))
+            target = draw(st.sampled_from(qubits))
             lines.append("call void @__quantum__qis__cnot__body("
                          f"ptr {control}, ptr {target})")
         elif step == "mz":
-            qubit, _ = draw(st.sampled_from(qubits))
+            qubit = draw(st.sampled_from(qubits))
             result = draw(st.sampled_from(_STATIC))
             lines.append(f"call void @__quantum__qis__mz__body(ptr {qubit}, "
                          f"ptr {result})")

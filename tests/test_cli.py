@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qirtk import Profile, parse_module, validate_profile
+from qirtk import Profile, parse_module, profile, validate_profile
 from qirtk.cli import main
 
 import genutil
@@ -165,6 +165,26 @@ def test_transpile_qir_to_qasm(capsys):
                  "--to", "qasm2"]) == 0
     out = capsys.readouterr().out
     assert out == genutil.corpus_text("bell.qasm")
+
+
+@pytest.mark.parametrize("name, to, classified", [
+    ("bell_static.ll", "qasm2", 1),
+    ("bell_static.ll", "qir-base", 1),
+    ("bell.qasm", "qir-base", 1),
+    # the input, the unrolled module (gated by the allocator) and the
+    # lowered module
+    ("bell_dynamic.ll", "qasm2", 3),
+    ("bell_dynamic.ll", "qir-base", 3),
+])
+def test_transpile_classifies_each_module_once(monkeypatch, capsys, name,
+                                               to, classified):
+    seen = []
+    classify = profile._classify
+    monkeypatch.setattr(profile, "_classify",
+                        lambda module: seen.append(module) or classify(module))
+    assert main(["transpile", _path(name), "--to", to]) == 0
+    assert len(seen) == classified
+    assert len({id(module) for module in seen}) == classified
 
 
 def test_transpile_feedback_fails_with_reason(capsys):

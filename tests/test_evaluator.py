@@ -11,6 +11,9 @@ import pytest
 from qirtk import (ExecOptions, ExecutionError, TransformError, interpret,
                    parse_module, unroll_and_fold)
 from qirtk.ir import BinOp
+from qirtk.node import replace
+
+import genutil
 
 _DECLS = (
     "declare void @__quantum__qis__h__body(ptr)\n"
@@ -137,9 +140,8 @@ def _foreign_ext():
     """A module whose one ``Ext`` has an op the parser never makes."""
     module = parse_module(_main("entry:\n  %w = zext i1 1 to i64\n"
                                 "  ret void\n"))
-    [ext] = module.entry.blocks[0].instructions
-    ext.op = "fpext"
-    return module
+    return genutil.with_entry_block(module, 0, lambda block: replace(
+        block, instructions=(replace(block.instructions[0], op="fpext"),)))
 
 
 def test_unknown_ext_op_is_unsupported_when_unrolled():

@@ -16,7 +16,8 @@ from qirtk.ir import (DOUBLE, I1, I64, PTR, VOID, Alloca, BasicBlock,
                       Ext, FuncDecl, FuncDef, GlobalRef, ICmp, IntToAddr,
                       Load, LocalRef, PhiNode, QirModule, Ret, Select,
                       StaticAddr, Store)
-from qirtk.node import factory, node, replace
+from qirtk import ir
+from qirtk.node import factory, lazy, node, replace
 from qirtk.parser import parse_module
 from qirtk.profile import Profile, ProfileReport, Violation
 
@@ -34,9 +35,9 @@ REPRS = [
     (GlobalRef("g"), "GlobalRef(name='g')"),
     (CallArg(PTR, StaticAddr(1)),
      "CallArg(ty=PtrType(), value=StaticAddr(index=1))"),
-    (Call("__quantum__qis__h__body", [CallArg(PTR, StaticAddr(0))]),
-     "Call(callee='__quantum__qis__h__body', args=[CallArg(ty=PtrType(), "
-     "value=StaticAddr(index=0))], result=None, "
+    (Call("__quantum__qis__h__body", (CallArg(PTR, StaticAddr(0)),)),
+     "Call(callee='__quantum__qis__h__body', args=(CallArg(ty=PtrType(), "
+     "value=StaticAddr(index=0)),), result=None, "
      "ret_type=VoidType())"),
     (Alloca("s"), "Alloca(result='s', slot_type=IntType(width=32))"),
     (Store(I64, ConstInt(64, 1), LocalRef("s")),
@@ -65,20 +66,20 @@ REPRS = [
      "CondBr(cond=LocalRef(name='c'), true_label='loop', "
      "false_label='exit')"),
     (Ret(), "Ret()"),
-    (PhiNode("i", I64, [(ConstInt(64, 0), "entry"), (LocalRef("j"), "loop")]),
-     "PhiNode(result='i', ty=IntType(width=64), incomings=[(ConstInt("
-     "width=64, value=0), 'entry'), (LocalRef(name='j'), 'loop')])"),
+    (PhiNode("i", I64, ((ConstInt(64, 0), "entry"), (LocalRef("j"), "loop"))),
+     "PhiNode(result='i', ty=IntType(width=64), incomings=((ConstInt("
+     "width=64, value=0), 'entry'), (LocalRef(name='j'), 'loop')))"),
     (BasicBlock("entry", terminator=Ret()),
-     "BasicBlock(label='entry', phis=[], instructions=[], "
+     "BasicBlock(label='entry', phis=(), instructions=(), "
      "terminator=Ret())"),
-    (FuncDecl("__quantum__qis__mz__body", [PTR, PTR]),
-     "FuncDecl(name='__quantum__qis__mz__body', param_types=[PtrType(), "
-     "PtrType()], ret_type=VoidType())"),
-    (FuncDef("main", [BasicBlock("entry", terminator=Ret())], 0),
-     "FuncDef(name='main', blocks=[BasicBlock(label='entry', phis=[], "
-     "instructions=[], terminator=Ret())], attr_group=0)"),
-    (QirModule("m", [], [], {0: {"entry_point": ""}}),
-     "QirModule(source_name='m', declarations=[], functions=[], "
+    (FuncDecl("__quantum__qis__mz__body", (PTR, PTR)),
+     "FuncDecl(name='__quantum__qis__mz__body', param_types=(PtrType(), "
+     "PtrType()), ret_type=VoidType())"),
+    (FuncDef("main", (BasicBlock("entry", terminator=Ret()),), 0),
+     "FuncDef(name='main', blocks=(BasicBlock(label='entry', phis=(), "
+     "instructions=(), terminator=Ret()),), attr_group=0)"),
+    (QirModule("m", (), (), {0: {"entry_point": ""}}),
+     "QirModule(source_name='m', declarations=(), functions=(), "
      "attribute_groups={0: {'entry_point': ''}})"),
     (Gate(GateKind.RX, (0.5,), (1,)),
      "Gate(kind=<GateKind.RX: 'rx'>, params=(0.5,), qubits=(1,))"),
@@ -89,9 +90,9 @@ REPRS = [
      "CNOT: 'cx'>, params=(), qubits=(0, 1))])"),
     (Violation("main:entry:0", "dynamic qubit"),
      "Violation(location='main:entry:0', reason='dynamic qubit')"),
-    (ProfileReport(Profile.BASE, [], ["w"]),
-     "ProfileReport(profile=<Profile.BASE: 'base'>, violations=[], "
-     "warnings=['w'])"),
+    (ProfileReport(Profile.BASE, (), ("w",)),
+     "ProfileReport(profile=<Profile.BASE: 'base'>, violations=(), "
+     "warnings=('w',))"),
 ]
 
 
@@ -108,7 +109,7 @@ def test_equality_needs_the_same_class():
     assert DOUBLE != PTR
     assert ConstInt(64, 0) == ConstInt(64, 0)
     assert ConstInt(64, 0) != ConstInt(32, 0)
-    assert Call("f", []) != Call("f", [], "r")
+    assert Call("f", ()) != Call("f", (), "r")
 
 
 FROZEN = [StaticAddr(1), I64, LocalRef("x"), Gate(GateKind.H, (), (0,)),
@@ -137,18 +138,18 @@ def test_equal_frozen_nodes_hash_equal_and_key_a_dict():
 
 
 def test_mutable_nodes_are_unhashable_and_assignable():
-    arg = CallArg(PTR, StaticAddr(0))
-    arg.value = StaticAddr(1)
-    assert arg == CallArg(PTR, StaticAddr(1))
+    circuit = QuantumCircuit(1, 0)
+    circuit.num_clbits = 2
+    assert circuit == QuantumCircuit(1, 2)
     with pytest.raises(TypeError):
-        hash(arg)
+        hash(circuit)
 
 
 def test_replace_leaves_the_original_untouched():
-    call = Call("f", [CallArg(PTR, StaticAddr(0))], "r", I64)
+    call = Call("f", (CallArg(PTR, StaticAddr(0)),), "r", I64)
     new = replace(call, result="s")
     assert new == Call("f", call.args, "s", I64)
-    assert call == Call("f", [CallArg(PTR, StaticAddr(0))], "r", I64)
+    assert call == Call("f", (CallArg(PTR, StaticAddr(0)),), "r", I64)
     const = ConstInt(64, 4)
     assert replace(const, width=32) == ConstInt(32, 4)
     assert const.width == 64
@@ -157,10 +158,9 @@ def test_replace_leaves_the_original_untouched():
 
 
 def test_default_factories_build_a_list_per_instance():
-    first, second = BasicBlock("a"), BasicBlock("b")
-    first.instructions.append(Alloca("s"))
-    assert second.instructions == [] and second.phis == []
-    assert first.phis is not second.phis
+    first, second = QuantumCircuit(1, 0), QuantumCircuit(1, 0)
+    first.ops.append(Reset(0))
+    assert second.ops == []
     assert QirModule().attribute_groups is not QirModule().attribute_groups
 
 
@@ -170,7 +170,7 @@ def test_post_init_runs_last():
 
 
 def test_arguments_by_position_and_keyword():
-    assert Call("f", [], ret_type=I64) == Call("f", [], None, I64)
+    assert Call("f", (), ret_type=I64) == Call("f", (), None, I64)
     with pytest.raises(TypeError):
         Call("f")
     with pytest.raises(TypeError):
@@ -201,3 +201,78 @@ def test_fields_follow_the_annotations():
     assert Pair(2, [1]).total() == 3
     assert repr(Pair(1)) == (
         "test_fields_follow_the_annotations.<locals>.Pair(left=1, right=[])")
+
+
+# one instance of every node class in ``ir``
+IR_NODES = {type(v): v for v, _ in REPRS if type(v).__module__ == ir.__name__}
+
+
+def test_every_ir_node_class_has_an_instance_here():
+    classes = {c for c in vars(ir).values()
+               if isinstance(c, type) and c.__module__ == ir.__name__
+               and hasattr(c, "_fields")}
+    assert classes == set(IR_NODES)
+
+
+@pytest.mark.parametrize("value", IR_NODES.values(),
+                         ids=lambda v: type(v).__name__)
+def test_no_ir_node_can_be_edited(value):
+    names = type(value)._fields + ("not_a_field",)
+    if isinstance(value, QirModule):
+        names += ("entry", "profile_report")
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
+def test_a_lazy_cache_is_not_a_field():
+    text = genutil.corpus_text("bell_static.ll")
+    warm, cold = parse_module(text), parse_module(text)
+    assert warm.entry is warm.functions[0]
+    assert warm.profile_report.profile is Profile.BASE
+    assert QirModule._fields == ("source_name", "declarations", "functions",
+                                 "attribute_groups")
+    assert warm == cold and repr(warm) == repr(cold)
+    # replace, copy and pickle build through __init__ and start cold; a
+    # cold cache is read on first use and then kept
+    for clone in (replace(warm), copy.deepcopy(warm),
+                  pickle.loads(pickle.dumps(warm))):
+        assert clone == warm
+        with pytest.raises(AttributeError):
+            QirModule._lazy_profile_report.__get__(clone)
+        assert clone.profile_report == warm.profile_report
+        assert clone.profile_report is clone.profile_report
+
+
+def test_a_lazy_value_needs_a_frozen_node():
+    with pytest.raises(TypeError):
+        @node
+        class Counter:
+            count: int
+
+            @lazy
+            def double(self):
+                return 2 * self.count
+
+
+def test_frozen_construction_stores_through_the_slots():
+    @node(frozen=True)
+    class Pair:
+        left: int
+        right: tuple = ()
+
+        def __post_init__(self):
+            # runs after every field is stored, and may not assign either
+            with pytest.raises(AttributeError):
+                self.left = 0
+
+    pair = Pair(1, (2,))
+    assert (pair.left, pair.right) == (1, (2,))
+    assert replace(pair, right=(3,)) == Pair(1, (3,))
+    assert hash(pair) == hash(Pair(1, (2,))) == hash((1, (2,)))
+    clone = copy.deepcopy(pair)
+    assert clone == pair and clone is not pair
+    with pytest.raises(AttributeError):
+        pair.right = ()

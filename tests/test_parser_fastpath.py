@@ -71,6 +71,35 @@ def test_base_call_lines_skip_the_lexer():
     assert not calls & _lexed_lines(text)
 
 
+_SHARED_ARGS = """declare void @__quantum__qis__h__body(ptr)
+declare void @__quantum__qis__rx__body(double, ptr)
+define void @main() {
+entry:
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__rx__body(double 0.5, ptr null)
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__rx__body(double 5e-1, ptr null)
+  call void @__quantum__qis__rx__body(double 0.5, ptr null)
+  ret void
+}
+"""
+
+
+def test_equal_argument_texts_share_one_args_tuple_within_a_parse():
+    first = parse_module(_SHARED_ARGS).entry.blocks[0].instructions
+    second = parse_module(_SHARED_ARGS).entry.blocks[0].instructions
+    assert first[0].args is first[2].args
+    assert first[1].args is first[4].args
+    # an equal value spelled otherwise is built anew
+    assert first[3].args == first[1].args
+    assert first[3].args is not first[1].args
+    # another parse shares nothing with this one
+    for mine, theirs in zip(first, second):
+        assert mine.args == theirs.args and mine.args is not theirs.args
+    fast, tokens = _both_ways(_SHARED_ARGS)
+    assert fast == tokens
+
+
 # ---------------------------------------------------------------------------
 # modules that call every gate, measurement and record intrinsic
 

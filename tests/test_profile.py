@@ -1,5 +1,8 @@
 """Profile classification of modules."""
 
+import copy
+import pickle
+
 import pytest
 
 from qirtk import Profile, parse_module, validate_profile
@@ -31,7 +34,7 @@ def test_corpus_classification(name, expected):
 def test_base_report_has_no_violations():
     report = validate_profile(parse_module(genutil.corpus_text(
         "bell_static.ll")))
-    assert report.violations == []
+    assert report.violations == ()
 
 
 def test_unknown_intrinsic_is_reported_with_symbol_and_location():
@@ -108,11 +111,58 @@ def test_unmeasured_qubits_raise_a_warning_not_a_violation():
             "}\n")
     report = validate_profile(parse_module(text))
     assert report.profile is Profile.BASE
-    assert report.violations == []
+    assert report.violations == ()
     assert any("never measured" in w for w in report.warnings)
 
 
 def test_fully_measured_base_module_has_no_warnings():
     report = validate_profile(parse_module(genutil.corpus_text(
         "bell_static.ll")))
-    assert report.warnings == []
+    assert report.warnings == ()
+
+
+@pytest.mark.parametrize("operands, expected", [
+    ("ptr null, ptr null", Profile.UNSUPPORTED),
+    ("ptr inttoptr (i64 1 to ptr), ptr inttoptr (i64 1 to ptr)",
+     Profile.UNSUPPORTED),
+    ("ptr null, ptr inttoptr (i64 1 to ptr)", Profile.BASE),
+])
+def test_a_gate_naming_one_qubit_twice_is_unsupported(operands, expected):
+    # the interpreter refuses such a gate, so no pass may lower it
+    text = ("declare void @__quantum__qis__cnot__body(ptr, ptr)\n"
+            "define void @main() {\n"
+            "entry:\n"
+            f"  call void @__quantum__qis__cnot__body({operands})\n"
+            "  ret void\n"
+            "}\n")
+    report = validate_profile(parse_module(text))
+    assert report.profile is expected
+    if expected is Profile.UNSUPPORTED:
+        assert [(v.location, v.reason) for v in report.violations] == [
+            ("main:entry:0",
+             "duplicate qubit operand in @__quantum__qis__cnot__body")]
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_a_report_does_not_depend_on_the_cache(name):
+    # a module keeps its report; an equal module parsed afresh and a copy,
+    # whose cache is not copied, classify cold and report the same
+    text = genutil.corpus_text(name)
+    module = parse_module(text)
+    cold = validate_profile(module)
+    assert validate_profile(module) is cold
+    fresh = parse_module(text)
+    assert fresh == module
+    assert validate_profile(fresh) == cold
+    for clone in (copy.deepcopy(module), pickle.loads(pickle.dumps(module))):
+        assert validate_profile(clone) == cold
+
+
+def test_a_report_cannot_be_edited():
+    report = validate_profile(parse_module(genutil.corpus_text(
+        "unsupported.ll")))
+    assert type(report.violations) is tuple
+    with pytest.raises(AttributeError):
+        report.profile = Profile.BASE
+    with pytest.raises(AttributeError):
+        report.violations[0].reason = "edited"

@@ -26,6 +26,7 @@ import pytest
 from qirtk import ExecOptions, ExecutionError, interpret, parse_module
 from qirtk.interpreter import run_shot
 from qirtk.ir import I64, PhiNode
+from qirtk.node import replace
 
 import genutil
 import test_evaluator
@@ -214,23 +215,31 @@ def _module(body: str, attrs: str = ""):
 
 
 def _drop_phi_edge(module):
-    phi = next(p for b in module.entry.blocks for p in b.phis)
-    phi.incomings.pop()
-    return module
+    # the first phi loses its last incoming
+    index = next(i for i, b in enumerate(module.entry.blocks) if b.phis)
+
+    def edit(block):
+        phi = block.phis[0]
+        return replace(block, phis=(replace(
+            phi, incomings=phi.incomings[:-1]),) + block.phis[1:])
+    return genutil.with_entry_block(module, index, edit)
 
 
 def _drop_terminator(label):
     def edit(module):
-        next(b for b in module.entry.blocks
-             if b.label == label).terminator = None
-        return module
+        index = next(i for i, b in enumerate(module.entry.blocks)
+                     if b.label == label)
+        return genutil.with_entry_block(
+            module, index, lambda block: replace(block, terminator=None))
     return edit
 
 
 def _foreign_opcode(module):
-    block = module.entry.blocks[-1]
-    block.instructions.insert(1, PhiNode("bad", I64, []))
-    return module
+    def edit(block):
+        body = block.instructions
+        return replace(block, instructions=(
+            body[:1] + (PhiNode("bad", I64, ()),) + body[1:]))
+    return genutil.with_entry_block(module, -1, edit)
 
 
 _LOOP = """entry:
