@@ -77,7 +77,6 @@ def circuit_to_base_qir(circuit: QuantumCircuit,
     carry the circuit's sizes so the conversion is lossless even for
     idle qubits.
     """
-    circuit.validate()
     instructions: list[Call] = []
     used: set[str] = set()
 

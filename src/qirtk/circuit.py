@@ -1,14 +1,16 @@
 """Flat gate-level circuit representation.
 
-A circuit is a qubit count, a classical bit count, and an ordered op list.
-Output bitstrings print clbit 0 leftmost.
+A circuit is a qubit count, a classical bit count, and an ordered tuple of
+ops. Like every node it is frozen, so it is validated once, when it is
+built, and every reader can trust it. Output bitstrings print clbit 0
+leftmost.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .node import factory, node
+from .node import node
 
 
 class GateKind(enum.Enum):
@@ -59,20 +61,20 @@ for _kind, _arity in _ARITY.items():
 del _kind, _arity
 
 
-@node(frozen=True)
+@node
 class Gate:
     kind: GateKind
     params: tuple[float, ...]
     qubits: tuple[int, ...]
 
 
-@node(frozen=True)
+@node
 class Measure:
     qubit: int
     clbit: int
 
 
-@node(frozen=True)
+@node
 class Reset:
     qubit: int
 
@@ -84,13 +86,12 @@ CircuitOp = Gate | Measure | Reset
 class QuantumCircuit:
     num_qubits: int
     num_clbits: int
-    ops: list[CircuitOp] = factory(list)
+    ops: tuple[CircuitOp, ...] = ()
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        """Check counts and per-op arity/range; raises ValueError."""
+        """Store ``ops`` as a tuple, then check counts and per-op arity and
+        range; raises ValueError."""
+        object.__setattr__(self, "ops", tuple(self.ops))
         if self.num_qubits < 0 or self.num_clbits < 0:
             raise ValueError("negative register size")
         for op in self.ops:

@@ -24,9 +24,9 @@ environment key and type; and ``_load_through`` and ``_store_through``,
 memory access through a pointer that is not a stack slot. A run's state
 belongs to the domain; the evaluator uses its ``slots`` and ``steps``.
 
-Both domains share ``IndexPool`` and ``Qubit``, so a lowered module keeps
-every shot: a dynamic ``Qubit`` takes the lowest index an ``IndexPool``
-got back from a release, and a static qubit never takes one.
+Both domains share ``IndexPool``, ``Qubit`` and ``ElemPtr``, so a lowered
+module keeps every shot: a dynamic ``Qubit`` takes the lowest index an
+``IndexPool`` got back from a release, and a static qubit never takes one.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .ir import (BINOP_FUNCS, EXT_OPS, ICMP_FUNCS, Alloca, BinOp, Br, Call,
 from .node import node
 
 
-@node(frozen=True)
+@node
 class Slot:
     """The address of a stack slot (an ``alloca`` result)."""
 
@@ -61,6 +61,15 @@ class Qubit:
         if self.index is None:
             raise error("UseAfterRelease", "qubit handle used after release")
         return self.index
+
+
+@node
+class ElemPtr:
+    """A pointer to element ``index`` of an array, the list of its
+    elements; loading through it reads ``array[index]``."""
+
+    array: list
+    index: int
 
 
 class IndexPool:

@@ -22,6 +22,10 @@ is the same before and after lowering.
 Results live in a classical table. Reading a result before its
 measurement is an error; recording one is not, and yields 0, matching
 classical registers that initialize to zero.
+
+A ptr-typed register holds a static address, a ``Qubit``, an array (the
+list of its elements) or an ``ElemPtr``. ``ExecOptions``,
+``ExecutionResult`` and ``ElemPtr`` are frozen nodes, like every node.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from . import intrinsics
 from .circuit import GateKind
 from .errors import DEFAULT_MAX_QUBITS, DEFAULT_STEP_LIMIT, ExecutionError
-from .evaluator import Compiler, IndexPool, Qubit, Run, raising
+from .evaluator import Compiler, ElemPtr, IndexPool, Qubit, Run, raising
 from .ir import Call, Load, QirModule, StaticAddr, REQUIRED_QUBITS_ATTR
 from .node import node
 from .rng import ShotRng
@@ -66,16 +70,6 @@ class ExecutionResult:
         if include_memory:
             payload["memory"] = list(self.memory)
         return json.dumps(payload, indent=2)
-
-
-# runtime values for ptr-typed registers: a static address, a ``Qubit``,
-# an array (the list of its elements) and an element pointer
-
-
-@node
-class _ElemPtr:
-    array: list
-    index: int
 
 
 class RuntimeState:
@@ -208,12 +202,12 @@ class _ShotCompiler(Compiler):
         raise self._error("BadOperand", "expected an integer value")
 
     def _store_through(self, state: RuntimeState, pointer, value) -> None:
-        if not isinstance(pointer, _ElemPtr):
+        if not isinstance(pointer, ElemPtr):
             raise self._error("BadOperand", "store through a non-pointer")
         pointer.array[pointer.index] = value
 
     def _load_through(self, state: RuntimeState, pointer, instr: Load):
-        if not isinstance(pointer, _ElemPtr):
+        if not isinstance(pointer, ElemPtr):
             raise self._error("BadOperand", "load through a non-pointer")
         return pointer.array[pointer.index]
 
@@ -285,12 +279,12 @@ def _allocate_array(state: RuntimeState, size: int) -> list:
     return [state.allocate_dynamic() for _ in range(size)]
 
 
-def _get_element(state: RuntimeState, array: list, index: int) -> _ElemPtr:
+def _get_element(state: RuntimeState, array: list, index: int) -> ElemPtr:
     if not 0 <= index < len(array):
         raise ExecutionError(
             "BadOperand", f"array index {index} out of bounds "
                           f"({len(array)} elements)")
-    return _ElemPtr(array, index)
+    return ElemPtr(array, index)
 
 
 def _release_array(state: RuntimeState, array: list) -> None:

@@ -36,7 +36,7 @@ RECORD_ARRAY = "record_array"
 BASE_RECORD_ACTIONS = frozenset({RECORD, RECORD_ARRAY})
 
 
-@node(frozen=True)
+@node
 class IntrinsicSpec:
     name: str
     action: str

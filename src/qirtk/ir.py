@@ -1,16 +1,17 @@
 """In-memory form of the textual IR subset.
 
-Nodes are frozen ``node`` classes (see ``node.py``): instances compare
-structurally, which the round-trip and idempotence tests rely on, and
-refuse assignment, so a pass can share any node of its input with its
-output. Sequence fields (``args``, ``incomings``, ``phis``,
+Nodes are ``node`` classes (see ``node.py``), frozen like every node:
+instances compare structurally, which the round-trip and idempotence
+tests rely on, and refuse assignment, so a pass can share any node of its
+input with its output. Sequence fields (``args``, ``incomings``, ``phis``,
 ``instructions``, ``blocks``, ``functions``, ``declarations``,
 ``param_types``) are tuples; the parser collects lists while it reads a
 block or function and freezes each when it closes. Equal call operands
 read in one ``parse_module`` call share one ``args`` tuple. A module's
 ``attribute_groups`` stays a dict, which no pass edits in place; it
-makes a module unhashable. A module finds its ``entry`` and its
-``ProfileReport`` once, on first use, and keeps them beside its fields.
+makes a module unhashable. Every module field is required. A module
+finds its ``entry`` and its ``ProfileReport`` once, on first use, and
+keeps them beside its fields.
 
 SSA registers are immutable values; mutable program state lives in
 alloca slots addressed through ``Store``/``Load``.
@@ -24,14 +25,14 @@ from __future__ import annotations
 
 import operator
 
-from .node import factory, lazy, node
+from .node import lazy, node
 
 
 # ---------------------------------------------------------------------------
 # types
 
 
-@node(frozen=True)
+@node
 class IntType:
     width: int
 
@@ -39,19 +40,19 @@ class IntType:
         return f"i{self.width}"
 
 
-@node(frozen=True)
+@node
 class DoubleType:
     def __str__(self) -> str:
         return "double"
 
 
-@node(frozen=True)
+@node
 class PtrType:
     def __str__(self) -> str:
         return "ptr"
 
 
-@node(frozen=True)
+@node
 class VoidType:
     def __str__(self) -> str:
         return "void"
@@ -71,23 +72,23 @@ Type = IntType | DoubleType | PtrType | VoidType
 # values
 
 
-@node(frozen=True)
+@node
 class LocalRef:
     name: str
 
 
-@node(frozen=True)
+@node
 class ConstInt:
     width: int
     value: int
 
 
-@node(frozen=True)
+@node
 class ConstFloat:
     value: float
 
 
-@node(frozen=True)
+@node
 class StaticAddr:
     """Constant address; index 0 prints as ``null``.
 
@@ -99,7 +100,7 @@ class StaticAddr:
     index: int
 
 
-@node(frozen=True)
+@node
 class GlobalRef:
     name: str
 
@@ -157,13 +158,13 @@ def eval_cast(op: str, value: int, from_width: int, to_width: int) -> int:
 # instructions
 
 
-@node(frozen=True)
+@node
 class CallArg:
     ty: Type
     value: Value
 
 
-@node(frozen=True)
+@node
 class Call:
     callee: str
     args: tuple[CallArg, ...]
@@ -171,20 +172,20 @@ class Call:
     ret_type: Type = VOID
 
 
-@node(frozen=True)
+@node
 class Alloca:
     result: str
     slot_type: Type = I32
 
 
-@node(frozen=True)
+@node
 class Store:
     value_type: Type
     value: Value
     slot: Value
 
 
-@node(frozen=True)
+@node
 class Load:
     result: str
     ty: Type
@@ -194,7 +195,7 @@ class Load:
 BINOPS = ("add", "sub", "mul", "and", "or", "xor")
 
 
-@node(frozen=True)
+@node
 class BinOp:
     op: str
     ty: IntType
@@ -206,7 +207,7 @@ class BinOp:
 ICMP_PREDS = ("eq", "ne", "slt", "sle", "sgt", "sge")
 
 
-@node(frozen=True)
+@node
 class ICmp:
     pred: str
     ty: IntType
@@ -215,7 +216,7 @@ class ICmp:
     result: str
 
 
-@node(frozen=True)
+@node
 class IntToAddr:
     """Dynamic integer-to-address cast (the ``inttoptr`` instruction)."""
 
@@ -227,7 +228,7 @@ class IntToAddr:
 EXT_OPS = ("zext", "sext", "trunc")
 
 
-@node(frozen=True)
+@node
 class Ext:
     op: str
     result: str
@@ -236,7 +237,7 @@ class Ext:
     to_type: IntType
 
 
-@node(frozen=True)
+@node
 class Select:
     result: str
     cond: Value
@@ -252,19 +253,19 @@ Instruction = Call | Alloca | Store | Load | BinOp | ICmp | IntToAddr | Ext | Se
 # terminators, blocks, functions, modules
 
 
-@node(frozen=True)
+@node
 class Br:
     label: str
 
 
-@node(frozen=True)
+@node
 class CondBr:
     cond: Value
     true_label: str
     false_label: str
 
 
-@node(frozen=True)
+@node
 class Ret:
     pass
 
@@ -272,14 +273,14 @@ class Ret:
 Terminator = Br | CondBr | Ret
 
 
-@node(frozen=True)
+@node
 class PhiNode:
     result: str
     ty: Type
     incomings: tuple[tuple[Value, str], ...]
 
 
-@node(frozen=True)
+@node
 class BasicBlock:
     label: str
     phis: tuple[PhiNode, ...] = ()
@@ -287,14 +288,14 @@ class BasicBlock:
     terminator: Terminator | None = None
 
 
-@node(frozen=True)
+@node
 class FuncDecl:
     name: str
     param_types: tuple[Type, ...]
     ret_type: Type = VOID
 
 
-@node(frozen=True)
+@node
 class FuncDef:
     name: str
     blocks: tuple[BasicBlock, ...]
@@ -306,12 +307,12 @@ REQUIRED_QUBITS_ATTR = "required_num_qubits"
 REQUIRED_RESULTS_ATTR = "required_num_results"
 
 
-@node(frozen=True)
+@node
 class QirModule:
-    source_name: str = ""
-    declarations: tuple[FuncDecl, ...] = ()
-    functions: tuple[FuncDef, ...] = ()
-    attribute_groups: dict[int, dict[str, str]] = factory(dict)
+    source_name: str
+    declarations: tuple[FuncDecl, ...]
+    functions: tuple[FuncDef, ...]
+    attribute_groups: dict[int, dict[str, str]]
 
     def function_attributes(self, fn: FuncDef) -> dict[str, str]:
         if fn.attr_group is None:

@@ -81,15 +81,8 @@ def tokenize(text: str) -> list[list[Token]]:
     return out
 
 
-def local_name(token_text: str) -> str:
-    """Strip the ``%`` sigil (and quotes) from a local reference."""
-    name = token_text[1:]
-    if name.startswith('"') and name.endswith('"'):
-        name = name[1:-1]
-    return name
-
-
-def global_name(token_text: str) -> str:
+def bare_name(token_text: str) -> str:
+    """Strip the ``%`` or ``@`` sigil (and quotes) from a reference."""
     name = token_text[1:]
     if name.startswith('"') and name.endswith('"'):
         name = name[1:-1]

@@ -1,16 +1,16 @@
 """The ``node`` class decorator: value classes without ``dataclasses``.
 
 ``@node`` turns a class body's annotated fields into a ``__slots__`` class
-with what ``@dataclass`` would generate: ``__init__`` (defaults,
-``factory`` defaults, ``__post_init__``), ``__eq__`` (same class, equal
-fields) and ``__repr__``. ``@node(frozen=True)`` also hashes the fields
-and refuses assignment and deletion after ``__init__``; other nodes are
-unhashable. A frozen ``__init__`` stores each field through its slot's
-member descriptor, the one write ``__setattr__`` does not see. A frozen
-node is only as immutable as its fields, so frozen IR nodes hold tuples,
-never lists.
+with what a frozen ``@dataclass`` would generate: ``__init__``
+(defaults, ``__post_init__``), ``__eq__`` (same class, equal fields),
+``__hash__`` (of the fields) and ``__repr__``. Every node refuses
+assignment and deletion after ``__init__``, which stores each field
+through its slot's member descriptor, the one write ``__setattr__`` does
+not see; a ``__post_init__`` that normalises a field does the same with
+``object.__setattr__``. A node is only as immutable as its fields, so
+nodes hold tuples, never lists, wherever they can.
 
-A ``lazy`` method of a frozen node is computed on first read and kept in
+A ``lazy`` method of a node is computed on first read and kept in
 a slot of its own. That slot is not a field: it takes no part in
 ``__init__``, eq, hash, repr, ``replace``, copying or pickling, so equal
 nodes stay equal whether or not their caches are warm.
@@ -26,17 +26,8 @@ from __future__ import annotations
 _MISSING = object()
 
 
-class factory:
-    """A field default built afresh for every instance: ``factory(list)``."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-
 class lazy:
-    """A method of a frozen node whose value is computed once per node,
+    """A method of a node whose value is computed once per node,
     on first read, and then read like a field: ``@lazy def entry(self)``.
     A call that raises caches nothing."""
 
@@ -58,71 +49,53 @@ class lazy:
             return value
 
 
-def node(cls=None, *, frozen: bool = False):
-    """Class decorator; use as ``@node`` or ``@node(frozen=True)``."""
-    if cls is None:
-        return lambda cls: _build(cls, frozen)
-    return _build(cls, frozen)
-
-
-def replace(obj, **changes):
-    """A new node like ``obj`` with the fields in ``changes`` replaced."""
-    fields = {name: getattr(obj, name) for name in obj._fields}
-    return obj.__class__(**{**fields, **changes})
-
-
-def _build(cls, frozen: bool):
+def node(cls):
+    """Class decorator: a frozen value class from the annotated fields."""
     ns = dict(cls.__dict__)
     names = tuple(ns.get("__annotations__", ()))
     lazies = {name: value for name, value in ns.items()
               if isinstance(value, lazy)}
-    if lazies and not frozen:
-        raise TypeError("a lazy value needs a frozen node")
-    scope = {"_MISSING": _MISSING}
+    scope = {}
     params, body = ["self"], []
     for name in names:
-        default, value = ns.pop(name, _MISSING), name
-        if isinstance(default, factory):
-            scope[f"_f_{name}"] = default.make
-            params.append(f"{name}=_MISSING")
-            value = f"_f_{name}() if {name} is _MISSING else {name}"
-        elif default is not _MISSING:
+        default = ns.pop(name, _MISSING)
+        if default is _MISSING:
+            params.append(name)
+        else:
             scope[f"_d_{name}"] = default
             params.append(f"{name}=_d_{name}")
-        else:
-            params.append(name)
-        body.append(f"_s_{name}(self, {value})" if frozen
-                    else f"self.{name} = {value}")
+        body.append(f"_s_{name}(self, {name})")
     if "__post_init__" in ns:
         body.append("self.__post_init__()")
     mine = "".join(f"self.{name}," for name in names)
     theirs = "".join(f"other.{name}," for name in names)
-    source = (f"def __init__({', '.join(params)}):\n"
-              f" {'; '.join(body) or 'pass'}\n"
-              "def __eq__(self, other):\n"
-              " if other.__class__ is self.__class__:\n"
-              f"  return ({mine}) == ({theirs})\n"
-              " return NotImplemented\n")
-    if frozen:
-        source += f"def __hash__(self):\n return hash(({mine}))\n"
-    exec(source, scope)
+    exec(f"def __init__({', '.join(params)}):\n"
+         f" {'; '.join(body) or 'pass'}\n"
+         "def __eq__(self, other):\n"
+         " if other.__class__ is self.__class__:\n"
+         f"  return ({mine}) == ({theirs})\n"
+         " return NotImplemented\n"
+         f"def __hash__(self):\n return hash(({mine}))\n", scope)
     ns.pop("__dict__", None)
     ns.pop("__weakref__", None)
     caches = tuple(f"_lazy_{name}" for name in lazies)
     ns.update(__slots__=names + caches, _fields=names,
               __qualname__=cls.__qualname__,
               __init__=scope["__init__"], __eq__=scope["__eq__"],
-              __repr__=_repr, __reduce__=_reduce,
-              __hash__=scope.get("__hash__"))
-    if frozen:
-        ns.update(__setattr__=_refuse, __delattr__=_refuse)
+              __hash__=scope["__hash__"], __repr__=_repr,
+              __reduce__=_reduce, __setattr__=_refuse, __delattr__=_refuse)
     built = type(cls)(cls.__name__, cls.__bases__, ns)
-    if frozen:  # the generated __init__ resolves these when it runs
-        for name in names:
-            scope[f"_s_{name}"] = built.__dict__[name].__set__
+    for name in names:  # the generated __init__ resolves these when it runs
+        scope[f"_s_{name}"] = built.__dict__[name].__set__
     for name, value in lazies.items():
         value.slot = built.__dict__[f"_lazy_{name}"]
     return built
+
+
+def replace(obj, **changes):
+    """A new node like ``obj`` with the fields in ``changes`` replaced."""
+    fields = {name: getattr(obj, name) for name in obj._fields}
+    return obj.__class__(**{**fields, **changes})
 
 
 def _repr(self) -> str:
@@ -132,8 +105,8 @@ def _repr(self) -> str:
 
 
 def _reduce(self):
-    # rebuilt through __init__, so copy, deepcopy and pickle also work on
-    # frozen nodes, and leave their lazy caches behind
+    # rebuilt through __init__, so copy, deepcopy and pickle work on nodes
+    # that refuse assignment, and leave their lazy caches behind
     return self.__class__, tuple(getattr(self, name)
                                  for name in self._fields)
 

@@ -41,8 +41,7 @@ from .ir import (BINOPS, DOUBLE, EXT_OPS, I1, I64, ICMP_PREDS, PTR, VOID,
                  ICmp, Instruction, IntToAddr, IntType, Load, LocalRef,
                  PhiNode, PtrType, QirModule, Ret, Select, StaticAddr, Store,
                  Type, Value, make_int)
-from .lexer import (FLOAT, NAME, Token, global_name, local_name, tokenize,
-                    tokenize_line)
+from .lexer import FLOAT, NAME, Token, bare_name, tokenize, tokenize_line
 
 _TYPE_WORDS: dict[str, Type] = {
     "void": VOID,
@@ -229,7 +228,7 @@ class _ModuleParser:
     def _parse_declare(self, cur: _Cursor) -> None:
         cur.next()
         ret_type = self._parse_type(cur)
-        name = global_name(cur.expect("GLOBAL").text)
+        name = bare_name(cur.expect("GLOBAL").text)
         cur.expect("PUNCT", "(")
         params: list[Type] = []
         if not _peek_punct(cur, ")"):
@@ -255,7 +254,7 @@ class _ModuleParser:
         ret = cur.expect("WORD")
         if ret.text != "void":
             cur.fail("only void function definitions are supported", ret)
-        name = global_name(cur.expect("GLOBAL").text)
+        name = bare_name(cur.expect("GLOBAL").text)
         cur.expect("PUNCT", "(")
         cur.expect("PUNCT", ")")
         attr_group: int | None = None
@@ -439,7 +438,7 @@ class _ModuleParser:
             return
         if tok.kind == "LOCAL":
             cur.next()
-            result = local_name(tok.text)
+            result = bare_name(tok.text)
             eq = cur.expect("PUNCT", "=")
             del eq
             op = cur.expect("WORD")
@@ -480,7 +479,7 @@ class _ModuleParser:
     def _finish_call(self, cur: _Cursor, result: str | None) -> None:
         ret_type = self._parse_type(cur)
         callee_tok = cur.expect("GLOBAL")
-        callee = global_name(callee_tok.text)
+        callee = bare_name(callee_tok.text)
         cur.expect("PUNCT", "(")
         args: list[CallArg] = []
         if not _peek_punct(cur, ")"):
@@ -658,7 +657,7 @@ class _ModuleParser:
     def _parse_label_ref(self, cur: _Cursor, bare: bool = False) -> str:
         tok = cur.next()
         if tok.kind == "LOCAL":
-            label = local_name(tok.text)
+            label = bare_name(tok.text)
         elif tok.kind == "WORD" and bare:
             # tolerate labels whose % sigil was lost in transcription
             label = tok.text
@@ -681,7 +680,7 @@ class _ModuleParser:
                 cur.fail(f"unknown type {tok.text!r}", tok)
             return ty
         if tok.kind == "LOCAL":
-            if local_name(tok.text) in _LEGACY_PTRS:
+            if bare_name(tok.text) in _LEGACY_PTRS:
                 cur.expect("PUNCT", "*")
                 return PTR
         cur.fail("expected a type", tok)
@@ -697,7 +696,7 @@ class _ModuleParser:
     def _parse_value(self, cur: _Cursor, ty: Type):
         tok = cur.next()
         if tok.kind == "LOCAL":
-            name = local_name(tok.text)
+            name = bare_name(tok.text)
             self._use(name, tok.line)
             return LocalRef(name)
         if isinstance(ty, IntType):
@@ -714,7 +713,7 @@ class _ModuleParser:
             if tok.kind == "WORD" and tok.text == "inttoptr":
                 return self._parse_addr_const(cur)
             if tok.kind == "GLOBAL":
-                return GlobalRef(global_name(tok.text))
+                return GlobalRef(bare_name(tok.text))
             cur.fail("expected a pointer value", tok)
         cur.fail(f"cannot read a value of type {ty}", tok)
         raise AssertionError  # unreachable

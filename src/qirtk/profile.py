@@ -27,21 +27,21 @@ class Profile(enum.Enum):
     UNSUPPORTED = "unsupported"
 
 
-@node(frozen=True)
+@node
 class Violation:
     location: str
     reason: str
 
 
-@node(frozen=True)
+@node
 class ProfileReport:
     profile: Profile
     violations: tuple[Violation, ...] = ()
     warnings: tuple[str, ...] = ()
 
 
-def _loc(fn_name: str, block_label: str, index: int) -> str:
-    return f"{fn_name}:{block_label}:{index}"
+def _loc(at: tuple[str, str, int]) -> str:
+    return "%s:%s:%d" % at  # function:block:index
 
 
 def validate_profile(module: QirModule) -> ProfileReport:
@@ -73,50 +73,50 @@ def _classify(module: QirModule) -> ProfileReport:
     measured: set[int] = set()
     for block_i, block in enumerate(entry.blocks):
         if block_i > 0:
-            base.append(Violation(_loc(entry.name, block.label, 0),
+            base.append(Violation(_loc((entry.name, block.label, 0)),
                                   "entry function has multiple blocks"))
         for phi in block.phis:
-            base.append(Violation(_loc(entry.name, block.label, 0),
+            base.append(Violation(_loc((entry.name, block.label, 0)),
                                   f"phi node %{phi.result}"))
         for i, instr in enumerate(block.instructions):
-            loc = _loc(entry.name, block.label, i)
+            at = (entry.name, block.label, i)  # formatted only if needed
             if not isinstance(instr, Call):
                 base.append(Violation(
-                    loc, f"classical instruction "
-                         f"{type(instr).__name__.lower()}"))
+                    _loc(at), f"classical instruction "
+                              f"{type(instr).__name__.lower()}"))
                 continue
             spec = intrinsics.lookup(instr.callee)
             if spec is None:
-                unsupported.append(Violation(
-                    loc, f"call to non-intrinsic symbol @{instr.callee}"))
+                unsupported.append(Violation(_loc(at), "call to non-intrinsic "
+                                             f"symbol @{instr.callee}"))
                 continue
             if len(instr.args) != len(spec.arg_kinds):
-                unsupported.append(Violation(
-                    loc, f"@{instr.callee} expects {len(spec.arg_kinds)} "
-                         f"arguments, got {len(instr.args)}"))
+                unsupported.append(Violation(_loc(at), (
+                    f"@{instr.callee} expects {len(spec.arg_kinds)} "
+                    f"arguments, got {len(instr.args)}")))
                 continue
-            qubits = _check_base_call(instr, spec, loc, base)
+            qubits = _check_base_call(instr, spec, at, base)
             # fewer than two static qubits cannot repeat one
             if len(qubits) > 1 and repeats_a_qubit(qubits):
                 unsupported.append(Violation(
-                    loc, f"duplicate qubit operand in @{instr.callee}"))
+                    _loc(at), f"duplicate qubit operand in @{instr.callee}"))
                 continue
             used.update(qubits)
             if spec.action in (GATE, RESET):
                 if seen_measure:
                     base.append(Violation(
-                        loc, "quantum operation after a measurement"))
+                        _loc(at), "quantum operation after a measurement"))
             elif spec.action == MEASURE:
                 if seen_record:
                     base.append(Violation(
-                        loc, "measurement after output recording"))
+                        _loc(at), "measurement after output recording"))
                 seen_measure = True
                 measured.update(qubits)
             elif spec.action in (RECORD, RECORD_ARRAY):
                 seen_record = True
             else:
-                base.append(Violation(loc, f"@{instr.callee} is outside "
-                                           "the base profile"))
+                base.append(Violation(_loc(at), f"@{instr.callee} is "
+                                                "outside the base profile"))
 
     if unsupported:
         return ProfileReport(Profile.UNSUPPORTED, tuple(unsupported))
@@ -132,7 +132,7 @@ def repeats_a_qubit(qubits: list[int]) -> bool:
     return len(set(qubits)) != len(qubits)
 
 
-def _check_base_call(instr: Call, spec, loc: str,
+def _check_base_call(instr: Call, spec, at: tuple[str, str, int],
                      base: list[Violation]) -> list[int]:
     """Add to ``base`` each operand of ``instr`` outside the base profile,
     and return the indices of its static qubit operands."""
@@ -141,23 +141,23 @@ def _check_base_call(instr: Call, spec, loc: str,
         if kind in (QUBIT_ARG, RESULT_ARG):
             if not isinstance(arg.value, StaticAddr):
                 base.append(Violation(
-                    loc, f"{kind} operand of @{instr.callee} is not a "
-                         "static address"))
+                    _loc(at), f"{kind} operand of @{instr.callee} is not a "
+                              "static address"))
             elif kind == QUBIT_ARG:
                 qubits.append(arg.value.index)
         elif kind == ANGLE_ARG:
             if not isinstance(arg.value, ConstFloat):
                 base.append(Violation(
-                    loc, f"angle operand of @{instr.callee} is not a "
-                         "constant"))
+                    _loc(at), f"angle operand of @{instr.callee} is not a "
+                              "constant"))
         elif kind == INT_ARG:
             if not isinstance(arg.value, ConstInt):
                 base.append(Violation(
-                    loc, f"integer operand of @{instr.callee} is not a "
-                         "constant"))
+                    _loc(at), f"integer operand of @{instr.callee} is not a "
+                              "constant"))
         elif kind == ARRAY_ARG:
             base.append(Violation(
-                loc, f"@{instr.callee} takes a dynamic array handle"))
+                _loc(at), f"@{instr.callee} takes a dynamic array handle"))
         elif kind == LABEL_ARG:
             pass
     return qubits

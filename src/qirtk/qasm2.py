@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from math import pi
+from math import isfinite, pi
 
 from .circuit import Gate, GateKind, Measure, QuantumCircuit, Reset
 from .errors import ParseError, check_input_size
@@ -40,7 +40,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@node(frozen=True)
+@node
 class _Token:
     kind: str
     text: str
@@ -118,13 +118,13 @@ def _integer(tok: _Token, what: str) -> int:
                          tok.text) from None
 
 
-@node(frozen=True)
+@node
 class _Register:
     base: int
     size: int
 
 
-@node(frozen=True)
+@node
 class _Operand:
     """A register reference: whole register when ``index`` is None."""
 
@@ -358,6 +358,8 @@ def import_openqasm2(text: str) -> QuantumCircuit:
 
 
 def _format_angle(value: float) -> str:
+    if not isfinite(value):  # the importer reads no inf or nan
+        raise ValueError("cannot print a non-finite float constant")
     return repr(float(value))
 
 
@@ -368,18 +370,17 @@ def export_openqasm2(circuit: QuantumCircuit) -> str:
     block measuring qubit i into bit i for every index compacts to the
     register-wide ``measure q -> c;`` spelling.
     """
-    circuit.validate()
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";']
     if circuit.num_qubits:
         lines.append(f"qreg q[{circuit.num_qubits}];")
     if circuit.num_clbits:
         lines.append(f"creg c[{circuit.num_clbits}];")
 
-    ops = list(circuit.ops)
+    ops = circuit.ops
     compact_measure = False
     n = circuit.num_qubits
     if (n and n == circuit.num_clbits and len(ops) >= n
-            and ops[-n:] == [Measure(i, i) for i in range(n)]):
+            and ops[-n:] == tuple(Measure(i, i) for i in range(n))):
         compact_measure = True
         ops = ops[:-n]
 

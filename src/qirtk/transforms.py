@@ -29,13 +29,13 @@ import math
 
 from . import intrinsics
 from .errors import DEFAULT_ITERATION_CAP, TransformError
-from .evaluator import Compiler, IndexPool, Qubit, Run, Slot
+from .evaluator import Compiler, ElemPtr, IndexPool, Qubit, Run, Slot
 from .ir import (BasicBlock, BinOp, Call, CallArg, ConstFloat, ConstInt,
                  DoubleType, Ext, FuncDef, GlobalRef, ICmp, IntToAddr,
                  IntType, Load, LocalRef, PtrType, QirModule, Ret, Select,
                  StaticAddr, Value, REQUIRED_QUBITS_ATTR,
                  REQUIRED_RESULTS_ATTR, entry_calls, make_int)
-from .node import node, replace
+from .node import replace
 from .profile import Profile, repeats_a_qubit, validate_profile
 
 #: largest qubit array ``allocate_static_addresses`` assigns indices to
@@ -244,13 +244,6 @@ def unroll_and_fold(module: QirModule,
 # allocate_static_addresses
 
 
-@node(frozen=True)
-class _Element:
-    """An array element pointer, resolved to its qubit on lookup."""
-
-    qubit: Qubit
-
-
 _HANDLE_ACTIONS = frozenset({
     intrinsics.ALLOCATE, intrinsics.ALLOCATE_ARRAY, intrinsics.GET_ELEMENT,
     intrinsics.RELEASE, intrinsics.RELEASE_ARRAY,
@@ -295,7 +288,7 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                                   itertools.count()).__next__
     pool = IndexPool()
 
-    # SSA name -> a Qubit, an array (a list of Qubits) or an _Element
+    # SSA name -> a Qubit, an array (a list of Qubits) or an ElemPtr
     handles: dict[str, object] = {}
     had_allocations = False
     kept: list = []
@@ -308,8 +301,8 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
     for instr in instructions:
         if isinstance(instr, Load):
             handle = as_handle(instr.slot)
-            if isinstance(handle, _Element):
-                handles[instr.result] = handle.qubit
+            if isinstance(handle, ElemPtr):
+                handles[instr.result] = handle.array[handle.index]
                 continue
             if handle is not None:
                 raise TransformError(
@@ -353,7 +346,7 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                             "NonConstantAllocation",
                             f"array element index {offset} is out of "
                             f"bounds for {len(array)} elements")
-                    handles[instr.result] = _Element(array[offset])
+                    handles[instr.result] = ElemPtr(array, offset)
                 elif action == intrinsics.RELEASE:
                     value = instr.args[0].value
                     handle = as_handle(value)
@@ -392,7 +385,7 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                     raise TransformError(
                         "EscapingHandle",
                         "a qubit handle flows into a non-qubit argument")
-                if isinstance(handle, _Element):
+                if isinstance(handle, ElemPtr):
                     raise TransformError(
                         "EscapingHandle",
                         "an array element pointer is passed where a "

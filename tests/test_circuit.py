@@ -74,4 +74,4 @@ def test_negative_register_sizes_are_rejected():
 
 def test_empty_circuit_is_fine():
     circuit = QuantumCircuit(0, 0, [])
-    assert circuit.ops == []
+    assert circuit.ops == ()

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from qirtk import Profile, parse_module, profile, validate_profile
+from qirtk import (Profile, QuantumCircuit, parse_module, profile,
+                   validate_profile)
 from qirtk.cli import main
 
 import genutil
@@ -185,6 +186,28 @@ def test_transpile_classifies_each_module_once(monkeypatch, capsys, name,
     assert main(["transpile", _path(name), "--to", to]) == 0
     assert len(seen) == classified
     assert len({id(module) for module in seen}) == classified
+
+
+@pytest.mark.parametrize("name, circuits", [
+    ("bell_static.ll", 1),
+    # the imported circuit, and the one read back from its module
+    ("bell.qasm", 2),
+])
+def test_transpile_validates_each_circuit_once(monkeypatch, capsys, name,
+                                               circuits):
+    # a circuit is validated when it is built, and never again: each op is
+    # checked once per circuit built
+    built, checked = [], []
+    post_init = QuantumCircuit.__post_init__
+    check = QuantumCircuit._check_qubits
+    monkeypatch.setattr(QuantumCircuit, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    monkeypatch.setattr(
+        QuantumCircuit, "_check_qubits",
+        lambda self, qubits: checked.append(qubits) or check(self, qubits))
+    assert main(["transpile", _path(name), "--to", "qasm2"]) == 0
+    assert len(built) == circuits
+    assert len(checked) == sum(len(circuit.ops) for circuit in built)
 
 
 def test_transpile_feedback_fails_with_reason(capsys):

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from qirtk import Profile, parse_module, validate_profile
+from qirtk import Profile, parse_module, profile, validate_profile
 
 import genutil
 
@@ -166,3 +166,17 @@ def test_a_report_cannot_be_edited():
         report.profile = Profile.BASE
     with pytest.raises(AttributeError):
         report.violations[0].reason = "edited"
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, expected in EXPECTED.items() if expected is Profile.BASE))
+def test_a_base_module_formats_no_location(monkeypatch, name):
+    # a location is formatted only for a violation, and a base module has
+    # none
+    calls = []
+    loc = profile._loc
+    monkeypatch.setattr(profile, "_loc",
+                        lambda *at: calls.append(at) or loc(*at))
+    report = validate_profile(parse_module(genutil.corpus_text(name)))
+    assert report.profile is Profile.BASE
+    assert calls == []

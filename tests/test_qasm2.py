@@ -50,21 +50,21 @@ def test_export_without_clbits_omits_creg():
 
 def test_whole_register_gate_broadcasts():
     circuit = import_openqasm2("OPENQASM 2.0;\nqreg q[3];\nh q;\n")
-    assert circuit.ops == [Gate(GateKind.H, (), (q,)) for q in range(3)]
+    assert circuit.ops == tuple(Gate(GateKind.H, (), (q,)) for q in range(3))
 
 
 def test_two_register_broadcast_pairs_elementwise():
     circuit = import_openqasm2(
         "OPENQASM 2.0;\nqreg a[2];\nqreg b[2];\ncx a, b;\n")
-    assert circuit.ops == [Gate(GateKind.CNOT, (), (0, 2)),
-                           Gate(GateKind.CNOT, (), (1, 3))]
+    assert circuit.ops == (Gate(GateKind.CNOT, (), (0, 2)),
+                           Gate(GateKind.CNOT, (), (1, 3)))
 
 
 def test_mixed_scalar_register_broadcast():
     circuit = import_openqasm2(
         "OPENQASM 2.0;\nqreg a[1];\nqreg b[3];\ncx a[0], b;\n")
-    assert circuit.ops == [Gate(GateKind.CNOT, (), (0, 1 + q))
-                           for q in range(3)]
+    assert circuit.ops == tuple(Gate(GateKind.CNOT, (), (0, 1 + q))
+                                for q in range(3))
 
 
 def test_broadcast_length_mismatch_is_rejected():
@@ -75,7 +75,7 @@ def test_broadcast_length_mismatch_is_rejected():
 def test_whole_register_measure_expands():
     circuit = import_openqasm2(
         "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nmeasure q -> c;\n")
-    assert circuit.ops == [Measure(0, 0), Measure(1, 1)]
+    assert circuit.ops == (Measure(0, 0), Measure(1, 1))
 
 
 def test_measure_register_size_mismatch_is_rejected():
@@ -86,7 +86,7 @@ def test_measure_register_size_mismatch_is_rejected():
 
 def test_reset_broadcasts():
     circuit = import_openqasm2("OPENQASM 2.0;\nqreg q[2];\nreset q;\n")
-    assert circuit.ops == [Reset(0), Reset(1)]
+    assert circuit.ops == (Reset(0), Reset(1))
 
 
 def test_parameter_expressions():
@@ -155,7 +155,7 @@ def test_barrier_is_dropped_with_a_warning():
 def test_comments_are_ignored():
     circuit = import_openqasm2(
         "// leading note\nOPENQASM 2.0;\nqreg q[1]; // trailing\nx q[0];\n")
-    assert circuit.ops == [Gate(GateKind.X, (), (0,))]
+    assert circuit.ops == (Gate(GateKind.X, (), (0,)),)
 
 
 def test_unknown_gate_is_rejected():
@@ -201,3 +201,31 @@ def test_integer_past_the_int_string_limit_is_a_parse_error(text, line,
     err = exc.value
     assert (err.message, err.line, err.column, err.token) == \
         ("integer literal too long", line, column, "1" * 5000)
+
+
+NON_FINITE = [
+    ("nan.ll", "define void @main() #0 {\nentry:\n"
+     "  call void @__quantum__qis__rx__body(double 0x7FF8000000000000, "
+     "ptr null)\n  ret void\n}\n\n"
+     "declare void @__quantum__qis__rx__body(double, ptr)\n\n"
+     'attributes #0 = { "entry_point" }\n'),
+    ("inf.qasm", "OPENQASM 2.0;\nqreg q[1];\nrx(1e999) q[0];\n"),
+]
+
+
+@pytest.mark.parametrize("name, text", NON_FINITE,
+                         ids=[name for name, _ in NON_FINITE])
+def test_a_non_finite_angle_is_not_exported(tmp_path, capsys, name, text):
+    # the importer reads no inf or nan, so the exporter writes none: both
+    # targets refuse the module alike
+    path = tmp_path / name
+    path.write_text(text)
+    for to in ("qasm2", "qir-base"):
+        assert main(["transpile", str(path), "--to", to]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: cannot print a non-finite float constant\n"
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            export_openqasm2(QuantumCircuit(1, 0, [
+                Gate(GateKind.RX, (angle,), (0,))]))
