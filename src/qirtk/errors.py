@@ -1,6 +1,7 @@
-"""Exception types shared across the toolkit, the input-size limit of the
-two source readers, and the default limits of the transforms and the
-interpreter, which the command line offers without importing either."""
+"""Exception types shared across the toolkit, the input-size and
+declared-size limits of the readers, and the default limits of the
+transforms and the interpreter, which the command line offers without
+importing either."""
 
 from __future__ import annotations
 
@@ -40,6 +41,10 @@ def check_input_size(text: str) -> None:
         raise ParseError(f"text longer than {MAX_INPUT_CHARS} characters")
 
 
+#: most qubits, or results, a program may declare: the size of one qubit
+#: array, the registers of an OpenQASM 2 program, or a required count
+MAX_DECLARED_SIZE = 65536
+
 #: default loop iteration cap of ``unroll_and_fold`` and ``lower_to_base``
 DEFAULT_ITERATION_CAP = 65536
 #: default qubit and step limits of ``interpret`` (``ExecOptions``)
@@ -55,8 +60,7 @@ class TransformError(QirError):
     """A rewrite cannot be applied; ``reason`` is a stable machine code.
 
     Reasons used by the transforms:
-      AllocationLimit   a qubit array is larger than
-                        ``transforms.MAX_ARRAY_QUBITS``
+      AllocationLimit   a qubit array is larger than ``MAX_DECLARED_SIZE``
       BadOperand        a gate names one qubit twice
       CapExceeded       a loop ran past the configured iteration cap
       DataDependent     control flow depends on a measurement outcome
@@ -80,7 +84,8 @@ class ExecutionError(QirError):
     """Raised while interpreting a module.
 
     Reasons: UnknownIntrinsic, QubitLimit, ReadBeforeMeasure, StepLimit,
-    plus defensive codes such as UseAfterRelease and BadOperand.
+    BadOperand (also a rotation angle that is not finite), plus defensive
+    codes such as UseAfterRelease.
     """
 
     def __init__(self, reason: str, message: str,

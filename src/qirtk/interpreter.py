@@ -30,6 +30,8 @@ list of its elements) or an ``ElemPtr``. ``ExecOptions``,
 
 from __future__ import annotations
 
+from math import isfinite
+
 from . import intrinsics
 from .circuit import GateKind
 from .errors import DEFAULT_MAX_QUBITS, DEFAULT_STEP_LIMIT, ExecutionError
@@ -161,11 +163,14 @@ def _result(value) -> int:
 
 
 def _angle(value) -> float:
-    if isinstance(value, float):
-        return value
     if isinstance(value, int):
-        return float(value)
-    raise ExecutionError("BadOperand", "expected a rotation angle")
+        value = float(value)
+    if not isinstance(value, float):
+        raise ExecutionError("BadOperand", "expected a rotation angle")
+    if not isfinite(value):
+        raise ExecutionError("BadOperand",
+                             f"rotation angle {value!r} is not finite")
+    return value
 
 
 def _count(value) -> int:

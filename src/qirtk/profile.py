@@ -5,7 +5,8 @@ intrinsic calls on static addresses, with every measurement at the end
 followed only by output recording. The adaptive subset additionally admits
 the classical constructs the interpreter executes (control flow, integer
 arithmetic, dynamic allocation, measurement readback). Anything the
-runtime cannot execute at all is unsupported.
+runtime cannot execute at all is unsupported, and so is a module whose
+required qubit or result count exceeds ``errors.MAX_DECLARED_SIZE``.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 import enum
 
 from . import intrinsics
+from .errors import MAX_DECLARED_SIZE
 from .ir import (Call, ConstFloat, ConstInt, QirModule, StaticAddr,
-                 REQUIRED_QUBITS_ATTR)
+                 REQUIRED_QUBITS_ATTR, REQUIRED_RESULTS_ATTR)
 from .intrinsics import (ANGLE_ARG, ARRAY_ARG, GATE, INT_ARG, LABEL_ARG,
                          MEASURE, QUBIT_ARG, RECORD, RECORD_ARRAY, RESET,
                          RESULT_ARG)
@@ -65,6 +67,12 @@ def _classify(module: QirModule) -> ProfileReport:
         if fn is not entry:
             unsupported.append(Violation(
                 fn.name, "function definition other than the entry point"))
+    for key in (REQUIRED_QUBITS_ATTR, REQUIRED_RESULTS_ATTR):
+        count = module.required_count(key)
+        if count is not None and count > MAX_DECLARED_SIZE:
+            unsupported.append(Violation(
+                entry.name, f"{key} {count} exceeds the limit of "
+                            f"{MAX_DECLARED_SIZE}"))
 
     seen_measure = False
     seen_record = False

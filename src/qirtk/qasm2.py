@@ -6,7 +6,9 @@ declarations, the standard-library gates named in GateKind, ``measure``,
 ``reset``, and ``barrier`` (accepted and dropped with a warning).
 Registers flatten to contiguous indices in declaration order, and
 register-wide statements broadcast element-wise in index order, so
-``measure q -> c;`` becomes one measurement per bit. Angle expressions
+``measure q -> c;`` becomes one measurement per bit; the registers may
+declare at most ``errors.MAX_DECLARED_SIZE`` qubits and as many bits, so
+no statement expands further. Angle expressions
 support literals, ``pi``, arithmetic, and parentheses.
 
 Anything outside the subset (``if``, ``gate`` definitions, ``opaque``)
@@ -20,7 +22,7 @@ import warnings
 from math import isfinite, pi
 
 from .circuit import Gate, GateKind, Measure, QuantumCircuit, Reset
-from .errors import ParseError, check_input_size
+from .errors import MAX_DECLARED_SIZE, ParseError, check_input_size
 from .node import node
 
 _GATES_BY_NAME = {kind.value: kind for kind in GateKind}
@@ -202,9 +204,16 @@ class _QasmParser:
         if size < 1:
             raise ParseError("register size must be positive",
                              size_tok.line, size_tok.column, size_tok.text)
+        qreg = keyword.text == "qreg"
+        total = size + (self.num_qubits if qreg else self.num_clbits)
+        if total > MAX_DECLARED_SIZE:
+            raise ParseError(
+                f"registers declare {total} {'qubits' if qreg else 'bits'}, "
+                f"more than the limit of {MAX_DECLARED_SIZE}",
+                size_tok.line, size_tok.column, size_tok.text)
         self.reader.expect("]")
         self.reader.expect(";")
-        if keyword.text == "qreg":
+        if qreg:
             self.qregs[name.text] = _Register(self.num_qubits, size)
             self.num_qubits += size
         else:

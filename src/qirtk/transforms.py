@@ -11,8 +11,9 @@ by assigning each handle a fixed index, reusing freed indices first-fit
 the way a register allocator reuses registers. It walks only calls and
 element-pointer loads, and lets the unroller fold any other classical
 code and stack slots first. ``lower_to_base`` composes the two with
-measurement sinking so that the result is a plain gate sequence followed
-by measurements and output recording.
+``_schedule``, which drops dead classical code and sinks measurements, so
+that the result is a plain gate sequence followed by measurements and
+output recording.
 
 All transforms are pure functions from module to module and are
 idempotent: running one twice gives a structurally identical result.
@@ -28,7 +29,7 @@ import itertools
 import math
 
 from . import intrinsics
-from .errors import DEFAULT_ITERATION_CAP, TransformError
+from .errors import DEFAULT_ITERATION_CAP, MAX_DECLARED_SIZE, TransformError
 from .evaluator import Compiler, ElemPtr, IndexPool, Qubit, Run, Slot
 from .ir import (BasicBlock, BinOp, Call, CallArg, ConstFloat, ConstInt,
                  DoubleType, Ext, FuncDef, GlobalRef, ICmp, IntToAddr,
@@ -39,7 +40,7 @@ from .node import replace
 from .profile import Profile, repeats_a_qubit, validate_profile
 
 #: largest qubit array ``allocate_static_addresses`` assigns indices to
-MAX_ARRAY_QUBITS = 65536
+MAX_ARRAY_QUBITS = MAX_DECLARED_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -469,67 +470,30 @@ def _set_required_attrs(module: QirModule) -> QirModule:
 
 
 # ---------------------------------------------------------------------------
-# dead classical code removal (used while lowering)
+# dead classical code removal and measurement sinking (used while lowering)
 
 
 _PURE_CLASSICAL = (BinOp, ICmp, Ext, Select, IntToAddr)
 
 
-def _prune_dead(module: QirModule) -> QirModule:
-    """Drop unused classical values and readbacks from the single block."""
-    instructions = module.entry.blocks[0].instructions
-    while True:
-        used = {operand.name for instr in instructions
-                for operand in _operands(instr)
-                if isinstance(operand, LocalRef)}
-        kept = [instr for instr in instructions
-                if not _is_dead(instr, used)]
-        if len(kept) == len(instructions):
-            return _with_body(module, kept)
-        instructions = kept
-
-
-def _is_dead(instr, used: set[str]) -> bool:
-    if isinstance(instr, _PURE_CLASSICAL):
-        return instr.result not in used
-    if isinstance(instr, Call) and instr.result is not None:
-        return (intrinsics.lookup(instr.callee).action
-                == intrinsics.READ_RESULT and instr.result not in used)
-    return False
-
-
-# ---------------------------------------------------------------------------
-# measurement sinking
-
-
-def _static_qubits(spec, call: Call) -> list[int]:
+def _static(call: Call, spec, kind: str) -> list[int]:
+    """The indices of ``call``'s operands of ``kind``, each of which must
+    be a constant address."""
     out = []
-    for kind, arg in zip(spec.arg_kinds, call.args):
-        if kind == intrinsics.QUBIT_ARG:
+    for arg_kind, arg in zip(spec.arg_kinds, call.args):
+        if arg_kind == kind:
             if not isinstance(arg.value, StaticAddr):
                 raise TransformError(
                     "FeedbackRequired",
-                    f"@{call.callee} has a qubit operand that is not a "
+                    f"@{call.callee} has a {kind} operand that is not a "
                     "constant address")
             out.append(arg.value.index)
     return out
 
 
-def _static_result(spec, call: Call) -> int:
-    for kind, arg in zip(spec.arg_kinds, call.args):
-        if kind == intrinsics.RESULT_ARG:
-            if not isinstance(arg.value, StaticAddr):
-                raise TransformError(
-                    "FeedbackRequired",
-                    f"@{call.callee} has a result operand that is not a "
-                    "constant address")
-            return arg.value.index
-    raise TransformError("FeedbackRequired",
-                         f"@{call.callee} lacks a result operand")
-
-
-def _sink_measurements(module: QirModule) -> QirModule:
-    """Move measurements past later disjoint gates to the block's tail.
+def _schedule(module: QirModule) -> QirModule:
+    """Drop unused classical values and readbacks from the single block,
+    then move measurements past later disjoint gates to its tail.
 
     Output recording moves after the measurements, preserving relative
     order. Obstructions (a gate or reset touching an already-measured
@@ -537,61 +501,66 @@ def _sink_measurements(module: QirModule) -> QirModule:
     being recorded) raise TransformError(FeedbackRequired): such
     programs need feedback and have no equivalent static schedule.
     """
-    block = module.entry.blocks[0]
+    # the block is straight-line SSA, so one backward pass finds every
+    # value that nothing kept uses
+    used: set[str] = set()
+    live: list = []  # (instruction, its intrinsic spec or None), reversed
+    for instr in reversed(module.entry.blocks[0].instructions):
+        spec = None
+        if isinstance(instr, Call):
+            spec = intrinsics.lookup(instr.callee)
+            dead = (spec.action == intrinsics.READ_RESULT
+                    and instr.result is not None)
+        else:
+            dead = isinstance(instr, _PURE_CLASSICAL)
+        if dead and instr.result not in used:
+            continue
+        used.update(operand.name for operand in _operands(instr)
+                    if isinstance(operand, LocalRef))
+        live.append((instr, spec))
 
     body: list = []
     measures: list[Call] = []
     records: list[Call] = []
     measured_qubits: set[int] = set()
     recorded_results: set[int] = set()
-
-    for instr in block.instructions:
-        if not isinstance(instr, Call):
-            body.append(instr)
-            continue
-        spec = intrinsics.lookup(instr.callee)
-        action = spec.action
+    for instr, spec in reversed(live):
+        action = spec and spec.action
         if action == intrinsics.MEASURE:
-            result = _static_result(spec, instr)
+            [result] = _static(instr, spec, intrinsics.RESULT_ARG)
             if result in recorded_results:
                 raise TransformError(
                     "FeedbackRequired",
                     f"result {result} is measured again after being "
                     "recorded; the recorded value cannot be deferred")
-            measured_qubits.update(_static_qubits(spec, instr))
+            measured_qubits.update(_static(instr, spec, intrinsics.QUBIT_ARG))
             measures.append(instr)
         elif action == intrinsics.GATE:
             overlap = measured_qubits.intersection(
-                _static_qubits(spec, instr))
+                _static(instr, spec, intrinsics.QUBIT_ARG))
             if overlap:
                 raise TransformError(
                     "FeedbackRequired",
                     f"a gate acts on qubit {min(overlap)} after its "
                     "measurement; measurements cannot move past it")
             body.append(instr)
-        elif action == intrinsics.RESET:
-            if measures:
-                raise TransformError(
-                    "FeedbackRequired",
-                    "a reset follows a measurement; reordering would "
-                    "change the sampling sequence")
-            body.append(instr)
         elif action in intrinsics.BASE_RECORD_ACTIONS:
             if action == intrinsics.RECORD:
-                recorded_results.add(_static_result(spec, instr))
+                recorded_results.update(
+                    _static(instr, spec, intrinsics.RESULT_ARG))
             records.append(instr)
-        elif action == intrinsics.READ_RESULT:
-            if measures:
-                raise TransformError(
-                    "FeedbackRequired",
-                    "a measurement result is read back inside the "
-                    "program; the base profile has no readback")
-            body.append(instr)
-        else:
+        elif action == intrinsics.RESET and measures:
             raise TransformError(
                 "FeedbackRequired",
-                f"@{instr.callee} cannot appear in a base-profile "
-                "program")
+                "a reset follows a measurement; reordering would "
+                "change the sampling sequence")
+        elif action == intrinsics.READ_RESULT and measures:
+            raise TransformError(
+                "FeedbackRequired",
+                "a measurement result is read back inside the "
+                "program; the base profile has no readback")
+        else:
+            body.append(instr)
 
     return _with_body(module, body + measures + records)
 
@@ -625,9 +594,7 @@ def lower_to_base(module: QirModule,
                 "control flow depends on a measurement outcome; the "
                 "program cannot be scheduled statically") from err
         raise
-    out = allocate_static_addresses(out)
-    out = _prune_dead(out)
-    out = _set_required_attrs(_sink_measurements(out))
+    out = _set_required_attrs(_schedule(allocate_static_addresses(out)))
     # classified as returned, so a caller's validate_profile reuses this
     report = validate_profile(out)
     if report.profile is not Profile.BASE:

@@ -1,8 +1,10 @@
-"""Both source readers refuse text longer than ``errors.MAX_INPUT_CHARS``."""
+"""Both source readers refuse text longer than ``errors.MAX_INPUT_CHARS``,
+and no declared size may pass ``errors.MAX_DECLARED_SIZE``."""
 
 import pytest
 
-from qirtk import ParseError, errors, import_openqasm2, parse_module
+from qirtk import (ParseError, Profile, errors, import_openqasm2,
+                   parse_module, transforms, validate_profile)
 from qirtk.cli import main
 
 import genutil
@@ -41,3 +43,80 @@ def test_cli_exits_two_on_text_over_the_limit(monkeypatch, tmp_path,
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err == (
         f"parse error: input: text longer than {len(text)} characters\n")
+
+
+# ---------------------------------------------------------------------------
+# declared sizes: registers, required counts and qubit arrays share one limit
+
+
+def test_one_limit_bounds_every_declared_size():
+    assert errors.MAX_DECLARED_SIZE == transforms.MAX_ARRAY_QUBITS == 65536
+
+
+@pytest.mark.parametrize("text, line, token, message", [
+    ("qreg q[65537];\nh q;\n", 1, "65537",
+     "registers declare 65537 qubits, more than the limit of 65536"),
+    ("creg c[65537];\n", 1, "65537",
+     "registers declare 65537 bits, more than the limit of 65536"),
+    ("qreg a[65536];\ncreg c[65536];\nqreg b[1];\n", 3, "1",
+     "registers declare 65537 qubits, more than the limit of 65536"),
+    ("creg a[65535];\nqreg q[2];\ncreg b[2];\n", 3, "2",
+     "registers declare 65537 bits, more than the limit of 65536"),
+], ids=["qreg", "creg", "second-qreg", "second-creg"])
+def test_registers_past_the_declared_size_limit_are_refused(
+        text, line, token, message):
+    with pytest.raises(ParseError) as exc:
+        import_openqasm2("OPENQASM 2.0;\n" + text)
+    err = exc.value
+    assert (err.message, err.line, err.column, err.token) == \
+        (message, line + 1, 8, token)
+
+
+def test_registers_at_the_declared_size_limit_are_read():
+    circuit = import_openqasm2(
+        "OPENQASM 2.0;\nqreg q[65535];\nqreg r[1];\ncreg c[65536];\n")
+    assert (circuit.num_qubits, circuit.num_clbits) == (65536, 65536)
+
+
+def test_cli_exits_two_on_a_register_past_the_limit(tmp_path, capsys):
+    path = tmp_path / "wide.qasm"
+    path.write_text("OPENQASM 2.0;\nqreg q[65537];\nh q;\n",
+                    encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: line 2, column 8: registers declare 65537 qubits, "
+        "more than the limit of 65536 near '65537'\n")
+
+
+def _with_attribute(key: str, value: int):
+    text = genutil.corpus_text("bell_static.ll")
+    assert f'"{key}"="2"' in text
+    return parse_module(text.replace(
+        f'"{key}"="2"', f'"{key}"="{value}"'))
+
+
+@pytest.mark.parametrize("key", ["required_num_qubits",
+                                 "required_num_results"])
+def test_a_required_count_past_the_limit_is_unsupported(key):
+    report = validate_profile(_with_attribute(key, 65537))
+    assert report.profile is Profile.UNSUPPORTED
+    assert [v.reason for v in report.violations] == [
+        f"{key} 65537 exceeds the limit of 65536"]
+    assert validate_profile(_with_attribute(key, 65536)).profile \
+        is Profile.BASE
+
+
+def test_a_huge_required_count_is_refused_before_it_is_used(tmp_path,
+                                                            capsys):
+    # 10**20 declared qubits: warning about each unmeasured one would
+    # need more memory than any machine has
+    path = tmp_path / "huge.ll"
+    path.write_text(genutil.corpus_text("bell_static.ll").replace(
+        '"required_num_qubits"="2"',
+        '"required_num_qubits"="100000000000000000000"'), encoding="utf-8")
+    assert main(["transpile", str(path), "--to", "qasm2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith(
+        "required_num_qubits 100000000000000000000 exceeds the limit of "
+        "65536 at main\n")

@@ -6,6 +6,7 @@ import pytest
 
 from qirtk import (ExecOptions, ExecutionError, interpret, lower_to_base,
                    parse_module, run_shot)
+from qirtk.cli import main
 
 import genutil
 
@@ -275,3 +276,32 @@ def test_phis_copy_in_parallel_and_i1_compares_signed():
     module = parse_module(_SWAP_AND_COMPARE)
     assert interpret(module, shots=3).counts == {"101": 3}
     assert interpret(lower_to_base(module), shots=3).counts == {"101": 3}
+
+
+NON_FINITE_RUNS = [
+    ("nan.ll", "define void @main() #0 {\nentry:\n"
+     "  call void @__quantum__qis__rx__body(double 0x7FF8000000000000, "
+     "ptr null)\n"
+     "  call void @__quantum__qis__mz__body(ptr null, ptr null)\n"
+     "  call void @__quantum__rt__result_record_output(ptr null, ptr null)\n"
+     "  ret void\n}\n\n"
+     "declare void @__quantum__qis__rx__body(double, ptr)\n"
+     "declare void @__quantum__qis__mz__body(ptr, ptr)\n"
+     "declare void @__quantum__rt__result_record_output(ptr, ptr)\n\n"
+     'attributes #0 = { "entry_point" }\n'),
+    ("inf.qasm", "OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nrx(1e999) q[0];\n"
+     "measure q[0] -> c[0];\n"),
+]
+
+
+@pytest.mark.parametrize("name, text", NON_FINITE_RUNS,
+                         ids=[name for name, _ in NON_FINITE_RUNS])
+def test_a_non_finite_rotation_angle_is_refused(tmp_path, capsys, name,
+                                                 text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--shots", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: BadOperand: rotation angle ")
+    assert "is not finite" in err

@@ -8,7 +8,7 @@ from qirtk import (Profile, TransformError, allocate_static_addresses,
                    interpret, lower_to_base, parse_module, print_module,
                    unroll_and_fold, validate_profile)
 from qirtk.ir import Call
-from qirtk.transforms import _prune_dead, _sink_measurements
+from qirtk.transforms import _schedule
 
 import genutil
 
@@ -323,6 +323,68 @@ def test_unused_readback_is_pruned_with_its_declaration():
     assert validate_profile(lowered).profile is Profile.BASE
 
 
+_READBACK_DECLS = (
+    "declare void @__quantum__qis__h__body(ptr)\n"
+    "declare void @__quantum__qis__rx__body(double, ptr)\n"
+    "declare void @__quantum__qis__mz__body(ptr, ptr)\n"
+    "declare i1 @__quantum__rt__read_result(ptr)\n"
+    "declare void @__quantum__rt__result_record_output(ptr, ptr)\n")
+
+# a readback widened and cast to an address
+_READBACK_ADDRESS = ("  %r = call i1 @__quantum__rt__read_result(ptr null)\n"
+                     "  %w = zext i1 %r to i64\n"
+                     "  %p = inttoptr i64 %w to ptr\n")
+
+
+def _single_block(body: str):
+    return parse_module(_READBACK_DECLS + "define void @main() #0 {\n"
+                        "entry:\n" + body + "  ret void\n}\n"
+                        'attributes #0 = { "entry_point" }\n')
+
+
+@pytest.mark.parametrize("body, message", [
+    (_READBACK_ADDRESS + "  call void @__quantum__qis__h__body(ptr %p)\n",
+     "@__quantum__qis__h__body has a qubit operand that is not a constant "
+     "address"),
+    (_READBACK_ADDRESS
+     + "  call void @__quantum__qis__mz__body(ptr null, ptr %p)\n",
+     "@__quantum__qis__mz__body has a result operand that is not a constant "
+     "address"),
+    ("  call void @__quantum__qis__mz__body(ptr null, ptr null)\n"
+     + _READBACK_ADDRESS + "  call void @__quantum__qis__h__body(ptr %p)\n",
+     "a measurement result is read back inside the program; the base "
+     "profile has no readback"),
+    ("  %r = call i1 @__quantum__rt__read_result(ptr null)\n"
+     "  %a = select i1 %r, double 1.0, double 2.0\n"
+     "  call void @__quantum__qis__rx__body(double %a, ptr null)\n",
+     "lowered module still fails base validation: "
+     "@__quantum__rt__read_result is outside the base profile"),
+], ids=["qubit-operand", "result-operand", "readback-after-measure",
+        "readback-picks-an-angle"])
+def test_lowering_refuses_what_the_base_profile_cannot_schedule(body,
+                                                                message):
+    with pytest.raises(TransformError) as exc:
+        lower_to_base(_single_block(body))
+    assert (exc.value.reason, exc.value.message) == \
+        ("FeedbackRequired", message)
+
+
+def test_a_dead_readback_chain_is_dropped_whole():
+    lowered = lower_to_base(_single_block(
+        "  call void @__quantum__qis__h__body(ptr null)\n"
+        "  call void @__quantum__qis__mz__body(ptr null, ptr null)\n"
+        "  %r = call i1 @__quantum__rt__read_result(ptr null)\n"
+        "  %w = zext i1 %r to i64\n"
+        "  %s = add i64 %w, 1\n"
+        "  call void @__quantum__rt__result_record_output(ptr null, "
+        "ptr null)\n"))
+    block = lowered.entry.blocks[0]
+    assert [i.callee for i in block.instructions] == [
+        "__quantum__qis__h__body", "__quantum__qis__mz__body",
+        "__quantum__rt__result_record_output"]
+    assert validate_profile(lowered).profile is Profile.BASE
+
+
 def test_lowering_never_invents_output_records():
     lowered = lower_to_base(_module("hadamard_loop.ll"))
     assert "record" not in print_module(lowered)
@@ -485,13 +547,11 @@ def test_lowering_passes_keep_the_label_of_their_block():
     # lower_to_base unrolls first, and the unrolled block is always
     # named ``entry``; the passes after it keep whatever label they get
     allocated = allocate_static_addresses(parse_module(_START_BLOCK))
-    pruned = _prune_dead(allocated)
-    assert "read_result" not in print_module(pruned)
-    sunk = _sink_measurements(pruned)
-    assert [c.callee for c in _calls(sunk)] == [
+    scheduled = _schedule(allocated)
+    assert "read_result" not in print_module(scheduled)
+    assert [c.callee for c in _calls(scheduled)] == [
         "__quantum__qis__h__body", "__quantum__qis__mz__body"]
-    assert [b.label for b in pruned.entry.blocks] == ["start"]
-    assert [b.label for b in sunk.entry.blocks] == ["start"]
+    assert [b.label for b in scheduled.entry.blocks] == ["start"]
     lowered = lower_to_base(parse_module(_START_BLOCK))
     assert [b.label for b in lowered.entry.blocks] == ["entry"]
 
