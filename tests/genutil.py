@@ -13,6 +13,7 @@ import cmath
 import math
 import pathlib
 import random
+import re
 
 import numpy as np
 from hypothesis import strategies as st
@@ -351,3 +352,96 @@ def mutated(draw) -> str:
         if not lines:
             break
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# token mutations of .ll and .qasm text
+
+#: texts a token edit may write besides the tokens of the text itself:
+#: numeric extremes (an overflowing literal, an overflowing expression, an
+#: integer past every width, a NaN bit pattern) and punctuation of both
+#: grammars
+EXTREMES = ("1e999", "4.3e30851", "1e308*10", "1" * 30, "0x7FF8000000000000",
+            "-0", "0", "pi")
+PUNCTUATION = ("(", ")", "[", "]", "{", "}", ",", ";", "=", ":", "*", "+",
+               "-", "/", '"', "#", "%", "@", "->")
+
+_TOKEN = re.compile(r'"[^"\n]*"|->|[\w.$]+|\S')
+_LINE_EDITS = ("delete line", "duplicate line", "truncate line")
+_TOKEN_EDITS = ("delete", "duplicate", "replace", "insert", "swap", "split")
+
+
+def _token_edit(rng, text: str, kind: str) -> str:
+    spans = [m.span() for m in _TOKEN.finditer(text)]
+    if not spans:
+        return text
+    pool = rng.choice((EXTREMES, EXTREMES, PUNCTUATION, spans))
+    other = rng.choice(pool)
+    if isinstance(other, tuple):
+        other = text[other[0]:other[1]]
+    if kind == "replace" and pool is EXTREMES:
+        # an extreme replaces a number, where the text has one
+        spans = [s for s in spans if text[s[0]].isdigit()] or spans
+    start, end = rng.choice(spans)
+    token = text[start:end]
+    if kind == "delete":
+        return text[:start] + text[end:]
+    if kind == "duplicate":
+        return text[:end] + " " + token + text[end:]
+    if kind == "replace":
+        return text[:start] + other + text[end:]
+    if kind == "insert":
+        return text[:start] + other + " " + text[start:]
+    if kind == "swap":
+        start2, end2 = rng.choice(spans)
+        if start2 < start:
+            start, end, start2, end2 = start2, end2, start, end
+        if start2 < end:
+            return text
+        return (text[:start] + text[start2:end2] + text[end:start2]
+                + text[start:end] + text[end2:])
+    # split: the token around an inserted one
+    cut = rng.randint(start, end)
+    return text[:cut] + other + text[cut:]
+
+
+def mutate(rng, text: str, lines: bool = False) -> str:
+    """``text`` after one to three edits drawn from ``rng`` (a
+    ``random.Random``, or a Hypothesis random).
+
+    A token edit deletes, duplicates, replaces or swaps a token, inserts
+    one, or splits a token around an inserted one; what it writes is a
+    token of the text, an entry of ``EXTREMES`` (which replaces a number)
+    or of ``PUNCTUATION``.
+    With ``lines``, an edit may also delete, duplicate or truncate a line.
+    """
+    kinds = _TOKEN_EDITS + (_LINE_EDITS if lines else ())
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(kinds)
+        if kind not in _LINE_EDITS:
+            text = _token_edit(rng, text, kind)
+            continue
+        rows = text.split("\n")
+        i = rng.randrange(len(rows))
+        if kind == "delete line":
+            del rows[i]
+        elif kind == "duplicate line":
+            rows.insert(i, rows[i])
+        else:
+            rows[i] = rows[i][:rng.randint(0, len(rows[i]))]
+        text = "\n".join(rows)
+    return text
+
+
+def qasm_programs() -> list[str]:
+    """``corpus/bell.qasm`` and 60 exported random circuits."""
+    from qirtk import export_openqasm2
+    rng = random.Random(16)
+    return [corpus_text("bell.qasm")] + [
+        export_openqasm2(random_circuit(rng)) for _ in range(60)]
+
+
+def mutated_qasm():
+    """A program of ``qasm_programs`` after one to three token edits."""
+    return st.builds(mutate, st.randoms(use_true_random=False),
+                     st.sampled_from(qasm_programs()))
