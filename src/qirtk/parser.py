@@ -229,19 +229,7 @@ class _ModuleParser:
         cur.next()
         ret_type = self._parse_type(cur)
         name = bare_name(cur.expect("GLOBAL").text)
-        cur.expect("PUNCT", "(")
-        params: list[Type] = []
-        if not _peek_punct(cur, ")"):
-            while True:
-                ty = self._parse_type(cur)
-                while _peek_word_in(cur, _ARG_ANNOTATIONS):
-                    cur.next()
-                params.append(ty)
-                if _peek_punct(cur, ","):
-                    cur.next()
-                    continue
-                break
-        cur.expect("PUNCT", ")")
+        params = self._typed_list(cur, lambda ty: ty)
         if cur.peek() is not None and cur.peek().kind == "ATTRID":
             self.declare_groups.append((cur.int_value(cur.next()),
                                         cur.line))
@@ -264,12 +252,7 @@ class _ModuleParser:
             if tok.kind == "ATTRID":
                 attr_group = cur.int_value(tok)
             elif tok.kind == "STRING":
-                key = tok.text[1:-1]
-                value = ""
-                if _peek_punct(cur, "="):
-                    cur.next()
-                    value = cur.expect("STRING").text[1:-1]
-                inline_attrs[key] = value
+                inline_attrs[tok.text[1:-1]] = _attr_value(cur)
             else:
                 cur.fail("expected attribute or '{'", tok)
         cur.expect("PUNCT", "{")
@@ -317,11 +300,7 @@ class _ModuleParser:
         attrs: dict[str, str] = {}
         while not _peek_punct(cur, "}"):
             key = cur.expect("STRING").text[1:-1]
-            value = ""
-            if _peek_punct(cur, "="):
-                cur.next()
-                value = cur.expect("STRING").text[1:-1]
-            attrs[key] = value
+            attrs[key] = _attr_value(cur)
         cur.expect("PUNCT", "}")
         cur.expect_end()
         self.attribute_groups[gid] = attrs
@@ -439,8 +418,7 @@ class _ModuleParser:
         if tok.kind == "LOCAL":
             cur.next()
             result = bare_name(tok.text)
-            eq = cur.expect("PUNCT", "=")
-            del eq
+            cur.expect("PUNCT", "=")
             op = cur.expect("WORD")
             self._define(result, tok)
             if op.text == "call":
@@ -473,34 +451,33 @@ class _ModuleParser:
                              token=tok.text)
         self.defined.add(name)
 
-    def _use(self, name: str, line: int) -> None:
-        self.uses.setdefault(name, line)
-
     def _finish_call(self, cur: _Cursor, result: str | None) -> None:
         ret_type = self._parse_type(cur)
         callee_tok = cur.expect("GLOBAL")
         callee = bare_name(callee_tok.text)
+        args = self._typed_list(
+            cur, lambda ty: CallArg(ty, self._parse_value(cur, ty)))
+        cur.expect_end()
+        self.call_sites.append((callee, callee_tok.line))
+        self.body.append(Call(callee, tuple(args), result, ret_type))
+
+    def _typed_list(self, cur: _Cursor, read) -> list:
+        """A parenthesized ``(ty [annotations] ..., ...)`` list: each item
+        is ``read(ty)``, which reads what follows the annotations."""
         cur.expect("PUNCT", "(")
-        args: list[CallArg] = []
+        items = []
         if not _peek_punct(cur, ")"):
             while True:
                 ty = self._parse_type(cur)
                 while _peek_word_in(cur, _ARG_ANNOTATIONS):
                     cur.next()
-                value = self._parse_value(cur, ty)
-                args.append(CallArg(ty, value))
+                items.append(read(ty))
                 if _peek_punct(cur, ","):
                     cur.next()
                     continue
                 break
         cur.expect("PUNCT", ")")
-        cur.expect_end()
-        self._add_call(Call(callee, tuple(args), result, ret_type),
-                       callee_tok.line)
-
-    def _add_call(self, call: Call, line: int) -> None:
-        self.call_sites.append((call.callee, line))
-        self.body.append(call)
+        return items
 
     def _parse_alloca(self, cur: _Cursor, result: str) -> None:
         ty = self._parse_type(cur)
@@ -508,33 +485,31 @@ class _ModuleParser:
             cur.fail("alloca of void")
         self._skip_align(cur)
         cur.expect_end()
-        self._append(Alloca(result, ty))
+        self.body.append(Alloca(result, ty))
 
     def _parse_store(self, cur: _Cursor) -> None:
         cur.next()
         ty = self._parse_type(cur)
         value = self._parse_value(cur, ty)
-        cur.expect("PUNCT", ",")
-        slot_ty = self._parse_type(cur)
-        if not isinstance(slot_ty, PtrType):
-            cur.fail("store destination must be a pointer")
-        slot = self._parse_value(cur, slot_ty)
-        self._skip_align(cur)
-        cur.expect_end()
-        self._append(Store(ty, value, slot))
+        slot = self._slot(cur, "store destination")
+        self.body.append(Store(ty, value, slot))
 
     def _parse_load(self, cur: _Cursor, result: str) -> None:
         ty = self._parse_type(cur)
         if ty == VOID:
             cur.fail("load of void")
+        self.body.append(Load(result, ty, self._slot(cur, "load source")))
+
+    def _slot(self, cur: _Cursor, noun: str) -> Value:
+        """The ``, ptr slot[, align N]`` tail of a load or store."""
         cur.expect("PUNCT", ",")
         slot_ty = self._parse_type(cur)
         if not isinstance(slot_ty, PtrType):
-            cur.fail("load source must be a pointer")
+            cur.fail(f"{noun} must be a pointer")
         slot = self._parse_value(cur, slot_ty)
         self._skip_align(cur)
         cur.expect_end()
-        self._append(Load(result, ty, slot))
+        return slot
 
     def _skip_align(self, cur: _Cursor) -> None:
         if _peek_punct(cur, ","):
@@ -551,22 +526,24 @@ class _ModuleParser:
         while _peek_word_in(cur, _BINOP_FLAGS):
             cur.next()
         ty = self._parse_int_type(cur)
-        lhs = self._parse_value(cur, ty)
-        cur.expect("PUNCT", ",")
-        rhs = self._parse_value(cur, ty)
-        cur.expect_end()
-        self._append(BinOp(op, ty, lhs, rhs, result))
+        lhs, rhs = self._operand_pair(cur, ty)
+        self.body.append(BinOp(op, ty, lhs, rhs, result))
 
     def _parse_icmp(self, cur: _Cursor, result: str) -> None:
         pred = cur.expect("WORD")
         if pred.text not in ICMP_PREDS:
             cur.fail("unsupported icmp predicate", pred)
         ty = self._parse_int_type(cur)
+        lhs, rhs = self._operand_pair(cur, ty)
+        self.body.append(ICmp(pred.text, ty, lhs, rhs, result))
+
+    def _operand_pair(self, cur: _Cursor, ty: IntType) -> tuple[Value, Value]:
+        """The ``lhs, rhs`` tail of a binop or icmp."""
         lhs = self._parse_value(cur, ty)
         cur.expect("PUNCT", ",")
         rhs = self._parse_value(cur, ty)
         cur.expect_end()
-        self._append(ICmp(pred.text, ty, lhs, rhs, result))
+        return lhs, rhs
 
     def _parse_inttoptr(self, cur: _Cursor, result: str) -> None:
         ty = self._parse_int_type(cur)
@@ -576,7 +553,7 @@ class _ModuleParser:
         if not isinstance(to_ty, PtrType):
             cur.fail("inttoptr must cast to a pointer")
         cur.expect_end()
-        self._append(IntToAddr(result, ty, source))
+        self.body.append(IntToAddr(result, ty, source))
 
     def _parse_ext(self, cur: _Cursor, op: str, result: str) -> None:
         from_ty = self._parse_int_type(cur)
@@ -589,7 +566,7 @@ class _ModuleParser:
         elif to_ty.width <= from_ty.width:
             cur.fail(f"{op} must widen the width")
         cur.expect_end()
-        self._append(Ext(op, result, source, from_ty, to_ty))
+        self.body.append(Ext(op, result, source, from_ty, to_ty))
 
     def _parse_select(self, cur: _Cursor, result: str) -> None:
         cond_ty = self._parse_int_type(cur)
@@ -607,7 +584,7 @@ class _ModuleParser:
             cur.fail("select arms must share one type")
         if_false = self._parse_value(cur, ty2)
         cur.expect_end()
-        self._append(Select(result, cond, ty, if_true, if_false))
+        self.body.append(Select(result, cond, ty, if_true, if_false))
 
     def _parse_phi(self, cur: _Cursor, result: str, op_tok: Token) -> None:
         if self.body:
@@ -666,9 +643,6 @@ class _ModuleParser:
         self.label_refs.append((label, tok.line))
         return label
 
-    def _append(self, instr: Instruction) -> None:
-        self.body.append(instr)
-
     # ------------------------------------------------------------------
     # types and values
 
@@ -697,7 +671,7 @@ class _ModuleParser:
         tok = cur.next()
         if tok.kind == "LOCAL":
             name = bare_name(tok.text)
-            self._use(name, tok.line)
+            self.uses.setdefault(name, tok.line)
             return LocalRef(name)
         if isinstance(ty, IntType):
             if tok.kind == "INT":
@@ -755,13 +729,13 @@ class _ModuleParser:
                 raise ParseError(
                     f"call to undeclared symbol @{callee}", line=line,
                     token=f"@{callee}")
-        tagged = [f for f in module.functions if "entry_point"
-                  in module.function_attributes(f)]
-        if len(tagged) > 1 or (not tagged and len(module.functions) > 1):
+        try:
+            module.entry
+        except ValueError:
             raise ParseError(
                 "cannot identify the entry point: tag exactly one function "
                 "with the entry_point attribute",
-                line=self.define_lines[-1])
+                line=self.define_lines[-1]) from None
 
 
 def _call_args(text: str | None) -> tuple[CallArg, ...] | None:
@@ -781,6 +755,14 @@ def _parse_float(text: str) -> float:
         # IEEE-754 bit pattern spelling of a double
         return struct.unpack(">d", bytes.fromhex(text[2:]))[0]
     return float(text)
+
+
+def _attr_value(cur: _Cursor) -> str:
+    """A string attribute's optional ``="value"``; ``""`` without one."""
+    if _peek_punct(cur, "="):
+        cur.next()
+        return cur.expect("STRING").text[1:-1]
+    return ""
 
 
 def _peek_punct(cur: _Cursor, text: str) -> bool:

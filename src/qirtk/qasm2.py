@@ -4,12 +4,13 @@ The importer covers the statement subset a transpiler bridge needs:
 ``OPENQASM 2.0;`` and ``include`` headers, ``qreg``/``creg``
 declarations, the standard-library gates named in GateKind, ``measure``,
 ``reset``, and ``barrier`` (accepted and dropped with a warning).
-Registers flatten to contiguous indices in declaration order, and
-register-wide statements broadcast element-wise in index order, so
-``measure q -> c;`` becomes one measurement per bit; the registers may
-declare at most ``errors.MAX_DECLARED_SIZE`` qubits and as many bits, so
-no statement expands further. Angle expressions
-support literals, ``pi``, arithmetic, and parentheses.
+Registers flatten to contiguous indices in declaration order: a register
+is the ``range`` of its indices, and an operand is that range or one
+element's index. Register-wide statements broadcast element-wise in index
+order, so ``measure q -> c;`` becomes one measurement per bit; the
+registers may declare at most ``errors.MAX_DECLARED_SIZE`` qubits and as
+many bits, so no statement expands further. Angle expressions support
+literals, ``pi``, arithmetic, and parentheses.
 
 Anything outside the subset (``if``, ``gate`` definitions, ``opaque``)
 raises ParseError rather than being skipped.
@@ -20,10 +21,10 @@ from __future__ import annotations
 import re
 import warnings
 from math import isfinite, pi
+from typing import NamedTuple
 
 from .circuit import Gate, GateKind, Measure, QuantumCircuit, Reset
 from .errors import MAX_DECLARED_SIZE, ParseError, check_input_size
-from .node import node
 
 _GATES_BY_NAME = {kind.value: kind for kind in GateKind}
 
@@ -32,18 +33,23 @@ _GATES_BY_NAME = {kind.value: kind for kind in GateKind}
 # exhaust the interpreter's recursion limit
 MAX_ANGLE_DEPTH = 100
 
+# one match per token, as in ``lexer``, on lines split at "\n" only:
+# leading whitespace is part of the pattern, a comment ends the line, and
+# the last group takes any other non-space character, so a bad character
+# is reported where it stands
 _TOKEN_RE = re.compile(r"""
-      (?P<SKIP>\s+|//[^\n]*)
+    \s*(?:
+      (?P<COMMENT>//.*)
     | (?P<ARROW>->)
     | (?P<NUMBER>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
     | (?P<ID>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<STRING>"[^"\n]*")
+    | (?P<STRING>"[^"]*")
     | (?P<PUNCT>[\[\](),;+\-*/])
-""", re.VERBOSE)
+    | (?P<BAD>\S)
+    )""", re.VERBOSE)
 
 
-@node
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -52,25 +58,16 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            column = pos - line_start + 1
-            raise ParseError("unexpected character", line, column,
-                             text[pos])
-        kind = match.lastgroup
-        chunk = match.group()
-        if kind != "SKIP":
-            tokens.append(_Token(kind, chunk, line,
-                                 match.start() - line_start + 1))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            line_start = match.start() + chunk.rfind("\n") + 1
-        pos = match.end()
+    for line, row in enumerate(text.split("\n"), start=1):
+        for match in _TOKEN_RE.finditer(row):
+            kind = match.lastgroup
+            if kind == "COMMENT":
+                break
+            column = match.start(kind) + 1
+            if kind == "BAD":
+                raise ParseError("unexpected character", line, column,
+                                 match[kind])
+            tokens.append(_Token(kind, match[kind], line, column))
     return tokens
 
 
@@ -120,33 +117,16 @@ def _integer(tok: _Token, what: str) -> int:
                          tok.text) from None
 
 
-@node
-class _Register:
-    base: int
-    size: int
-
-
-@node
-class _Operand:
-    """A register reference: whole register when ``index`` is None."""
-
-    register: _Register
-    index: int | None
-
-    def __len__(self) -> int:
-        return 1 if self.index is not None else self.register.size
-
-    def at(self, i: int) -> int:
-        if self.index is not None:
-            return self.register.base + self.index
-        return self.register.base + i
+def _each(operand: range | int) -> range | tuple[int]:
+    """The flat indices an operand names."""
+    return operand if isinstance(operand, range) else (operand,)
 
 
 class _QasmParser:
     def __init__(self, text: str):
         self.reader = _Reader(_tokenize(text))
-        self.qregs: dict[str, _Register] = {}
-        self.cregs: dict[str, _Register] = {}
+        self.qregs: dict[str, range] = {}
+        self.cregs: dict[str, range] = {}
         self.num_qubits = 0
         self.num_clbits = 0
         self.ops: list = []
@@ -214,34 +194,33 @@ class _QasmParser:
         self.reader.expect("]")
         self.reader.expect(";")
         if qreg:
-            self.qregs[name.text] = _Register(self.num_qubits, size)
-            self.num_qubits += size
+            self.qregs[name.text] = range(self.num_qubits, total)
+            self.num_qubits = total
         else:
-            self.cregs[name.text] = _Register(self.num_clbits, size)
-            self.num_clbits += size
+            self.cregs[name.text] = range(self.num_clbits, total)
+            self.num_clbits = total
 
-    def _operand(self, table: dict[str, _Register],
-                 what: str) -> _Operand:
+    def _operand(self, table: dict[str, range], what: str) -> range | int:
         name = self.reader.next()
         register = table.get(name.text)
         if register is None:
             raise ParseError(f"unknown {what} register {name.text!r}",
                              name.line, name.column, name.text)
-        index = None
-        if self.reader.accept("["):
-            index_tok = self.reader.next()
-            index = _integer(index_tok, "index")
-            if index >= register.size:
-                raise ParseError(
-                    f"index {index} out of range for {name.text!r} "
-                    f"of size {register.size}",
-                    index_tok.line, index_tok.column, index_tok.text)
-            self.reader.expect("]")
-        return _Operand(register, index)
+        if not self.reader.accept("["):
+            return register
+        index_tok = self.reader.next()
+        index = _integer(index_tok, "index")
+        if index >= len(register):
+            raise ParseError(
+                f"index {index} out of range for {name.text!r} "
+                f"of size {len(register)}",
+                index_tok.line, index_tok.column, index_tok.text)
+        self.reader.expect("]")
+        return register[index]
 
-    def _broadcast(self, operands: list[_Operand],
+    def _broadcast(self, operands: list[range | int],
                    token: _Token) -> range:
-        lengths = {len(o) for o in operands if o.index is None}
+        lengths = {len(o) for o in operands if isinstance(o, range)}
         if len(lengths) > 1:
             raise ParseError("mismatched register lengths",
                              token.line, token.column, token.text)
@@ -269,7 +248,8 @@ class _QasmParser:
                 f"{kind.value} takes {kind.num_qubits} operand(s)",
                 token.line, token.column, token.text)
         for i in self._broadcast(operands, token):
-            qubits = tuple(o.at(i) for o in operands)
+            qubits = tuple(o[i] if isinstance(o, range) else o
+                           for o in operands)
             if len(set(qubits)) != len(qubits):
                 raise ParseError(f"duplicate operand in {kind.value}",
                                  token.line, token.column, token.text)
@@ -280,21 +260,20 @@ class _QasmParser:
         self.reader.expect("->")
         target = self._operand(self.cregs, "classical")
         self.reader.expect(";")
-        if (source.index is None) != (target.index is None):
+        if isinstance(source, range) != isinstance(target, range):
             raise ParseError(
                 "measure needs two registers or two single bits",
                 token.line, token.column, token.text)
+        source, target = _each(source), _each(target)
         if len(source) != len(target):
             raise ParseError("measure operands differ in length",
                              token.line, token.column, token.text)
-        for i in range(len(source)):
-            self.ops.append(Measure(source.at(i), target.at(i)))
+        self.ops += map(Measure, source, target)
 
     def _reset(self) -> None:
         operand = self._operand(self.qregs, "quantum")
         self.reader.expect(";")
-        for i in range(len(operand)):
-            self.ops.append(Reset(operand.at(i)))
+        self.ops += map(Reset, _each(operand))
 
     def _barrier(self, token: _Token) -> None:
         self._operand(self.qregs, "quantum")
