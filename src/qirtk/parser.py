@@ -4,8 +4,9 @@ The grammar is a whitelist: ``declare``/``define``/``attributes`` at module
 level; ``call``, ``alloca``, ``load``, ``store``, ``br``, ``icmp``, the six
 integer binary ops, ``phi``, ``select``, ``inttoptr``, ``zext``/``sext``/
 ``trunc``, and ``ret void`` inside functions. Anything else is a hard
-``ParseError`` pointing at the offending line. Unknown module-level
-metadata (``target ...`` and ``!...`` lines) is skipped.
+``ParseError`` pointing at the offending line, and so is a floating
+constant that is not finite (``1e999``, a NaN bit pattern). Unknown
+module-level metadata (``target ...`` and ``!...`` lines) is skipped.
 
 Normalizations applied while parsing:
   * legacy typed pointers (``%Qubit*``, ``%Result*``) become opaque ``ptr``
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import re
 import struct
+from math import isfinite
 
 from .errors import ParseError, check_input_size
 from .ir import (BINOPS, DOUBLE, EXT_OPS, I1, I64, ICMP_PREDS, PTR, VOID,
@@ -234,7 +236,7 @@ class _ModuleParser:
             self.declare_groups.append((cur.int_value(cur.next()),
                                         cur.line))
         cur.expect_end()
-        self.declarations.append(FuncDecl(name, tuple(params), ret_type))
+        self.declarations.append(FuncDecl(name, params, ret_type))
 
     def _parse_define(self, cur: _Cursor) -> None:
         line = cur.line
@@ -459,9 +461,9 @@ class _ModuleParser:
             cur, lambda ty: CallArg(ty, self._parse_value(cur, ty)))
         cur.expect_end()
         self.call_sites.append((callee, callee_tok.line))
-        self.body.append(Call(callee, tuple(args), result, ret_type))
+        self.body.append(Call(callee, args, result, ret_type))
 
-    def _typed_list(self, cur: _Cursor, read) -> list:
+    def _typed_list(self, cur: _Cursor, read) -> tuple:
         """A parenthesized ``(ty [annotations] ..., ...)`` list: each item
         is ``read(ty)``, which reads what follows the annotations."""
         cur.expect("PUNCT", "(")
@@ -477,7 +479,7 @@ class _ModuleParser:
                     continue
                 break
         cur.expect("PUNCT", ")")
-        return items
+        return tuple(items)
 
     def _parse_alloca(self, cur: _Cursor, result: str) -> None:
         ty = self._parse_type(cur)
@@ -679,7 +681,10 @@ class _ModuleParser:
             cur.fail("expected an integer constant or register", tok)
         if isinstance(ty, DoubleType):
             if tok.kind == "FLOAT":
-                return ConstFloat(_parse_float(tok.text))
+                try:
+                    return ConstFloat(_parse_float(tok.text))
+                except ValueError:
+                    cur.fail("floating constant is not finite", tok)
             cur.fail("expected a floating constant or register", tok)
         if isinstance(ty, PtrType):
             if tok.kind == "WORD" and tok.text == "null":
@@ -740,7 +745,8 @@ class _ModuleParser:
 
 def _call_args(text: str | None) -> tuple[CallArg, ...] | None:
     """The arguments of a call-line match; None for an address past
-    Python's int-string limit, which the token parser then reports."""
+    Python's int-string limit or a double that is not finite, which the
+    token parser then reports."""
     try:
         return tuple([
             CallArg(DOUBLE, ConstFloat(_parse_float(double))) if double
@@ -751,10 +757,15 @@ def _call_args(text: str | None) -> tuple[CallArg, ...] | None:
 
 
 def _parse_float(text: str) -> float:
+    """A FLOAT token's value; ValueError when it is not finite."""
     if text.startswith("0x"):
         # IEEE-754 bit pattern spelling of a double
-        return struct.unpack(">d", bytes.fromhex(text[2:]))[0]
-    return float(text)
+        value = struct.unpack(">d", bytes.fromhex(text[2:]))[0]
+    else:
+        value = float(text)
+    if not isfinite(value):
+        raise ValueError(f"floating constant {text} is not finite")
+    return value
 
 
 def _attr_value(cur: _Cursor) -> str:

@@ -12,6 +12,7 @@ required qubit or result count exceeds ``errors.MAX_DECLARED_SIZE``.
 from __future__ import annotations
 
 import enum
+from itertools import groupby
 
 from . import intrinsics
 from .errors import MAX_DECLARED_SIZE
@@ -180,6 +181,16 @@ def _base_warnings(module: QirModule, used: set[int],
         used |= set(range(required))
     unmeasured = sorted(used - measured)
     if used and unmeasured:
-        return (f"qubits {unmeasured} are never measured",)
+        return (f"qubits {_runs(unmeasured)} are never measured",)
     return ()
+
+
+def _runs(indices: list[int]) -> str:
+    """Sorted ``indices`` as a list that writes each run of three or more
+    consecutive indices as ``a-b``."""
+    parts: list[str] = []
+    for _, run in groupby(enumerate(indices), lambda at: at[1] - at[0]):
+        run = [index for _, index in run]
+        parts += [f"{run[0]}-{run[-1]}"] if len(run) > 2 else map(str, run)
+    return f"[{', '.join(parts)}]"
 

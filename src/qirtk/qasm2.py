@@ -10,7 +10,8 @@ element's index. Register-wide statements broadcast element-wise in index
 order, so ``measure q -> c;`` becomes one measurement per bit; the
 registers may declare at most ``errors.MAX_DECLARED_SIZE`` qubits and as
 many bits, so no statement expands further. Angle expressions support
-literals, ``pi``, arithmetic, and parentheses.
+literals, ``pi``, arithmetic, and parentheses; a gate whose angle is not
+finite (``rx(1e999)``, ``ry(1e308*10)``) is a ParseError at the gate.
 
 Anything outside the subset (``if``, ``gate`` definitions, ``opaque``)
 raises ParseError rather than being skipped.
@@ -235,6 +236,9 @@ class _QasmParser:
                 values.append(self._expression())
             self.reader.expect(")")
             params = tuple(values)
+            if not all(map(isfinite, params)):
+                raise ParseError(f"{token.text} angle is not finite",
+                                 token.line, token.column, token.text)
         if len(params) != kind.num_params:
             raise ParseError(
                 f"{kind.value} takes {kind.num_params} parameter(s)",
@@ -346,7 +350,7 @@ def import_openqasm2(text: str) -> QuantumCircuit:
 
 
 def _format_angle(value: float) -> str:
-    if not isfinite(value):  # the importer reads no inf or nan
+    if not isfinite(value):  # the importer refuses inf and nan
         raise ValueError("cannot print a non-finite float constant")
     return repr(float(value))
 

@@ -583,6 +583,7 @@ def lower_to_base(module: QirModule,
     """
     if iteration_cap < 1:
         raise ValueError("iteration_cap must be at least 1")
+    _profile_gate(module, "lower_to_base")
     if validate_profile(module).profile is Profile.BASE:
         return _set_required_attrs(module)
     try:

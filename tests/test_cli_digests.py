@@ -79,8 +79,8 @@ PINNED = {
     ("rotations.ll", "unroll"): "a64b460019d44f0a",
     ("unsupported.ll", "validate"): "33b99d8449a1e9a1",
     ("unsupported.ll", "validate --format json"): "2e2b1c81b17c0389",
-    ("unsupported.ll", "transpile --to qir-base"): "63a64d82c8b34590",
-    ("unsupported.ll", "transpile --to qasm2"): "63a64d82c8b34590",
+    ("unsupported.ll", "transpile --to qir-base"): "5804dbd0a673c3c1",
+    ("unsupported.ll", "transpile --to qasm2"): "5804dbd0a673c3c1",
     ("unsupported.ll", "unroll"): "63a64d82c8b34590",
 }
 

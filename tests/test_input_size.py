@@ -78,6 +78,17 @@ def test_registers_at_the_declared_size_limit_are_read():
     assert (circuit.num_qubits, circuit.num_clbits) == (65536, 65536)
 
 
+def test_unmeasured_registers_at_the_limit_warn_in_one_short_line(
+        tmp_path, capsys):
+    path = tmp_path / "wide.qasm"
+    path.write_text("OPENQASM 2.0;\nqreg q[65536];\ncreg c[65536];\n",
+                    encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == "base\nwarning: qubits [0-65535] are never measured\n"
+    assert len(out.encode()) < 100
+
+
 def test_cli_exits_two_on_a_register_past_the_limit(tmp_path, capsys):
     path = tmp_path / "wide.qasm"
     path.write_text("OPENQASM 2.0;\nqreg q[65537];\nh q;\n",

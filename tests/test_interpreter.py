@@ -1,12 +1,15 @@
 """Shot execution semantics: counts, determinism, allocation, errors."""
 
 import json
+import math
 
 import pytest
 
 from qirtk import (ExecOptions, ExecutionError, interpret, lower_to_base,
                    parse_module, run_shot)
 from qirtk.cli import main
+from qirtk.ir import ConstFloat
+from qirtk.node import replace
 
 import genutil
 
@@ -298,10 +301,29 @@ NON_FINITE_RUNS = [
                          ids=[name for name, _ in NON_FINITE_RUNS])
 def test_a_non_finite_rotation_angle_is_refused(tmp_path, capsys, name,
                                                  text):
+    # the readers refuse the constant, so the run never starts
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
-    assert main(["run", str(path), "--shots", "8"]) == 1
+    assert main(["run", str(path), "--shots", "8"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: BadOperand: rotation angle ")
+    assert err.startswith("parse error: line ")
     assert "is not finite" in err
+
+
+def test_a_hand_built_non_finite_angle_is_a_bad_operand():
+    module = parse_module(NON_FINITE_RUNS[0][1].replace(
+        "0x7FF8000000000000", "0.5"))
+
+    def with_nan(block):
+        rx = block.instructions[0]
+        angle = replace(rx.args[0], value=ConstFloat(math.nan))
+        return replace(block, instructions=(
+            replace(rx, args=(angle,) + rx.args[1:]),)
+            + block.instructions[1:])
+
+    module = genutil.with_entry_block(module, 0, with_nan)
+    with pytest.raises(ExecutionError) as info:
+        interpret(module, shots=2)
+    assert info.value.reason == "BadOperand"
+    assert info.value.message == "rotation angle nan is not finite"

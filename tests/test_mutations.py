@@ -1,10 +1,14 @@
-"""Mutated corpus programs: whatever the input, only toolkit errors escape.
+"""Mutated programs: whatever the input, only toolkit errors escape, and
+every command gives it one verdict.
 
-Each program is a corpus file with a few lines deleted, duplicated or
-truncated, or with two tokens of a line swapped. It goes through parsing,
-profile validation, lowering, interpretation under small qubit and step
-limits, and the command line. Every failure must be a ``QirError``
-subclass, and every command must exit with 0, 1, 2 or 3.
+A ``.ll`` program is a corpus file with a few lines deleted, duplicated or
+truncated, or with two tokens of a line swapped. A ``.qasm`` program is
+``corpus/bell.qasm`` or an exported random circuit after a few token
+edits, some of which write numeric extremes; the verdict property also
+reads unmutated random circuits. Each goes through reading,
+profile validation, lowering or the bridge, interpretation under small
+qubit and step limits, and the command line. Every failure must be a
+``QirError`` subclass, and every command must exit with 0, 1, 2 or 3.
 """
 
 from __future__ import annotations
@@ -12,13 +16,18 @@ from __future__ import annotations
 import contextlib
 import io
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qirtk import (ExecOptions, QirError, interpret, lower_to_base,
-                   parse_module, validate_profile)
+from qirtk import (ExecOptions, QirError, circuit_from_base_qir,
+                   circuit_to_base_qir, export_openqasm2, import_openqasm2,
+                   interpret, lower_to_base, parse_module, validate_profile)
 from qirtk.cli import main
 
 import genutil
+
+_LIMITS = ExecOptions(max_qubits=3, step_limit=60)
+_RUN = ["run", "--shots", "2", "--max-qubits", "3", "--step-limit", "60"]
 
 
 def _api(text: str) -> None:
@@ -27,13 +36,19 @@ def _api(text: str) -> None:
         validate_profile(module)
     except QirError:
         return
-    limits = ExecOptions(max_qubits=3, step_limit=60)
     for step in (lambda: lower_to_base(module, 64),
-                 lambda: interpret(module, shots=2, seed=1, options=limits)):
+                 lambda: interpret(module, shots=2, seed=1, options=_LIMITS)):
         try:
             step()
         except QirError:
             pass
+
+
+def _cli(path, argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], str(path), *argv[1:]])
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=150)
@@ -48,10 +63,72 @@ def test_the_command_line_keeps_its_exit_codes(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("mutated") / "program.ll"
     path.write_text(text, encoding="utf-8")
     for argv in (["validate"], ["transpile", "--to", "qir-base"],
-                 ["transpile", "--to", "qasm2"],
-                 ["run", "--shots", "2", "--max-qubits", "3",
-                  "--step-limit", "60"]):
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main([argv[0], str(path), *argv[1:]])
-        assert code in (0, 1, 2, 3)
+                 ["transpile", "--to", "qasm2"], _RUN):
+        assert _cli(path, argv)[0] in (0, 1, 2, 3)
+
+
+@settings(max_examples=150)
+@given(genutil.mutated_qasm())
+def test_only_toolkit_errors_escape_the_qasm_api(text):
+    try:
+        module = circuit_to_base_qir(import_openqasm2(text))
+        validate_profile(module)
+    except QirError:
+        return
+    for step in (lambda: export_openqasm2(circuit_from_base_qir(module)),
+                 lambda: interpret(module, shots=2, seed=1, options=_LIMITS)):
+        try:
+            step()
+        except QirError:
+            pass
+
+
+@settings(max_examples=60)
+@given(genutil.mutated_qasm())
+def test_the_command_line_keeps_its_exit_codes_on_qasm(tmp_path_factory,
+                                                       text):
+    path = tmp_path_factory.mktemp("mutated") / "program.qasm"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["validate"], ["transpile", "--to", "qir-base"],
+                 ["transpile", "--to", "qasm2"], _RUN):
+        assert _cli(path, argv)[0] in (0, 1, 2, 3)
+
+
+NAN_LL = (
+    "define void @main() #0 {\nentry:\n"
+    "  call void @__quantum__qis__rx__body(double 0x7FF8000000000000, "
+    "ptr null)\n"
+    "  call void @__quantum__qis__mz__body(ptr null, ptr null)\n"
+    "  ret void\n}\n\n"
+    "declare void @__quantum__qis__rx__body(double, ptr)\n"
+    "declare void @__quantum__qis__mz__body(ptr, ptr)\n\n"
+    'attributes #0 = { "entry_point" }\n')
+INF_QASM = ("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nrx(1e999) q[0];\n"
+            "measure q[0] -> c[0];\n")
+
+
+# mutated programs, and random circuits that validate as base unmutated
+_PROGRAMS = st.one_of(
+    genutil.mutated().map(lambda text: ("ll", text)),
+    genutil.mutated_qasm().map(lambda text: ("qasm", text)),
+    st.randoms(use_true_random=False).map(lambda rng: (
+        "qasm", export_openqasm2(genutil.random_circuit(rng)))))
+
+
+@settings(max_examples=80)
+@given(_PROGRAMS)
+@example(("ll", NAN_LL))
+@example(("qasm", INF_QASM))
+def test_a_base_verdict_holds_on_every_command(tmp_path_factory, program):
+    suffix, text = program
+    path = tmp_path_factory.mktemp("mutated") / f"program.{suffix}"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = _cli(path, ["validate"])
+    if code != 0 or out.split("\n")[0] != "base":
+        return
+    for to in ("qir-base", "qasm2"):
+        code, _, err = _cli(path, ["transpile", "--to", to])
+        assert code == 0, err
+    code, _, err = _cli(path, _RUN)
+    assert code == 0 or err.startswith(("error: QubitLimit: ",
+                                        "error: StepLimit: ")), err

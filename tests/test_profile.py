@@ -5,7 +5,8 @@ import pickle
 
 import pytest
 
-from qirtk import Profile, parse_module, profile, validate_profile
+from qirtk import (Profile, circuit_to_base_qir, import_openqasm2,
+                   parse_module, profile, validate_profile)
 
 import genutil
 
@@ -113,6 +114,15 @@ def test_unmeasured_qubits_raise_a_warning_not_a_violation():
     assert report.profile is Profile.BASE
     assert report.violations == ()
     assert any("never measured" in w for w in report.warnings)
+
+
+def test_runs_of_three_or_more_unmeasured_qubits_are_ranges():
+    circuit = import_openqasm2("OPENQASM 2.0;\nqreg q[11];\ncreg c[2];\n"
+                               "measure q[3] -> c[0];\n"
+                               "measure q[6] -> c[1];\n")
+    report = validate_profile(circuit_to_base_qir(circuit))
+    assert report.warnings == (
+        "qubits [0-2, 4, 5, 7-10] are never measured",)
 
 
 def test_fully_measured_base_module_has_no_warnings():

@@ -572,7 +572,7 @@ attributes #0 = { "entry_point" }
 @pytest.mark.parametrize("transform, gate", [
     (unroll_and_fold, "unroll_and_fold"),
     (allocate_static_addresses, "allocate_static_addresses"),
-    (lower_to_base, "unroll_and_fold"),
+    (lower_to_base, "lower_to_base"),
 ], ids=["unroll_and_fold", "allocate_static_addresses", "lower_to_base"])
 def test_a_call_to_a_non_intrinsic_is_refused(transform, gate):
     with pytest.raises(TransformError) as info:
