@@ -28,11 +28,9 @@ def circuit_from_base_qir(module: QirModule) -> QuantumCircuit:
     """
     report = validate_profile(module)
     if report.profile is not Profile.BASE:
-        first = report.violations[0] if report.violations else None
-        detail = (f" ({first.reason} at {first.location})" if first
-                  else f" (classified {report.profile.value})")
-        raise ConversionError(
-            f"only base-form modules convert to circuits{detail}")
+        first = report.violations[0]
+        raise ConversionError("only base-form modules convert to circuits "
+                              f"({first.reason} at {first.location})")
 
     # a base report guarantees one block of known intrinsics, each with
     # its arity, static qubit and result addresses and constant angles

@@ -77,14 +77,17 @@ class ExecutionResult:
 class RuntimeState:
     """Mutable per-shot state: statevector, tables, RNG, record buffer."""
 
-    def __init__(self, rng: ShotRng, options: ExecOptions):
+    def __init__(self, rng: ShotRng, options: ExecOptions,
+                 num_qubits: int = 0):
         self.rng = rng
         self.options = options
         # imported here, not at module level, so that commands which never
         # build a state (validate, transpile) do not load numpy
         from .statevector import StateVector
-        self.statevector = StateVector(0)
-        self.qubit_indices: dict[int, int] = {}  # static qubit -> index
+        self.statevector = StateVector(num_qubits)
+        # static qubit -> index; static qubit i below ``num_qubits`` is
+        # index i, as growing a fresh state would give
+        self.qubit_indices = {i: i for i in range(num_qubits)}
         self.pool = IndexPool()
         self.results: dict[int, int] = {}
         self.record: list[int] = []
@@ -93,12 +96,6 @@ class RuntimeState:
 
     # ------------------------------------------------------------------
     # qubit table
-
-    def presize(self, count: int) -> None:
-        # static qubit i is index i, as growing a fresh state would give
-        from .statevector import StateVector
-        self.statevector = StateVector(count)
-        self.qubit_indices = {i: i for i in range(count)}
 
     def qubit_index(self, qubit) -> int:
         if isinstance(qubit, Qubit):
@@ -324,16 +321,15 @@ def run_shot(module: QirModule, seed: int = 0, shot_index: int = 0,
     left by the program, before any of the cross-shot aggregation.
     """
     options = options or ExecOptions()
-    state = RuntimeState(ShotRng(seed, shot_index), options)
-    required = module.required_count(REQUIRED_QUBITS_ATTR)
-    if required and required > options.max_qubits:
+    rng = ShotRng(seed, shot_index)
+    required = module.required_count(REQUIRED_QUBITS_ATTR) or 0
+    if required > options.max_qubits:
         raise ExecutionError(
             "QubitLimit", f"module requires {required} qubits, limit is "
             f"{options.max_qubits}", shot=shot_index)
+    state = RuntimeState(rng, options, required)
     run = Run(program or _ShotCompiler(module.entry).compile(), state)
     try:
-        if required:
-            state.presize(required)
         run.run(options.step_limit)
     except ExecutionError as err:
         raise ExecutionError(err.reason, err.message, shot=shot_index,

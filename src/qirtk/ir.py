@@ -347,13 +347,13 @@ class QirModule:
         return dict(self.function_attributes(self.entry))
 
     def required_count(self, key: str) -> int | None:
-        raw = self.attributes.get(key)
-        if raw is None:
-            return None
+        """The entry's ``key`` attribute if it is an integer >= 0, else
+        None: a negative or non-numeric count is ignored."""
         try:
-            return int(raw)
-        except ValueError:
+            count = int(self.attributes.get(key))
+        except (TypeError, ValueError):
             return None
+        return count if count >= 0 else None
 
     def defined_names(self) -> set[str]:
         return {f.name for f in self.functions}

@@ -307,12 +307,11 @@ class _QasmParser:
             if self.reader.accept("*"):
                 value *= self._factor()
             elif self.reader.accept("/"):
+                token = self.reader.peek()
                 divisor = self._factor()
                 if divisor == 0:
-                    token = self.reader.peek()
                     raise ParseError("division by zero in angle",
-                                     token.line if token else 1,
-                                     token.column if token else 1)
+                                     token.line, token.column, token.text)
                 value /= divisor
             else:
                 return value

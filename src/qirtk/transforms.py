@@ -55,10 +55,10 @@ MAX_ARRAY_QUBITS = MAX_DECLARED_SIZE
 def _profile_gate(module: QirModule, what: str) -> None:
     report = validate_profile(module)
     if report.profile is Profile.UNSUPPORTED:
-        first = report.violations[0] if report.violations else None
-        detail = f": {first.reason} at {first.location}" if first else ""
+        first = report.violations[0]
         raise TransformError(
-            "Unsupported", f"{what} requires a supported module{detail}")
+            "Unsupported", f"{what} requires a supported module: "
+                           f"{first.reason} at {first.location}")
 
 
 def _duplicate_operand() -> TransformError:
@@ -66,21 +66,42 @@ def _duplicate_operand() -> TransformError:
 
 
 def _with_body(module: QirModule, instructions) -> QirModule:
-    """``module`` with ``instructions`` in its entry's single block.
+    """``module`` with ``instructions`` in its entry's single block, and
+    with the required counts the block needs.
 
     The block keeps its label, phis and terminator; every other node is
     shared, and declarations of intrinsics no longer called are dropped.
+    Each count is one more than the highest constant address of its kind
+    among the calls, or 0 when there is none; an entry without an
+    attribute group gets the lowest unused group id.
     """
     entry = module.entry
     block = replace(entry.blocks[0], instructions=tuple(instructions))
-    fn = replace(entry, blocks=(block,))
-    gone = ({c.callee for c in entry_calls(module)}
-            - {i.callee for i in instructions if isinstance(i, Call)})
+    high = {intrinsics.QUBIT_ARG: -1, intrinsics.RESULT_ARG: -1}
+    called = set()
+    for call in block.instructions:
+        if isinstance(call, Call):
+            called.add(call.callee)
+            for kind, arg in zip(intrinsics.lookup(call.callee).arg_kinds,
+                                 call.args):
+                if kind in high and isinstance(arg.value, StaticAddr):
+                    high[kind] = max(high[kind], arg.value.index)
+    gone = {c.callee for c in entry_calls(module)} - called
+    groups = copy.deepcopy(module.attribute_groups)
+    gid = entry.attr_group
+    if gid is None:
+        gid = next(itertools.filterfalse(groups.__contains__,
+                                         itertools.count()))
+        groups[gid] = {}
+    groups[gid][REQUIRED_QUBITS_ATTR] = str(high[intrinsics.QUBIT_ARG] + 1)
+    groups[gid][REQUIRED_RESULTS_ATTR] = str(high[intrinsics.RESULT_ARG] + 1)
+    fn = replace(entry, blocks=(block,), attr_group=gid)
     return replace(
         module,
         declarations=tuple(d for d in module.declarations
                            if d.name not in gone),
-        functions=tuple(fn if f is entry else f for f in module.functions))
+        functions=tuple(fn if f is entry else f for f in module.functions),
+        attribute_groups=groups)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +281,8 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
     are never reassigned, so no two simultaneously live qubits share an
     index; a handle used or released after its release is refused as
     UseAfterRelease, and a gate whose handles name one qubit twice as
-    BadOperand. Sets the required-count attributes to the high-water
-    marks.
+    BadOperand. Always sets the required-count attributes to the
+    high-water marks of the result's calls.
     A block that holds anything but calls and loads is first folded by
     ``unroll_and_fold``, so classical code and stack slots reach this
     pass as constants; the result keeps the module's block label.
@@ -291,7 +312,6 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
 
     # SSA name -> a Qubit, an array (a list of Qubits) or an ElemPtr
     handles: dict[str, object] = {}
-    had_allocations = False
     kept: list = []
 
     def as_handle(value: Value):
@@ -316,7 +336,6 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
             spec = intrinsics.lookup(instr.callee)
             action = spec.action
             if action in _HANDLE_ACTIONS:
-                had_allocations = True
                 if action == intrinsics.ALLOCATE:
                     handles[instr.result] = Qubit(pool.take(fresh))
                 elif action == intrinsics.ALLOCATE_ARRAY:
@@ -409,12 +428,7 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                     "a qubit handle flows into a classical instruction")
         kept.append(instr)
 
-    out = _with_body(module, kept)
-    has_attrs = (REQUIRED_QUBITS_ATTR in module.attributes
-                 or REQUIRED_RESULTS_ATTR in module.attributes)
-    if had_allocations or has_attrs:
-        out = _set_required_attrs(out)
-    return out
+    return _with_body(module, kept)
 
 
 def _const_int(value: Value, what: str) -> int:
@@ -438,35 +452,6 @@ def _operands(instr) -> list[Value]:
     if isinstance(instr, Load):
         return [instr.slot]
     return []
-
-
-def _set_required_attrs(module: QirModule) -> QirModule:
-    """``module`` with its entry's required counts set from its calls."""
-    max_qubit = -1
-    max_result = -1
-    for call in entry_calls(module):
-        for kind, arg in zip(intrinsics.lookup(call.callee).arg_kinds,
-                             call.args):
-            if not isinstance(arg.value, StaticAddr):
-                continue
-            if kind == intrinsics.QUBIT_ARG:
-                max_qubit = max(max_qubit, arg.value.index)
-            elif kind == intrinsics.RESULT_ARG:
-                max_result = max(max_result, arg.value.index)
-    groups = copy.deepcopy(module.attribute_groups)
-    entry = module.entry
-    functions = module.functions
-    gid = entry.attr_group
-    if gid is None:
-        gid = 0
-        while gid in groups:
-            gid += 1
-        groups[gid] = {}
-        functions = tuple(replace(f, attr_group=gid) if f is entry else f
-                          for f in functions)
-    groups[gid][REQUIRED_QUBITS_ATTR] = str(max_qubit + 1)
-    groups[gid][REQUIRED_RESULTS_ATTR] = str(max_result + 1)
-    return replace(module, functions=functions, attribute_groups=groups)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +570,7 @@ def lower_to_base(module: QirModule,
         raise ValueError("iteration_cap must be at least 1")
     _profile_gate(module, "lower_to_base")
     if validate_profile(module).profile is Profile.BASE:
-        return _set_required_attrs(module)
+        return _with_body(module, module.entry.blocks[0].instructions)
     try:
         out = unroll_and_fold(module, iteration_cap)
     except TransformError as err:
@@ -595,13 +580,11 @@ def lower_to_base(module: QirModule,
                 "control flow depends on a measurement outcome; the "
                 "program cannot be scheduled statically") from err
         raise
-    out = _set_required_attrs(_schedule(allocate_static_addresses(out)))
+    out = _schedule(allocate_static_addresses(out))
     # classified as returned, so a caller's validate_profile reuses this
     report = validate_profile(out)
     if report.profile is not Profile.BASE:
-        first = report.violations[0] if report.violations else None
-        detail = f": {first.reason}" if first else ""
         raise TransformError(
-            "FeedbackRequired",
-            f"lowered module still fails base validation{detail}")
+            "FeedbackRequired", "lowered module still fails base "
+                                f"validation: {report.violations[0].reason}")
     return out

@@ -445,3 +445,42 @@ def mutated_qasm():
     """A program of ``qasm_programs`` after one to three token edits."""
     return st.builds(mutate, st.randoms(use_true_random=False),
                      st.sampled_from(qasm_programs()))
+
+
+# ---------------------------------------------------------------------------
+# grammar-aware edits of .qasm text
+
+# a string, the version and a declared size are left as they are; an
+# operand's index and any other number, an angle, may be replaced
+_QASM_NUMBERS = re.compile(r"""
+    "[^"]*" | OPENQASM\s+\S+ | [qc]reg\s+\w+\[\d+\]
+  | (?P<register>\w+)\[(?P<index>\d+)\]
+  | (?<![\w.])(?P<angle>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+    """, re.VERBOSE)
+
+
+def edit_number(rng, text: str) -> str:
+    """``text`` with one NUMBER token replaced, drawn from ``rng``: an
+    angle by an entry of ``EXTREMES`` or ``1/0``, or an operand's index by
+    its register's size or that size minus 1, whichever differs from it."""
+    sizes = dict(re.findall(r"[qc]reg\s+(\w+)\[(\d+)\]", text))
+    spots = [m for m in _QASM_NUMBERS.finditer(text)
+             if m["index"] or m["angle"]]
+    if not spots:
+        return text
+    spot = rng.choice(spots)
+    if spot["angle"]:
+        start, end = spot.span("angle")
+        value = rng.choice(EXTREMES + ("1/0",))
+    else:
+        start, end = spot.span("index")
+        size = int(sizes[spot["register"]])
+        value = rng.choice([str(n) for n in (size - 1, size)
+                            if str(n) != spot["index"]])
+    return text[:start] + value + text[end:]
+
+
+def edited_qasm():
+    """A program of ``qasm_programs`` with one angle or index replaced."""
+    return st.builds(edit_number, st.randoms(use_true_random=False),
+                     st.sampled_from(qasm_programs()))

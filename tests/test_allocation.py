@@ -13,15 +13,16 @@ program that lowers also runs, and keeps its shots.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qirtk import (ExecOptions, ExecutionError, Profile, QirError,
                    TransformError, allocate_static_addresses, interpret,
                    lower_to_base, parse_module, print_module,
                    unroll_and_fold, validate_profile)
-from qirtk import transforms
-from qirtk.ir import Call, Load
+from qirtk import intrinsics, transforms
+from qirtk.ir import (Call, Load, REQUIRED_QUBITS_ATTR, REQUIRED_RESULTS_ATTR,
+                      StaticAddr, entry_calls)
 from qirtk.node import replace
 
 import genutil
@@ -221,6 +222,41 @@ def test_every_supported_module_unrolls_to_a_supported_one(text):
     assert validate_profile(unrolled).profile is not Profile.UNSUPPORTED
     # what the unroller prints, its parser reads back
     assert parse_module(print_module(unrolled)) == unrolled
+
+
+def _needed(module, kind: str) -> int:
+    """One more than the highest constant address of ``kind`` among the
+    calls of ``module``, or 0 when there is none."""
+    return 1 + max((arg.value.index for call in entry_calls(module)
+                    for arg_kind, arg in zip(
+                        intrinsics.lookup(call.callee).arg_kinds, call.args)
+                    if arg_kind == kind and isinstance(arg.value, StaticAddr)),
+                   default=-1)
+
+
+@settings(max_examples=150)
+@given(_SUPPORTED_INPUTS)
+@example(_single_block([
+    "%x = add i64 1, 2",
+    "call void @__quantum__qis__h__body(ptr inttoptr (i64 2 to ptr))",
+    "call void @__quantum__qis__mz__body(ptr inttoptr (i64 2 to ptr), "
+    "ptr null)"]))
+def test_the_required_counts_follow_the_body(text):
+    try:
+        module = parse_module(text)
+    except QirError:
+        return
+    for transform in (
+            lambda m: allocate_static_addresses(unroll_and_fold(m, 64)),
+            lambda m: lower_to_base(m, 64)):
+        try:
+            out = transform(module)
+        except QirError:
+            continue
+        assert out.required_count(REQUIRED_QUBITS_ATTR) == _needed(
+            out, intrinsics.QUBIT_ARG)
+        assert out.required_count(REQUIRED_RESULTS_ATTR) == _needed(
+            out, intrinsics.RESULT_ARG)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ A ``.ll`` program is a corpus file with a few lines deleted, duplicated or
 truncated, or with two tokens of a line swapped. A ``.qasm`` program is
 ``corpus/bell.qasm`` or an exported random circuit after a few token
 edits, some of which write numeric extremes; the verdict property also
-reads unmutated random circuits. Each goes through reading,
-profile validation, lowering or the bridge, interpretation under small
-qubit and step limits, and the command line. Every failure must be a
+reads random circuits with one angle or index replaced, and unmutated
+ones. Each goes through reading, profile validation, lowering or the
+bridge, interpretation under small qubit and step limits, and the
+command line. Every failure must be a
 ``QirError`` subclass, and every command must exit with 0, 1, 2 or 3.
 """
 
@@ -28,6 +29,19 @@ import genutil
 
 _LIMITS = ExecOptions(max_qubits=3, step_limit=60)
 _RUN = ["run", "--shots", "2", "--max-qubits", "3", "--step-limit", "60"]
+
+# a base program whose required qubit count is negative, which every
+# reader ignores
+NEG_LL = (
+    "define void @main() #0 {\nentry:\n"
+    "  call void @__quantum__qis__h__body(ptr null)\n"
+    "  call void @__quantum__qis__mz__body(ptr null, ptr null)\n"
+    "  call void @__quantum__rt__result_record_output(ptr null, ptr null)\n"
+    "  ret void\n}\n\n"
+    "declare void @__quantum__qis__h__body(ptr)\n"
+    "declare void @__quantum__qis__mz__body(ptr, ptr)\n"
+    "declare void @__quantum__rt__result_record_output(ptr, ptr)\n\n"
+    'attributes #0 = { "entry_point" "required_num_qubits"="-5" }\n')
 
 
 def _api(text: str) -> None:
@@ -53,6 +67,7 @@ def _cli(path, argv: list[str]) -> tuple[int, str, str]:
 
 @settings(max_examples=150)
 @given(genutil.mutated())
+@example(NEG_LL)
 def test_only_toolkit_errors_escape_the_api(text):
     _api(text)
 
@@ -107,10 +122,12 @@ INF_QASM = ("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nrx(1e999) q[0];\n"
             "measure q[0] -> c[0];\n")
 
 
-# mutated programs, and random circuits that validate as base unmutated
+# mutated programs, random circuits with one angle or index replaced, and
+# random circuits that validate as base unmutated
 _PROGRAMS = st.one_of(
     genutil.mutated().map(lambda text: ("ll", text)),
     genutil.mutated_qasm().map(lambda text: ("qasm", text)),
+    genutil.edited_qasm().map(lambda text: ("qasm", text)),
     st.randoms(use_true_random=False).map(lambda rng: (
         "qasm", export_openqasm2(genutil.random_circuit(rng)))))
 
@@ -119,6 +136,7 @@ _PROGRAMS = st.one_of(
 @given(_PROGRAMS)
 @example(("ll", NAN_LL))
 @example(("qasm", INF_QASM))
+@example(("ll", NEG_LL))
 def test_a_base_verdict_holds_on_every_command(tmp_path_factory, program):
     suffix, text = program
     path = tmp_path_factory.mktemp("mutated") / f"program.{suffix}"

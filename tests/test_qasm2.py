@@ -105,6 +105,18 @@ def test_division_by_zero_in_parameter_is_rejected():
         import_openqasm2("OPENQASM 2.0;\nqreg q[1];\nrz(1/0) q[0];\n")
 
 
+@pytest.mark.parametrize("gate, column, token", [
+    ("rx(1/0) q[0];", 6, "0"),
+    ("rx(1/0", 6, "0"),
+    ("rx(pi/(1-1)) q[0];", 7, "("),
+])
+def test_division_by_zero_is_reported_at_the_divisor(gate, column, token):
+    with pytest.raises(ParseError, match="division by zero") as info:
+        import_openqasm2(f"OPENQASM 2.0;\nqreg q[1];\n{gate}")
+    error = info.value
+    assert (error.line, error.column, error.token) == (3, column, token)
+
+
 def _rz(angle: str) -> str:
     return f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n"
 
