@@ -91,12 +91,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_transpile(args) -> int:
     module = _load_module(args)
+    if args.to == "qir-base":
+        # lowered even when already base, so the counts follow the calls
+        module = _cli.lower_to_base(module, args.iteration_cap)
+        _emit(args, _cli.print_module(module))
+        return 0
     if _cli.validate_profile(module).profile is not _cli.Profile.BASE:
         module = _cli.lower_to_base(module, args.iteration_cap)
-    if args.to == "qasm2":
-        _emit(args, _cli.export_openqasm2(_cli.circuit_from_base_qir(module)))
-    else:
-        _emit(args, _cli.print_module(module))
+    _emit(args, _cli.export_openqasm2(_cli.circuit_from_base_qir(module)))
     return 0
 
 

@@ -10,8 +10,9 @@ block or function and freezes each when it closes. Equal call operands
 read in one ``parse_module`` call share one ``args`` tuple. A module's
 ``attribute_groups`` stays a dict, which no pass edits in place; it
 makes a module unhashable. Every module field is required. A module
-finds its ``entry`` and its ``ProfileReport`` once, on first use, and
-keeps them beside its fields.
+finds its ``entry``, its ``ProfileReport`` and its ``unsupported``
+verdict once, on first use, and keeps them beside its fields;
+``unroll_and_fold`` presets the verdict of the module it builds.
 
 SSA registers are immutable values; mutable program state lives in
 alloca slots addressed through ``Store``/``Load``.
@@ -341,6 +342,17 @@ class QirModule:
         ``profile.validate_profile`` returns it."""
         from . import profile  # profile imports this module
         return profile._classify(self)
+
+    @lazy
+    def unsupported(self) -> tuple:
+        """The violations of ``profile_report`` when it is unsupported,
+        else ``()``: the verdict the transforms gate on.
+        ``unroll_and_fold`` presets it on the module it builds, which is
+        then never classified for the gate."""
+        from .profile import Profile
+        report = self.profile_report
+        return report.violations if report.profile is Profile.UNSUPPORTED \
+            else ()
 
     @property
     def attributes(self) -> dict[str, str]:

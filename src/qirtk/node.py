@@ -13,7 +13,9 @@ nodes hold tuples, never lists, wherever they can.
 A ``lazy`` method of a node is computed on first read and kept in
 a slot of its own. That slot is not a field: it takes no part in
 ``__init__``, eq, hash, repr, ``replace``, copying or pickling, so equal
-nodes stay equal whether or not their caches are warm.
+nodes stay equal whether or not their caches are warm. The code that
+builds a node may ``preset`` a value it knows by construction, which
+takes the cache's place and is just as invisible.
 
 ``__init__``, ``__eq__`` and ``__hash__`` are compiled per class, so they
 read each field directly and are as fast as the dataclass versions, while
@@ -47,6 +49,10 @@ class lazy:
             value = self.make(obj)
             slot.__set__(obj, value)
             return value
+
+    def preset(self, obj, value) -> None:
+        """Store ``value`` as ``obj``'s, which is then never computed."""
+        self.slot.__set__(obj, value)
 
 
 def node(cls):

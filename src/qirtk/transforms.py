@@ -15,6 +15,10 @@ code and stack slots first. ``lower_to_base`` composes the two with
 that the result is a plain gate sequence followed by measurements and
 output recording.
 
+Each public pass refuses a module whose ``QirModule.unsupported``
+verdict is not empty. ``unroll_and_fold`` presets that verdict, empty, on
+the module it builds, so lowering never classifies the unrolled module.
+
 All transforms are pure functions from module to module and are
 idempotent: running one twice gives a structurally identical result.
 No pass modifies its input. Each builds a new module that shares with
@@ -53,9 +57,8 @@ MAX_ARRAY_QUBITS = MAX_DECLARED_SIZE
 
 
 def _profile_gate(module: QirModule, what: str) -> None:
-    report = validate_profile(module)
-    if report.profile is Profile.UNSUPPORTED:
-        first = report.violations[0]
+    if module.unsupported:
+        first = module.unsupported[0]
         raise TransformError(
             "Unsupported", f"{what} requires a supported module: "
                            f"{first.reason} at {first.location}")
@@ -258,8 +261,13 @@ def unroll_and_fold(module: QirModule,
     fn = FuncDef(entry.name,
                  (BasicBlock("entry", (), tuple(unroller.out), Ret()),),
                  entry.attr_group)
-    return QirModule(module.source_name, module.declarations, (fn,),
-                     module.attribute_groups)
+    out = QirModule(module.source_name, module.declarations, (fn,),
+                    module.attribute_groups)
+    # supported by construction: the input passed the gate, and the result
+    # has one function and the input's attributes, while every call keeps
+    # its intrinsic callee and arity and ``_call`` refuses repeated qubits
+    QirModule.unsupported.preset(out, ())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +576,9 @@ def lower_to_base(module: QirModule,
     """
     if iteration_cap < 1:
         raise ValueError("iteration_cap must be at least 1")
-    _profile_gate(module, "lower_to_base")
-    if validate_profile(module).profile is Profile.BASE:
+    base = validate_profile(module).profile is Profile.BASE
+    _profile_gate(module, "lower_to_base")  # reads the report just made
+    if base:
         return _with_body(module, module.entry.blocks[0].instructions)
     try:
         out = unroll_and_fold(module, iteration_cap)

@@ -20,9 +20,9 @@ from qirtk import (ExecOptions, ExecutionError, Profile, QirError,
                    TransformError, allocate_static_addresses, interpret,
                    lower_to_base, parse_module, print_module,
                    unroll_and_fold, validate_profile)
-from qirtk import intrinsics, transforms
-from qirtk.ir import (Call, Load, REQUIRED_QUBITS_ATTR, REQUIRED_RESULTS_ATTR,
-                      StaticAddr, entry_calls)
+from qirtk import intrinsics, profile, transforms
+from qirtk.ir import (Call, Load, QirModule, REQUIRED_QUBITS_ATTR,
+                      REQUIRED_RESULTS_ATTR, StaticAddr, entry_calls)
 from qirtk.node import replace
 
 import genutil
@@ -375,6 +375,30 @@ def test_a_negative_array_size_is_refused_by_both():
     with pytest.raises(TransformError) as info:
         lower_to_base(module)
     assert info.value.reason == "NonConstantAllocation"
+
+
+@settings(max_examples=150)
+@given(_SUPPORTED_INPUTS)
+@example(_single_block(REFUSED["use_after_release"][0]))
+@example(_single_block(REFUSED["one_element_loaded_twice_into_a_gate"][0]))
+@example(_single_block(REFUSED["element_pointer_passed_as_a_qubit"][0]))
+@example(_single_block(REFUSED["folded_addresses_name_one_qubit"][0]))
+def test_allocation_reads_the_preset_verdict_as_a_computed_one(text):
+    # the unroller presets the unrolled module's verdict; the same module
+    # read back from its text computes it, and allocation agrees on both
+    try:
+        unrolled = unroll_and_fold(parse_module(text), 64)
+    except QirError:
+        return
+    assert QirModule._lazy_unsupported.__get__(unrolled) == ()
+    assert profile._classify(unrolled).profile is not Profile.UNSUPPORTED
+    outcomes = []
+    for module in (unrolled, parse_module(print_module(unrolled))):
+        try:
+            outcomes.append(print_module(allocate_static_addresses(module)))
+        except QirError as err:
+            outcomes.append((type(err), err.reason, str(err)))
+    assert outcomes[0] == outcomes[1]
 
 
 _STATIC = ["null", "inttoptr (i64 1 to ptr)", "inttoptr (i64 2 to ptr)"]

@@ -39,7 +39,7 @@ PINNED = {
     ("bell_static.ll", "unroll"): "e5b5a63a8bd4a65e",
     ("empty.ll", "validate"): "2e7ca71f4a3638e9",
     ("empty.ll", "validate --format json"): "a58cf495003d483d",
-    ("empty.ll", "transpile --to qir-base"): "ab2e1d5cb9c2dc61",
+    ("empty.ll", "transpile --to qir-base"): "e75789f50cc5ded8",
     ("empty.ll", "transpile --to qasm2"): "863806ab646871c2",
     ("empty.ll", "unroll"): "ab2e1d5cb9c2dc61",
     ("feedback.ll", "validate"): "0577b42490640e43",

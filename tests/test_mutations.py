@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 from qirtk import (ExecOptions, QirError, circuit_from_base_qir,
                    circuit_to_base_qir, export_openqasm2, import_openqasm2,
-                   interpret, lower_to_base, parse_module, validate_profile)
+                   interpret, lower_to_base, parse_module, print_module,
+                   validate_profile)
+from qirtk.ir import REQUIRED_QUBITS_ATTR, REQUIRED_RESULTS_ATTR
 from qirtk.cli import main
 
 import genutil
@@ -150,3 +152,16 @@ def test_a_base_verdict_holds_on_every_command(tmp_path_factory, program):
     code, _, err = _cli(path, _RUN)
     assert code == 0 or err.startswith(("error: QubitLimit: ",
                                         "error: StepLimit: ")), err
+
+
+def test_transpile_to_base_prints_the_counts_of_the_calls(tmp_path):
+    # a module that is base already is lowered too, so the printed counts
+    # are the ones its calls need, not the ignored -5 it was read with
+    path = tmp_path / "program.ll"
+    path.write_text(NEG_LL, encoding="utf-8")
+    code, out, err = _cli(path, ["transpile", "--to", "qir-base"])
+    assert (code, err) == (0, "")
+    assert out == print_module(lower_to_base(parse_module(NEG_LL)))
+    printed = parse_module(out)
+    assert printed.attributes[REQUIRED_QUBITS_ATTR] == "1"
+    assert printed.attributes[REQUIRED_RESULTS_ATTR] == "1"

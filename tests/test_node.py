@@ -20,7 +20,7 @@ from qirtk.ir import (DOUBLE, I1, I64, PTR, VOID, Alloca, BasicBlock,
                       StaticAddr, Store)
 import qirtk
 from qirtk import ir
-from qirtk.node import node, replace
+from qirtk.node import lazy, node, replace
 from qirtk.parser import parse_module
 from qirtk.profile import Profile, ProfileReport, Violation
 
@@ -258,6 +258,33 @@ def test_a_lazy_cache_is_not_a_field():
             QirModule._lazy_profile_report.__get__(clone)
         assert clone.profile_report == warm.profile_report
         assert clone.profile_report is clone.profile_report
+
+
+def test_a_preset_lazy_reads_back_and_is_not_a_field():
+    made = []
+
+    @node
+    class Box:
+        items: tuple
+
+        @lazy
+        def size(self):
+            made.append(self)
+            return len(self.items)
+
+    preset, cold = Box((1, 2)), Box((1, 2))
+    Box.size.preset(preset, 5)
+    assert preset.size == 5 and made == []
+    assert cold.size == 2 and made == [cold]
+    # eq, hash and repr read only the fields, cold or preset
+    assert preset == cold and hash(preset) == hash(cold)
+    assert repr(preset) == repr(cold)
+    assert repr(preset).endswith("Box(items=(1, 2))")
+    # replace and deepcopy build through __init__ and compute anew
+    for clone in (replace(preset), copy.deepcopy(preset)):
+        assert clone == preset
+        assert clone.size == 2 and made[-1] is clone
+    assert preset.size == 5
 
 
 def test_frozen_construction_stores_through_the_slots():
