@@ -74,9 +74,11 @@ def _with_body(module: QirModule, instructions) -> QirModule:
 
     The block keeps its label, phis and terminator; every other node is
     shared, and declarations of intrinsics no longer called are dropped.
-    Each count is one more than the highest constant address of its kind
-    among the calls, or 0 when there is none; an entry without an
-    attribute group gets the lowest unused group id.
+    Each count is the larger of the module's valid declared count
+    (``QirModule.required_count``) and one more than the highest
+    constant address of its kind among the calls, so declared but idle
+    qubits and results are kept, as the circuit bridges keep them; an
+    entry without an attribute group gets the lowest unused group id.
     """
     entry = module.entry
     block = replace(entry.blocks[0], instructions=tuple(instructions))
@@ -96,8 +98,10 @@ def _with_body(module: QirModule, instructions) -> QirModule:
         gid = next(itertools.filterfalse(groups.__contains__,
                                          itertools.count()))
         groups[gid] = {}
-    groups[gid][REQUIRED_QUBITS_ATTR] = str(high[intrinsics.QUBIT_ARG] + 1)
-    groups[gid][REQUIRED_RESULTS_ATTR] = str(high[intrinsics.RESULT_ARG] + 1)
+    for key, kind in ((REQUIRED_QUBITS_ATTR, intrinsics.QUBIT_ARG),
+                      (REQUIRED_RESULTS_ATTR, intrinsics.RESULT_ARG)):
+        declared = module.required_count(key) or 0
+        groups[gid][key] = str(max(declared, high[kind] + 1))
     fn = replace(entry, blocks=(block,), attr_group=gid)
     return replace(
         module,
@@ -290,7 +294,8 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
     index; a handle used or released after its release is refused as
     UseAfterRelease, and a gate whose handles name one qubit twice as
     BadOperand. Always sets the required-count attributes to the
-    high-water marks of the result's calls.
+    high-water marks of the result's calls, or to the module's valid
+    declared counts where those are larger.
     A block that holds anything but calls and loads is first folded by
     ``unroll_and_fold``, so classical code and stack slots reach this
     pass as constants; the result keeps the module's block label.
@@ -570,7 +575,8 @@ def lower_to_base(module: QirModule,
     classical residue, sink measurements behind the gates they commute
     with. The result always validates as the base form. A module that
     already does keeps its instructions and block label; like every
-    result, it gets its required qubit and result counts from its calls.
+    result, it gets its required qubit and result counts from its calls,
+    raised to its valid declared counts.
     Programs whose gates genuinely depend on earlier measurements raise
     TransformError(FeedbackRequired).
     """

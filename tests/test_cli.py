@@ -1,13 +1,17 @@
 """Command-line behavior: outputs, formats, and the exit-code discipline."""
 
 import json
+import os
+import random
 import subprocess
 import sys
+import tomllib
 
 import pytest
 
-from qirtk import (Profile, QuantumCircuit, parse_module, profile,
-                   validate_profile)
+from qirtk import (Gate, GateKind, Measure, Profile, QuantumCircuit,
+                   circuit_to_base_qir, cli, parse_module, print_module,
+                   profile, validate_profile)
 from qirtk.cli import main
 
 import genutil
@@ -269,3 +273,138 @@ def test_console_entry_point_runs_as_a_module():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "base"
+
+
+# ---------------------------------------------------------------------------
+# the process exit: ``python -m qirtk.cli`` ends through ``cli.entry``, which
+# skips the interpreter's teardown; each case must leave the same stdout
+# bytes, stderr and exit code as the plain ``sys.exit(main())`` wrapper
+
+_SRC = os.path.dirname(os.path.dirname(cli.__file__))
+_PLAIN_EXIT = ("import sys; from qirtk.cli import main; "
+               "sys.exit(main(sys.argv[1:]))")
+
+
+def _both_exits(args, buffered=True, closed_pipe=False, out=None):
+    """``(exit code, stdout, stderr)`` of ``args`` run by the module and by
+    the plain wrapper, asserted equal. ``buffered`` leaves
+    ``PYTHONUNBUFFERED`` unset; ``closed_pipe`` makes stdout a pipe whose
+    read end is closed before the command starts; ``out``, a path, is
+    passed as ``--out`` and the bytes written there end the tuple."""
+    if out is not None:
+        args = [*args, "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    runs = []
+    for launch in (["-m", "qirtk.cli"], ["-c", _PLAIN_EXIT]):
+        stdout = subprocess.PIPE
+        if closed_pipe:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, *launch, *args],
+                                  stdout=stdout, stderr=subprocess.PIPE,
+                                  env=env, timeout=120)
+        finally:
+            if closed_pipe:
+                os.close(stdout)
+        written = ()
+        if out is not None:
+            written = (out.read_bytes(),)
+            out.unlink()
+        runs.append((proc.returncode, proc.stdout, proc.stderr, *written))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+@pytest.fixture(scope="module")
+def gates_4000(tmp_path_factory):
+    """A base module of 4,000 random gates on 8 qubits, then measure all."""
+    rng = random.Random(4000)
+    ops = []
+    for _ in range(4000):
+        kind = rng.choice(list(GateKind))
+        ops.append(Gate(kind, tuple(rng.uniform(-3.0, 3.0)
+                                    for _ in range(kind.num_params)),
+                        tuple(rng.sample(range(8), kind.num_qubits))))
+    ops += [Measure(q, q) for q in range(8)]
+    path = tmp_path_factory.mktemp("gates") / "gates_4000.ll"
+    path.write_text(print_module(circuit_to_base_qir(
+        QuantumCircuit(8, 8, ops))), encoding="utf-8")
+    return str(path)
+
+
+def test_fast_exit_keeps_each_exit_code(tmp_path):
+    bad = tmp_path / "bad.ll"
+    bad.write_text("define void @main() {\nentry:\n  wibble\n}\n")
+    code, out, err = _both_exits(["run", _path("bell_static.ll"),
+                                  "--shots", "16", "--seed", "3"])
+    assert (code, err) == (0, b"")
+    assert json.loads(out)["shots"] == 16
+    code, out, err = _both_exits(["validate", _path("unsupported.ll")])
+    assert (code, err) == (1, b"")
+    assert out.startswith(b"unsupported\n")
+    code, out, err = _both_exits(["validate", str(bad)])
+    assert (code, out) == (2, b"")
+    assert err.startswith(b"parse error: ")
+    code, out, err = _both_exits(["validate", str(tmp_path / "absent.ll")])
+    assert (code, out) == (3, b"")
+    assert err.startswith(b"i/o error: ")
+
+
+def test_fast_exit_keeps_argparse_errors_and_help():
+    code, out, err = _both_exits(["transpile", _path("bell_static.ll")])
+    assert (code, out) == (2, b"")
+    assert b"the following arguments are required: --to" in err
+    code, out, err = _both_exits(["--help"])
+    assert (code, err) == (0, b"")
+    assert out.startswith(b"usage: qirtk")
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+def test_fast_exit_keeps_a_long_output_on_a_pipe(gates_4000, buffered):
+    code, out, err = _both_exits(["transpile", gates_4000, "--to", "qasm2"],
+                                 buffered)
+    assert (code, err) == (0, b"")
+    # four header lines, the gates and one register-wide measure
+    assert out.count(b";\n") == 4 + 4000 + 1
+
+
+def test_fast_exit_keeps_a_long_output_in_a_file(gates_4000, tmp_path):
+    code, out, err, written = _both_exits(
+        ["transpile", gates_4000, "--to", "qasm2"], out=tmp_path / "out.qasm")
+    assert (code, out, err) == (0, b"", b"")
+    assert written.count(b";\n") == 4 + 4000 + 1
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("long", [True, False], ids=["long", "short"])
+def test_fast_exit_keeps_a_closed_pipe_error(gates_4000, buffered, long):
+    # a write that reaches the pipe fails inside main(): exit 3; a short
+    # output still buffered at the end fails at the flush, so the ordinary
+    # shutdown reports it (exit 120), as it always has
+    path = gates_4000 if long else _path("bell_static.ll")
+    code, out, err = _both_exits(["transpile", path, "--to", "qasm2"],
+                                 buffered, closed_pipe=True)
+    if long or not buffered:
+        assert (code, err) == (3, b"i/o error: [Errno 32] Broken pipe\n")
+    else:
+        assert code == 120
+        assert err.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+def test_the_console_script_runs_what_the_module_runs():
+    pyproject = os.path.join(os.path.dirname(_SRC), "pyproject.toml")
+    with open(pyproject, "rb") as handle:
+        script = tomllib.load(handle)["project"]["scripts"]["qirtk"]
+    with open(cli.__file__, encoding="utf-8") as handle:
+        source = handle.read()
+    name = script.removeprefix("qirtk.cli:")
+    assert script == f"qirtk.cli:{name}"
+    assert source.endswith(f'\n\nif __name__ == "__main__":\n    {name}()\n')
+    assert callable(getattr(cli, name))

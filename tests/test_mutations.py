@@ -165,3 +165,23 @@ def test_transpile_to_base_prints_the_counts_of_the_calls(tmp_path):
     printed = parse_module(out)
     assert printed.attributes[REQUIRED_QUBITS_ATTR] == "1"
     assert printed.attributes[REQUIRED_RESULTS_ATTR] == "1"
+
+
+def test_both_targets_keep_declared_idle_registers(tmp_path):
+    # NEG_LL declaring 5 qubits and 3 results but calling on one of each:
+    # a valid declared count is kept on both targets, as the bridges keep
+    # idle qubits, and the lowered module converts to the same circuit
+    text = NEG_LL.replace('"required_num_qubits"="-5"',
+                          '"required_num_qubits"="5" '
+                          '"required_num_results"="3"')
+    path = tmp_path / "program.ll"
+    path.write_text(text, encoding="utf-8")
+    code, qasm, err = _cli(path, ["transpile", "--to", "qasm2"])
+    assert (code, err) == (0, "")
+    assert "qreg q[5];\ncreg c[3];\n" in qasm
+    code, out, err = _cli(path, ["transpile", "--to", "qir-base"])
+    assert (code, err) == (0, "")
+    printed = parse_module(out)
+    assert printed.attributes[REQUIRED_QUBITS_ATTR] == "5"
+    assert printed.attributes[REQUIRED_RESULTS_ATTR] == "3"
+    assert export_openqasm2(circuit_from_base_qir(printed)) == qasm

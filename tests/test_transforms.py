@@ -403,18 +403,27 @@ def test_lowering_a_base_module_keeps_the_label_of_its_block():
     assert print_module(lower_to_base(module)) == print_module(module)
 
 
-@pytest.mark.parametrize("attributes", [
-    '"entry_point"', '"entry_point" "required_num_qubits"="5"'],
-    ids=["no_counts", "wrong_qubit_count"])
-def test_lowering_a_base_module_sets_its_required_counts(attributes):
-    text = genutil.corpus_text("bell_static.ll").replace(
-        '"entry_point" "required_num_qubits"="2" "required_num_results"="2"',
-        attributes)
-    module = parse_module(text)
+@pytest.mark.parametrize("attributes, qubits", [
+    ('"entry_point"', 2),
+    # fewer than the calls use: raised to what they need
+    ('"entry_point" "required_num_qubits"="1"', 2),
+    # more than the calls use: the idle qubits are kept, as the circuit
+    # bridges keep them
+    ('"entry_point" "required_num_qubits"="5"', 5),
+    ('"entry_point" "required_num_qubits"="-5"', 2),
+], ids=["no_counts", "wrong_qubit_count", "idle_qubit_count",
+        "negative_qubit_count"])
+def test_lowering_a_base_module_sets_its_required_counts(attributes, qubits):
+    counts = ('"entry_point" "required_num_qubits"="2" '
+              '"required_num_results"="2"')
+    text = genutil.corpus_text("bell_static.ll")
+    module = parse_module(text.replace(counts, attributes))
     assert validate_profile(module).profile is Profile.BASE
     lowered = lower_to_base(module)
     assert lowered.entry.blocks == module.entry.blocks
-    assert print_module(lowered) == print_module(_module("bell_static.ll"))
+    expected = text.replace('"required_num_qubits"="2"',
+                            f'"required_num_qubits"="{qubits}"')
+    assert print_module(lowered) == print_module(parse_module(expected))
 
 
 def test_lowering_is_idempotent_on_dynamic_inputs():
