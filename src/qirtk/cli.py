@@ -8,11 +8,13 @@ Input format is detected from the file extension (``.qasm`` is OpenQASM
 2, anything else is textual QIR) and can be forced with
 ``--input-format``; ``--format`` selects the output rendering.
 
-``main(argv)`` is the in-process API: it returns the exit code and
-leaves the interpreter as it found it. ``entry()`` is what the ``qirtk``
-script and ``python -m qirtk.cli`` run: it calls ``main()``, flushes
-stdout and stderr, and ends the process with ``os._exit``, skipping the
-interpreter's teardown once every output has left the process.
+Each command handler returns its exit code and output text and writes
+nothing. ``main(argv)``, the in-process API, writes that text once, to
+the ``--out`` file (closed before it returns) or to stdout (flushed),
+so a failed write is an I/O failure, and returns the exit code.
+``entry()``, which the ``qirtk`` script and ``python -m qirtk.cli``
+run, ends the process with that code through ``os._exit``, skipping
+the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -65,20 +67,13 @@ def _load_module(args):
     return _cli.parse_module(text)
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns ``(exit code, output text)``
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[int, str]:
     report = _cli.validate_profile(_load_module(args))
+    code = 0 if report.profile is not _cli.Profile.UNSUPPORTED else 1
     if args.format == "json":
         import json
         payload = {
@@ -87,53 +82,47 @@ def _cmd_validate(args) -> int:
                            for v in report.violations],
             "warnings": list(report.warnings),
         }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = [report.profile.value]
-        lines += [f"violation: {v.location}: {v.reason}"
-                  for v in report.violations]
-        lines += [f"warning: {w}" for w in report.warnings]
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if report.profile is not _cli.Profile.UNSUPPORTED else 1
+        return code, json.dumps(payload, indent=2) + "\n"
+    lines = [report.profile.value]
+    lines += [f"violation: {v.location}: {v.reason}"
+              for v in report.violations]
+    lines += [f"warning: {w}" for w in report.warnings]
+    return code, "\n".join(lines) + "\n"
 
 
-def _cmd_transpile(args) -> int:
+def _cmd_transpile(args) -> tuple[int, str]:
     module = _load_module(args)
     if args.to == "qir-base":
         # lowered even when already base, so the counts follow the calls
         module = _cli.lower_to_base(module, args.iteration_cap)
-        _emit(args, _cli.print_module(module))
-        return 0
+        return 0, _cli.print_module(module)
     if _cli.validate_profile(module).profile is not _cli.Profile.BASE:
         module = _cli.lower_to_base(module, args.iteration_cap)
-    _emit(args, _cli.export_openqasm2(_cli.circuit_from_base_qir(module)))
-    return 0
+    return 0, _cli.export_openqasm2(_cli.circuit_from_base_qir(module))
 
 
-def _cmd_unroll(args) -> int:
+def _cmd_unroll(args) -> tuple[int, str]:
     module = _cli.unroll_and_fold(_load_module(args), args.iteration_cap)
-    _emit(args, _cli.print_module(module))
-    return 0
+    return 0, _cli.print_module(module)
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[int, str]:
+    if args.shots < 1:
+        raise ValueError("--shots must be at least 1")
     module = _load_module(args)
     options = _cli.ExecOptions(max_qubits=args.max_qubits,
                                step_limit=args.step_limit)
     result = _cli.interpret(module, shots=args.shots, seed=args.seed,
                             options=options)
     if args.format == "json":
-        _emit(args, result.to_json(include_memory=args.memory) + "\n")
-    else:
-        lines = [f"shots: {result.shots}", f"seed: {result.seed}",
-                 "counts:"]
-        lines += [f"  {key or '(empty)'} {result.counts[key]}"
-                  for key in sorted(result.counts)]
-        if args.memory:
-            lines.append("memory:")
-            lines += [f"  {bits or '(empty)'}" for bits in result.memory]
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+        return 0, result.to_json(include_memory=args.memory) + "\n"
+    lines = [f"shots: {result.shots}", f"seed: {result.seed}", "counts:"]
+    lines += [f"  {key or '(empty)'} {result.counts[key]}"
+              for key in sorted(result.counts)]
+    if args.memory:
+        lines.append("memory:")
+        lines += [f"  {bits or '(empty)'}" for bits in result.memory]
+    return 0, "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +185,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "shots", 1) < 1:
-        print("error: --shots must be at least 1", file=sys.stderr)
-        return 1
     try:
-        return args.handler(args)
+        code, text = args.handler(args)
+        stream = (open(args.out, "w", encoding="utf-8") if args.out
+                  else sys.stdout)
+        try:
+            stream.write(text)
+            stream.flush()
+        except OSError:
+            if stream is sys.stdout:
+                # the unwritten bytes stay buffered: point fd 1 at devnull
+                # so that no later flush of them fails a second time
+                os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            raise
+        finally:
+            if stream is not sys.stdout:
+                stream.close()
+        return code
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
@@ -213,25 +214,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> NoReturn:
-    """Run ``main()`` on the process's arguments and end the process
-    with its exit code, without the interpreter's teardown.
-
-    Finalization (module teardown and freeing every object) adds 10-30
-    ms after a command's work is done, and writes nothing: ``--out``
-    files are closed by ``_emit``, and the two flushes here push out
-    what the streams still buffer. If a flush raises (stdout is a closed
-    pipe, say), the ordinary ``sys.exit`` runs instead, so Python's own
-    shutdown reports the error and sets the exit code as it always has.
-    An exception or ``SystemExit`` from ``main`` (an argparse error,
-    ``--help``) never gets here and takes that ordinary path too.
+    """End the process with ``main()``'s exit code through ``os._exit``,
+    skipping the interpreter's teardown (10-30 ms a command). ``main()``
+    has flushed stdout or closed the ``--out`` file by then, and stderr
+    is line-buffered. A ``SystemExit`` from ``main`` (an argparse error,
+    ``--help``) never gets here and takes the ordinary shutdown.
     """
-    code = main()
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except Exception:  # whatever it is, the ordinary shutdown reports it
-        sys.exit(code)
-    os._exit(code)
+    os._exit(main())
 
 
 if __name__ == "__main__":

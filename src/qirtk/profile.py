@@ -6,7 +6,8 @@ followed only by output recording. The adaptive subset additionally admits
 the classical constructs the interpreter executes (control flow, integer
 arithmetic, dynamic allocation, measurement readback). Anything the
 runtime cannot execute at all is unsupported, and so is a module whose
-required qubit or result count exceeds ``errors.MAX_DECLARED_SIZE``.
+required qubit or result count exceeds ``errors.MAX_DECLARED_SIZE`` or
+that names a constant qubit or result address at or past that limit.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _classify(module: QirModule) -> ProfileReport:
                     f"@{instr.callee} expects {len(spec.arg_kinds)} "
                     f"arguments, got {len(instr.args)}")))
                 continue
-            qubits = _check_base_call(instr, spec, at, base)
+            qubits = _check_base_call(instr, spec, at, base, unsupported)
             # fewer than two static qubits cannot repeat one
             if len(qubits) > 1 and repeats_a_qubit(qubits):
                 unsupported.append(Violation(
@@ -142,9 +143,11 @@ def repeats_a_qubit(qubits: list[int]) -> bool:
 
 
 def _check_base_call(instr: Call, spec, at: tuple[str, str, int],
-                     base: list[Violation]) -> list[int]:
-    """Add to ``base`` each operand of ``instr`` outside the base profile,
-    and return the indices of its static qubit operands."""
+                     base: list[Violation],
+                     unsupported: list[Violation]) -> list[int]:
+    """Add to ``base`` each operand of ``instr`` outside the base profile
+    and to ``unsupported`` each static address past the declared-size
+    limit, and return the indices of its static qubit operands."""
     qubits = []
     for kind, arg in zip(spec.arg_kinds, instr.args):
         if kind in (QUBIT_ARG, RESULT_ARG):
@@ -152,6 +155,10 @@ def _check_base_call(instr: Call, spec, at: tuple[str, str, int],
                 base.append(Violation(
                     _loc(at), f"{kind} operand of @{instr.callee} is not a "
                               "static address"))
+            elif arg.value.index >= MAX_DECLARED_SIZE:
+                unsupported.append(Violation(_loc(at), (
+                    f"{kind} address {arg.value.index} of @{instr.callee} "
+                    f"is not below the limit of {MAX_DECLARED_SIZE}")))
             elif kind == QUBIT_ARG:
                 qubits.append(arg.value.index)
         elif kind == ANGLE_ARG:

@@ -385,17 +385,21 @@ def test_fast_exit_keeps_a_long_output_in_a_file(gates_4000, tmp_path):
                          ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("long", [True, False], ids=["long", "short"])
 def test_fast_exit_keeps_a_closed_pipe_error(gates_4000, buffered, long):
-    # a write that reaches the pipe fails inside main(): exit 3; a short
-    # output still buffered at the end fails at the flush, so the ordinary
-    # shutdown reports it (exit 120), as it always has
+    # main() writes and flushes stdout inside its try, so a closed pipe is
+    # an i/o error whether the output is long enough to reach the pipe
+    # while it is written or still buffered when it is flushed
     path = gates_4000 if long else _path("bell_static.ll")
     code, out, err = _both_exits(["transpile", path, "--to", "qasm2"],
                                  buffered, closed_pipe=True)
-    if long or not buffered:
-        assert (code, err) == (3, b"i/o error: [Errno 32] Broken pipe\n")
-    else:
-        assert code == 120
-        assert err.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
+    assert (code, err) == (3, b"i/o error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+def test_fast_exit_keeps_a_closed_pipe_error_on_a_verdict(buffered):
+    code, out, err = _both_exits(["validate", _path("bell_static.ll")],
+                                 buffered, closed_pipe=True)
+    assert (code, err) == (3, b"i/o error: [Errno 32] Broken pipe\n")
 
 
 def test_the_console_script_runs_what_the_module_runs():

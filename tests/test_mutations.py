@@ -17,10 +17,11 @@ from __future__ import annotations
 import contextlib
 import io
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qirtk import (ExecOptions, QirError, circuit_from_base_qir,
+from qirtk import (ExecOptions, Profile, QirError, circuit_from_base_qir,
                    circuit_to_base_qir, export_openqasm2, import_openqasm2,
                    interpret, lower_to_base, parse_module, print_module,
                    validate_profile)
@@ -124,6 +125,22 @@ INF_QASM = ("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nrx(1e999) q[0];\n"
             "measure q[0] -> c[0];\n")
 
 
+def _addressed_ll(qubit: int, result: int) -> str:
+    """A base program that applies ``h`` and ``mz`` to constant qubit and
+    result addresses."""
+    def addr(index):
+        return f"ptr inttoptr (i64 {index} to ptr)"
+    return (
+        "define void @main() #0 {\nentry:\n"
+        f"  call void @__quantum__qis__h__body({addr(qubit)})\n"
+        f"  call void @__quantum__qis__mz__body({addr(qubit)}, "
+        f"{addr(result)})\n"
+        "  ret void\n}\n\n"
+        "declare void @__quantum__qis__h__body(ptr)\n"
+        "declare void @__quantum__qis__mz__body(ptr, ptr)\n\n"
+        'attributes #0 = { "entry_point" }\n')
+
+
 # mutated programs, random circuits with one angle or index replaced, and
 # random circuits that validate as base unmutated
 _PROGRAMS = st.one_of(
@@ -139,19 +156,50 @@ _PROGRAMS = st.one_of(
 @example(("ll", NAN_LL))
 @example(("qasm", INF_QASM))
 @example(("ll", NEG_LL))
+@example(("ll", _addressed_ll(70000, 0)))
 def test_a_base_verdict_holds_on_every_command(tmp_path_factory, program):
     suffix, text = program
-    path = tmp_path_factory.mktemp("mutated") / f"program.{suffix}"
+    folder = tmp_path_factory.mktemp("mutated")
+    path = folder / f"program.{suffix}"
     path.write_text(text, encoding="utf-8")
     code, out, _ = _cli(path, ["validate"])
     if code != 0 or out.split("\n")[0] != "base":
         return
-    for to in ("qir-base", "qasm2"):
-        code, _, err = _cli(path, ["transpile", "--to", to])
+    for to, ext in (("qir-base", "ll"), ("qasm2", "qasm")):
+        code, out, err = _cli(path, ["transpile", "--to", to])
         assert code == 0, err
+        # what a base module transpiles to is read back as base
+        written = folder / f"transpiled.{ext}"
+        written.write_text(out, encoding="utf-8")
+        code, out, err = _cli(written, ["validate"])
+        assert (code, out.split("\n")[0]) == (0, "base"), out + err
     code, _, err = _cli(path, _RUN)
     assert code == 0 or err.startswith(("error: QubitLimit: ",
                                         "error: StepLimit: ")), err
+
+
+@pytest.mark.parametrize("kind", ["qubit", "result"])
+@pytest.mark.parametrize("index", [65535, 65536])
+def test_constant_addresses_are_bounded(tmp_path, kind, index):
+    # an address below errors.MAX_DECLARED_SIZE needs a register no larger
+    # than the limit; one at the limit would need a larger one
+    qubit, result = (index, 0) if kind == "qubit" else (0, index)
+    path = tmp_path / "program.ll"
+    path.write_text(_addressed_ll(qubit, result), encoding="utf-8")
+    code, out, err = _cli(path, ["validate"])
+    if index == 65535:
+        assert (code, out.split("\n")[0], err) == (0, "base", "")
+        code, qasm, err = _cli(path, ["transpile", "--to", "qasm2"])
+        assert (code, err) == (0, "")
+        assert validate_profile(circuit_to_base_qir(
+            import_openqasm2(qasm))).profile is Profile.BASE
+        return
+    assert (code, out.split("\n")[0]) == (1, "unsupported")
+    assert f"{kind} address {index} of @__quantum__qis__" in out
+    for to in ("qir-base", "qasm2"):
+        code, out, err = _cli(path, ["transpile", "--to", to])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Unsupported: "), err
 
 
 def test_transpile_to_base_prints_the_counts_of_the_calls(tmp_path):
