@@ -11,7 +11,8 @@ Input format is detected from the file extension (``.qasm`` is OpenQASM
 Each command handler returns its exit code and output text and writes
 nothing. ``main(argv)``, the in-process API, writes that text once, to
 the ``--out`` file (closed before it returns) or to stdout (flushed),
-so a failed write is an I/O failure, and returns the exit code.
+so a failed write is an I/O failure, and returns the exit code. A
+failed stdout write leaves stdout's descriptor pointing at devnull.
 ``entry()``, which the ``qirtk`` script and ``python -m qirtk.cli``
 run, ends the process with that code through ``os._exit``, skipping
 the interpreter's teardown.
@@ -48,21 +49,12 @@ def __getattr__(name: str):
     return value
 
 
-def _detect_format(path: str, override: str | None) -> str:
-    if override:
-        return override
-    return "qasm2" if path.lower().endswith(".qasm") else "qir"
-
-
-def _read(path: str) -> str:
-    # one character past the limit is enough for the reader to refuse it
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read(errors.MAX_INPUT_CHARS + 1)
-
-
 def _load_module(args):
-    text = _read(args.path)
-    if _detect_format(args.path, args.input_format) == "qasm2":
+    # one character past the limit is enough for the reader to refuse it
+    with open(args.path, "r", encoding="utf-8") as handle:
+        text = handle.read(errors.MAX_INPUT_CHARS + 1)
+    qasm = args.path.lower().endswith(".qasm")
+    if (args.input_format or ("qasm2" if qasm else "qir")) == "qasm2":
         return _cli.circuit_to_base_qir(_cli.import_openqasm2(text))
     return _cli.parse_module(text)
 
@@ -136,39 +128,35 @@ def _build_parser() -> argparse.ArgumentParser:
                     "textual QIR and OpenQASM 2 programs.")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def common(sub):
+    def command(name, handler, help):
+        sub = commands.add_parser(name, help=help)
+        sub.set_defaults(handler=handler)
         sub.add_argument("path", help="input file (.ll or .qasm)")
         sub.add_argument("--input-format", choices=["qir", "qasm2"],
                          help="override input format detection")
         sub.add_argument("--out", help="write output to a file "
                                        "instead of stdout")
+        return sub
 
-    validate = commands.add_parser(
-        "validate", help="classify a module's profile")
-    common(validate)
+    validate = command("validate", _cmd_validate,
+                       "classify a module's profile")
     validate.add_argument("--format", choices=["json", "text"],
                           default="text")
-    validate.set_defaults(handler=_cmd_validate)
 
-    transpile = commands.add_parser(
-        "transpile", help="convert between QIR and OpenQASM 2")
-    common(transpile)
+    transpile = command("transpile", _cmd_transpile,
+                        "convert between QIR and OpenQASM 2")
     transpile.add_argument("--to", choices=["qir-base", "qasm2"],
                            required=True, help="target format")
     transpile.add_argument("--iteration-cap", type=int,
                            default=DEFAULT_ITERATION_CAP)
-    transpile.set_defaults(handler=_cmd_transpile)
 
-    unroll = commands.add_parser(
-        "unroll", help="unroll loops and fold constants")
-    common(unroll)
+    unroll = command("unroll", _cmd_unroll,
+                     "unroll loops and fold constants")
     unroll.add_argument("--iteration-cap", type=int,
                         default=DEFAULT_ITERATION_CAP)
-    unroll.set_defaults(handler=_cmd_unroll)
 
-    run = commands.add_parser("run", help="execute a program and "
-                                          "report measurement counts")
-    common(run)
+    run = command("run", _cmd_run,
+                  "execute a program and report measurement counts")
     run.add_argument("--shots", type=int, default=1024)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--format", choices=["json", "text"],
@@ -179,7 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      default=DEFAULT_STEP_LIMIT)
     run.add_argument("--memory", action="store_true",
                      help="include per-shot bitstrings in the output")
-    run.set_defaults(handler=_cmd_run)
     return parser
 
 
@@ -187,20 +174,20 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         code, text = args.handler(args)
-        stream = (open(args.out, "w", encoding="utf-8") if args.out
-                  else sys.stdout)
-        try:
-            stream.write(text)
-            stream.flush()
-        except OSError:
-            if stream is sys.stdout:
-                # the unwritten bytes stay buffered: point fd 1 at devnull
-                # so that no later flush of them fails a second time
-                os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-            raise
-        finally:
-            if stream is not sys.stdout:
-                stream.close()
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            try:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            except OSError:
+                # the unwritten bytes stay buffered: point stdout's fd at
+                # devnull so that no later flush of them fails again
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise
         return code
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)

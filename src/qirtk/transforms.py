@@ -227,6 +227,11 @@ class _Unroller(Compiler):
                 and spec.gate.num_qubits > 1):
             qubit_at = [i for i, kind in enumerate(spec.arg_kinds)
                         if kind == intrinsics.QUBIT_ARG]
+        # address operands the run computes: the gate bounded the others
+        address_at = [(i, kind) for i, (kind, arg) in enumerate(zip(
+            spec.arg_kinds if spec else (), instr.args))
+            if kind in (intrinsics.QUBIT_ARG, intrinsics.RESULT_ARG)
+            and not isinstance(arg.value, StaticAddr)]
 
         def op(env, state):
             values = tuple([CallArg(ty, self._concretize(env[key], ty))
@@ -239,6 +244,14 @@ class _Unroller(Compiler):
                     [values[i].value.index for i in qubit_at
                      if isinstance(values[i].value, StaticAddr)]):
                 raise _duplicate_operand()
+            for i, kind in address_at:
+                value = values[i].value
+                if (isinstance(value, StaticAddr)
+                        and value.index >= MAX_DECLARED_SIZE):
+                    raise TransformError(
+                        "Unsupported", f"{kind} address {value.index} of "
+                        f"@{instr.callee} is not below the limit of "
+                        f"{MAX_DECLARED_SIZE}")
             self.out.append(Call(instr.callee, values, result,
                                  instr.ret_type))
         return op
@@ -270,6 +283,7 @@ def unroll_and_fold(module: QirModule,
     # supported by construction: the input passed the gate, and the result
     # has one function and the input's attributes, while every call keeps
     # its intrinsic callee and arity and ``_call`` refuses repeated qubits
+    # and folded addresses past the declared-size limit
     QirModule.unsupported.preset(out, ())
     return out
 

@@ -351,6 +351,26 @@ REFUSED = {
 }
 
 
+# the unroller folds a result address past the declared-size limit, which
+# the interpreter maps to its next free index
+FOLDED_PAST_THE_LIMIT = _single_block([
+    "%i = add i64 69999, 1",
+    "%r = inttoptr i64 %i to ptr",
+    "call void @__quantum__qis__mz__body(ptr null, ptr %r)"])
+
+
+@pytest.mark.parametrize("transform", [
+    unroll_and_fold, allocate_static_addresses, lower_to_base])
+def test_a_folded_address_past_the_limit_is_unsupported(transform):
+    module = parse_module(FOLDED_PAST_THE_LIMIT)
+    assert interpret(module, shots=1).shots == 1
+    with pytest.raises(TransformError) as info:
+        transform(module)
+    assert (info.value.reason, info.value.message) == (
+        "Unsupported", "result address 70000 of @__quantum__qis__mz__body "
+                       "is not below the limit of 65536")
+
+
 @pytest.mark.parametrize("transform", [
     allocate_static_addresses, lower_to_base])
 @pytest.mark.parametrize("name", sorted(REFUSED))
@@ -385,6 +405,7 @@ def test_a_negative_array_size_is_refused_by_both():
 @example(_single_block(REFUSED["one_element_loaded_twice_into_a_gate"][0]))
 @example(_single_block(REFUSED["element_pointer_passed_as_a_qubit"][0]))
 @example(_single_block(REFUSED["folded_addresses_name_one_qubit"][0]))
+@example(FOLDED_PAST_THE_LIMIT)
 def test_allocation_reads_the_preset_verdict_as_a_computed_one(text):
     # the unroller presets the unrolled module's verdict; the same module
     # read back from its text computes it, and allocation agrees on both

@@ -402,6 +402,30 @@ def test_fast_exit_keeps_a_closed_pipe_error_on_a_verdict(buffered):
     assert (code, err) == (3, b"i/o error: [Errno 32] Broken pipe\n")
 
 
+def _file_id(fd_or_path) -> tuple[int, int]:
+    stat = os.stat(fd_or_path)
+    return stat.st_dev, stat.st_ino
+
+
+def test_a_closed_stdout_is_pointed_at_devnull_where_it_is(monkeypatch,
+                                                            capsys):
+    # an embedder's stdout on a descriptor other than 1: main() points that
+    # descriptor at devnull, leaves fd 1 alone and keeps no descriptor open
+    read, write = os.pipe()
+    os.close(read)
+    stream = open(write, "w", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stream)
+    fd_1 = _file_id(1)
+    probe = os.open(os.devnull, os.O_RDONLY)
+    os.close(probe)
+    assert main(["validate", _path("bell_static.ll")]) == 3
+    assert capsys.readouterr().err == "i/o error: [Errno 32] Broken pipe\n"
+    assert (_file_id(write), _file_id(1)) == (_file_id(os.devnull), fd_1)
+    assert os.open(os.devnull, os.O_RDONLY) == probe
+    os.close(probe)
+    stream.close()
+
+
 def test_the_console_script_runs_what_the_module_runs():
     pyproject = os.path.join(os.path.dirname(_SRC), "pyproject.toml")
     with open(pyproject, "rb") as handle:
