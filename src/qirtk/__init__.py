@@ -18,6 +18,7 @@ from .errors import (ConversionError, ExecutionError, ParseError, QirError,
 #: public name -> the module that defines it, imported on first use
 _MODULES = {
     "circuit_from_base_qir": "bridge", "circuit_to_base_qir": "bridge",
+    "export_openqasm2": "bridge",
     "CircuitOp": "circuit", "Gate": "circuit", "GateKind": "circuit",
     "Measure": "circuit", "QuantumCircuit": "circuit", "Reset": "circuit",
     "ExecOptions": "interpreter", "ExecutionResult": "interpreter",
@@ -29,7 +30,7 @@ _MODULES = {
     "print_module": "printer",
     "Profile": "profile", "ProfileReport": "profile",
     "Violation": "profile", "validate_profile": "profile",
-    "export_openqasm2": "qasm2", "import_openqasm2": "qasm2",
+    "import_openqasm2": "qasm2",
     "StateVector": "statevector", "apply_gate": "statevector",
     "allocate_static_addresses": "transforms", "lower_to_base": "transforms",
     "unroll_and_fold": "transforms",

@@ -1,4 +1,6 @@
-"""Conversion between flat circuits and statically-addressed modules.
+"""Conversion between flat circuits and statically-addressed modules,
+and the OpenQASM 2 exporter, kept here so that converting a module to
+OpenQASM 2 never loads the importer (``qasm2``).
 
 The circuit side indexes qubits and classical bits densely from zero;
 the module side uses constant addresses, so the mapping is the identity
@@ -10,8 +12,10 @@ bitstring layout (bit 0 leftmost) used across the toolkit.
 
 from __future__ import annotations
 
+from math import isfinite
+
 from . import intrinsics
-from .circuit import Gate, Measure, QuantumCircuit, Reset
+from .circuit import CircuitOp, Gate, Measure, QuantumCircuit, Reset
 from .errors import ConversionError
 from .ir import (BasicBlock, Call, CallArg, ConstFloat, FuncDef, QirModule,
                  Ret, StaticAddr, DOUBLE, PTR, ENTRY_POINT_ATTR,
@@ -24,7 +28,8 @@ def circuit_from_base_qir(module: QirModule) -> QuantumCircuit:
 
     Qubit counts come from the larger of the highest address used and
     the module's required-count attribute, so declared-but-idle qubits
-    survive the conversion.
+    survive the conversion. Calls with one callee and one arguments
+    tuple (the parser shares one between equal texts) share one op.
     """
     report = validate_profile(module)
     if report.profile is not Profile.BASE:
@@ -32,38 +37,39 @@ def circuit_from_base_qir(module: QirModule) -> QuantumCircuit:
         raise ConversionError("only base-form modules convert to circuits "
                               f"({first.reason} at {first.location})")
 
-    # a base report guarantees one block of known intrinsics, each with
-    # its arity, static qubit and result addresses and constant angles
+    # a base report proves every call a known intrinsic with its arity,
+    # addresses below the limit, finite constant angles and distinct gate
+    # qubits, so nothing is checked again. Ops are shared by the identity
+    # of the arguments, never their value: 0.0 == -0.0
     ops: list = []
-    max_qubit = -1
-    max_clbit = -1
+    shared: dict[tuple[str, int], object] = {}
+    max_qubit = max_clbit = -1
     for call in entry_calls(module):
-        spec = intrinsics.lookup(call.callee)
-        qubits: list[int] = []
-        results: list[int] = []
-        params: list[float] = []
-        for kind, arg in zip(spec.arg_kinds, call.args):
-            if kind == intrinsics.QUBIT_ARG:
-                qubits.append(arg.value.index)
-                max_qubit = max(max_qubit, arg.value.index)
-            elif kind == intrinsics.RESULT_ARG:
-                results.append(arg.value.index)
-                max_clbit = max(max_clbit, arg.value.index)
-            elif kind == intrinsics.ANGLE_ARG:
-                params.append(arg.value.value)
-        if spec.action == intrinsics.GATE:
-            ops.append(Gate(spec.gate, tuple(params), tuple(qubits)))
-        elif spec.action == intrinsics.MEASURE:
-            ops.append(Measure(qubits[0], results[0]))
-        elif spec.action == intrinsics.RESET:
-            ops.append(Reset(qubits[0]))
-        # recording is implicit on the circuit side
+        key = (call.callee, id(call.args))
+        op = shared.get(key)
+        if op is None:
+            spec, args = intrinsics.lookup(call.callee), call.args
+            qubits = tuple([args[i].value.index for i in spec.qubit_at])
+            results = [args[i].value.index for i in spec.result_at]
+            max_qubit = max((max_qubit, *qubits))
+            max_clbit = max((max_clbit, *results))
+            if spec.action == intrinsics.GATE:
+                op = Gate(spec.gate, tuple([args[i].value.value
+                                            for i in spec.angle_at]), qubits)
+            elif spec.action == intrinsics.MEASURE:
+                op = Measure(qubits[0], results[0])
+            elif spec.action == intrinsics.RESET:
+                op = Reset(qubits[0])
+            else:
+                continue  # recording is implicit on the circuit side
+            shared[key] = op
+        ops.append(op)
 
     num_qubits = max(max_qubit + 1,
                      module.required_count(REQUIRED_QUBITS_ATTR) or 0)
     num_clbits = max(max_clbit + 1,
                      module.required_count(REQUIRED_RESULTS_ATTR) or 0)
-    return QuantumCircuit(num_qubits, num_clbits, ops)
+    return QuantumCircuit._proven(num_qubits, num_clbits, tuple(ops))
 
 
 def circuit_to_base_qir(circuit: QuantumCircuit,
@@ -109,3 +115,50 @@ def circuit_to_base_qir(circuit: QuantumCircuit,
                   REQUIRED_QUBITS_ATTR: str(circuit.num_qubits),
                   REQUIRED_RESULTS_ATTR: str(circuit.num_clbits)}}
     return QirModule("circuit", declarations, (fn,), groups)
+
+
+def export_openqasm2(circuit: QuantumCircuit) -> str:
+    """Render a circuit as OpenQASM 2 source.
+
+    Importing the output reproduces the circuit exactly. A trailing
+    block measuring qubit i into bit i for every index compacts to the
+    register-wide ``measure q -> c;`` spelling. An op object that occurs
+    more than once is rendered once.
+    """
+    lines = ['OPENQASM 2.0;', 'include "qelib1.inc";']
+    if circuit.num_qubits:
+        lines.append(f"qreg q[{circuit.num_qubits}];")
+    if circuit.num_clbits:
+        lines.append(f"creg c[{circuit.num_clbits}];")
+
+    ops = circuit.ops
+    compact_measure = False
+    n = circuit.num_qubits
+    if (n and n == circuit.num_clbits and len(ops) >= n
+            and ops[-n:] == tuple(Measure(i, i) for i in range(n))):
+        compact_measure = True
+        ops = ops[:-n]
+
+    rendered: dict[int, str] = {}  # by identity: rz(0.0) == rz(-0.0)
+    for op in ops:
+        line = rendered.get(id(op))
+        if line is None:
+            line = rendered[id(op)] = _line(op)
+        lines.append(line)
+    if compact_measure:
+        lines.append("measure q -> c;")
+    return "\n".join(lines) + "\n"
+
+
+def _line(op: CircuitOp) -> str:
+    if isinstance(op, Measure):
+        return f"measure q[{op.qubit}] -> c[{op.clbit}];"
+    if isinstance(op, Reset):
+        return f"reset q[{op.qubit}];"
+    params = ""
+    if op.params:
+        if not all(map(isfinite, op.params)):  # the importer refuses them
+            raise ValueError("cannot print a non-finite float constant")
+        params = f"({', '.join(repr(float(p)) for p in op.params)})"
+    targets = ", ".join(f"q[{q}]" for q in op.qubits)
+    return f"{op.kind.value}{params} {targets};"

@@ -2,8 +2,9 @@
 
 A circuit is a qubit count, a classical bit count, and an ordered tuple of
 ops. Like every node it is frozen, so it is validated once, when it is
-built, and every reader can trust it. Output bitstrings print clbit 0
-leftmost.
+built, and every reader can trust it; a circuit the bridge reads from a
+base module is proven by the module's profile report instead. Output
+bitstrings print clbit 0 leftmost.
 """
 
 from __future__ import annotations
@@ -116,6 +117,14 @@ class QuantumCircuit:
                 self._check_qubits((op.qubit,))
             else:
                 raise ValueError(f"unknown circuit op {op!r}")
+
+    @classmethod
+    def _proven(cls, num_qubits, num_clbits, ops) -> QuantumCircuit:
+        """A circuit known to pass ``__post_init__``, built without it."""
+        circuit = object.__new__(cls)
+        for name, value in zip(cls._fields, (num_qubits, num_clbits, ops)):
+            object.__setattr__(circuit, name, value)
+        return circuit
 
     def _check_qubits(self, qubits: tuple[int, ...]) -> None:
         for q in qubits:

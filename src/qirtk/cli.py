@@ -2,17 +2,20 @@
 
 Exit codes follow one discipline across commands: 0 success, 1 semantic
 failure (unsupported profile, transform or runtime error), 2 parse
-failure, 3 I/O failure. Results go to stdout; diagnostics go to stderr.
+failure or usage error, 3 I/O failure. Results go to stdout; diagnostics
+go to stderr.
 
 Input format is detected from the file extension (``.qasm`` is OpenQASM
 2, anything else is textual QIR) and can be forced with
 ``--input-format``; ``--format`` selects the output rendering.
 
 Each command handler returns its exit code and output text and writes
-nothing. ``main(argv)``, the in-process API, writes that text once, to
-the ``--out`` file (closed before it returns) or to stdout (flushed),
-so a failed write is an I/O failure, and returns the exit code. A
-failed stdout write leaves stdout's descriptor pointing at devnull.
+nothing, and so does the argument parser for ``--help``. ``main(argv)``,
+the in-process API, writes that text once, to the ``--out`` file
+(closed before it returns) or to stdout (flushed), so a failed write,
+or a process started without a stdout, is an I/O failure, and returns
+the exit code; it never raises ``SystemExit``. A failed stdout write
+leaves stdout's descriptor pointing at devnull.
 ``entry()``, which the ``qirtk`` script and ``python -m qirtk.cli``
 run, ends the process with that code through ``os._exit``, skipping
 the interpreter's teardown.
@@ -21,6 +24,7 @@ the interpreter's teardown.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from typing import NoReturn
@@ -121,8 +125,29 @@ def _cmd_run(args) -> tuple[int, str]:
 # argument wiring
 
 
+class _Help(Exception):
+    """``--help`` was given; the argument is the text for stdout."""
+
+
+class _UsageError(Exception):
+    """The arguments are wrong; the argument is the usage line and the
+    message for stderr."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises what ``--help`` and a usage error would print, for
+    ``main()`` to write, instead of writing it and exiting."""
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
+
+    def error(self, message):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: "
+                          f"{message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qirtk",
         description="Parse, validate, transform, transpile, and run "
                     "textual QIR and OpenQASM 2 programs.")
@@ -171,12 +196,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        code, text = args.handler(args)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
+        try:
+            args = _build_parser().parse_args(argv)
+        except _Help as shown:
+            code, text, out = 0, str(shown), None
+        else:
+            (code, text), out = args.handler(args), args.out
+        if out:
+            with open(out, "w", encoding="utf-8") as handle:
                 handle.write(text)
+        elif sys.stdout is None:  # started with descriptor 1 closed
+            raise OSError(errno.EBADF, "stdout is closed")
         else:
             try:
                 sys.stdout.write(text)
@@ -189,6 +220,9 @@ def main(argv: list[str] | None = None) -> int:
                 os.close(devnull)
                 raise
         return code
+    except _UsageError as err:
+        print(err, end="", file=sys.stderr)
+        return 2
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
@@ -203,9 +237,8 @@ def main(argv: list[str] | None = None) -> int:
 def entry() -> NoReturn:
     """End the process with ``main()``'s exit code through ``os._exit``,
     skipping the interpreter's teardown (10-30 ms a command). ``main()``
-    has flushed stdout or closed the ``--out`` file by then, and stderr
-    is line-buffered. A ``SystemExit`` from ``main`` (an argparse error,
-    ``--help``) never gets here and takes the ordinary shutdown.
+    has flushed stdout or closed the ``--out`` file by then, also after
+    ``--help`` or a usage error, and stderr is line-buffered.
     """
     os._exit(main())
 

@@ -45,6 +45,14 @@ def check_input_size(text: str) -> None:
 #: array, the registers of an OpenQASM 2 program, or a required count
 MAX_DECLARED_SIZE = 65536
 
+#: most operations an OpenQASM 2 program may expand to, counted after
+#: register-wide statements broadcast. The longest operation prints as a
+#: 138-character ``ccx`` call and each of at most ``MAX_DECLARED_SIZE``
+#: results adds an 89-character record call, so the largest circuit
+#: admitted prints as a module of about 42 Mi characters, which reads
+#: back under ``MAX_INPUT_CHARS``
+MAX_OPERATIONS = 2 ** 18
+
 #: default loop iteration cap of ``unroll_and_fold`` and ``lower_to_base``
 DEFAULT_ITERATION_CAP = 65536
 #: default qubit and step limits of ``interpret`` (``ExecOptions``)
@@ -60,7 +68,8 @@ class TransformError(QirError):
     """A rewrite cannot be applied; ``reason`` is a stable machine code.
 
     Reasons used by the transforms:
-      AllocationLimit   a qubit array is larger than ``MAX_DECLARED_SIZE``
+      AllocationLimit   a qubit array is larger than ``MAX_DECLARED_SIZE``,
+                        or an allocation needs a qubit index at or past it
       BadOperand        a gate names one qubit twice
       CapExceeded       a loop ran past the configured iteration cap
       DataDependent     control flow depends on a measurement outcome

@@ -43,6 +43,18 @@ class IntrinsicSpec:
     arg_kinds: tuple[str, ...]
     ret_type: Type = VOID
     gate: GateKind | None = None
+    # positions of the qubit, result and angle operands, set from
+    # arg_kinds, so that a reader of a call indexes its operands
+    qubit_at: tuple[int, ...] = ()
+    result_at: tuple[int, ...] = ()
+    angle_at: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        for field, kind in (("qubit_at", QUBIT_ARG),
+                            ("result_at", RESULT_ARG),
+                            ("angle_at", ANGLE_ARG)):
+            object.__setattr__(self, field, tuple(
+                [i for i, k in enumerate(self.arg_kinds) if k == kind]))
 
 
 def _gate(name: str, kind: GateKind) -> IntrinsicSpec:

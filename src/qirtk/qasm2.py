@@ -1,4 +1,4 @@
-"""OpenQASM 2 import and export for flat circuits.
+"""OpenQASM 2 import for flat circuits (``bridge`` holds the exporter).
 
 The importer covers the statement subset a transpiler bridge needs:
 ``OPENQASM 2.0;`` and ``include`` headers, ``qreg``/``creg``
@@ -9,7 +9,9 @@ is the ``range`` of its indices, and an operand is that range or one
 element's index. Register-wide statements broadcast element-wise in index
 order, so ``measure q -> c;`` becomes one measurement per bit; the
 registers may declare at most ``errors.MAX_DECLARED_SIZE`` qubits and as
-many bits, so no statement expands further. Angle expressions support
+many bits, so no statement expands further, and the whole program to at
+most ``errors.MAX_OPERATIONS`` operations: the statement that would pass
+that is a ParseError. Angle expressions support
 literals, ``pi``, arithmetic, and parentheses; a gate whose angle is not
 finite (``rx(1e999)``, ``ry(1e308*10)``) is a ParseError at the gate.
 
@@ -25,7 +27,8 @@ from math import isfinite, pi
 from typing import NamedTuple
 
 from .circuit import Gate, GateKind, Measure, QuantumCircuit, Reset
-from .errors import MAX_DECLARED_SIZE, ParseError, check_input_size
+from .errors import (MAX_DECLARED_SIZE, MAX_OPERATIONS, ParseError,
+                     check_input_size)
 
 _GATES_BY_NAME = {kind.value: kind for kind in GateKind}
 
@@ -158,7 +161,7 @@ class _QasmParser:
             elif token.text == "measure":
                 self._measure(token)
             elif token.text == "reset":
-                self._reset()
+                self._reset(token)
             elif token.text == "barrier":
                 self._barrier(token)
             elif token.text in _GATES_BY_NAME:
@@ -227,6 +230,16 @@ class _QasmParser:
                              token.line, token.column, token.text)
         return range(lengths.pop()) if lengths else range(1)
 
+    def _make_room(self, count: int, token: _Token) -> None:
+        """Refuse the statement at ``token`` if its ``count`` operations
+        would take the circuit past ``MAX_OPERATIONS``."""
+        total = len(self.ops) + count
+        if total > MAX_OPERATIONS:
+            raise ParseError(
+                f"the circuit expands to {total} operations, more than the "
+                f"limit of {MAX_OPERATIONS}", token.line, token.column,
+                token.text)
+
     def _gate(self, token: _Token) -> None:
         kind = _GATES_BY_NAME[token.text]
         params: tuple[float, ...] = ()
@@ -251,7 +264,9 @@ class _QasmParser:
             raise ParseError(
                 f"{kind.value} takes {kind.num_qubits} operand(s)",
                 token.line, token.column, token.text)
-        for i in self._broadcast(operands, token):
+        indices = self._broadcast(operands, token)
+        self._make_room(len(indices), token)
+        for i in indices:
             qubits = tuple(o[i] if isinstance(o, range) else o
                            for o in operands)
             if len(set(qubits)) != len(qubits):
@@ -272,12 +287,14 @@ class _QasmParser:
         if len(source) != len(target):
             raise ParseError("measure operands differ in length",
                              token.line, token.column, token.text)
+        self._make_room(len(source), token)
         self.ops += map(Measure, source, target)
 
-    def _reset(self) -> None:
-        operand = self._operand(self.qregs, "quantum")
+    def _reset(self, token: _Token) -> None:
+        qubits = _each(self._operand(self.qregs, "quantum"))
         self.reader.expect(";")
-        self.ops += map(Reset, _each(operand))
+        self._make_room(len(qubits), token)
+        self.ops += map(Reset, qubits)
 
     def _barrier(self, token: _Token) -> None:
         self._operand(self.qregs, "quantum")
@@ -346,48 +363,3 @@ def import_openqasm2(text: str) -> QuantumCircuit:
     input, and on text longer than ``errors.MAX_INPUT_CHARS``."""
     check_input_size(text)
     return _QasmParser(text).parse()
-
-
-def _format_angle(value: float) -> str:
-    if not isfinite(value):  # the importer refuses inf and nan
-        raise ValueError("cannot print a non-finite float constant")
-    return repr(float(value))
-
-
-def export_openqasm2(circuit: QuantumCircuit) -> str:
-    """Render a circuit as OpenQASM 2 source.
-
-    Importing the output reproduces the circuit exactly. A trailing
-    block measuring qubit i into bit i for every index compacts to the
-    register-wide ``measure q -> c;`` spelling.
-    """
-    lines = ['OPENQASM 2.0;', 'include "qelib1.inc";']
-    if circuit.num_qubits:
-        lines.append(f"qreg q[{circuit.num_qubits}];")
-    if circuit.num_clbits:
-        lines.append(f"creg c[{circuit.num_clbits}];")
-
-    ops = circuit.ops
-    compact_measure = False
-    n = circuit.num_qubits
-    if (n and n == circuit.num_clbits and len(ops) >= n
-            and ops[-n:] == tuple(Measure(i, i) for i in range(n))):
-        compact_measure = True
-        ops = ops[:-n]
-
-    for op in ops:
-        if isinstance(op, Gate):
-            name = op.kind.value
-            params = ""
-            if op.params:
-                params = "(" + ", ".join(_format_angle(p)
-                                         for p in op.params) + ")"
-            targets = ", ".join(f"q[{q}]" for q in op.qubits)
-            lines.append(f"{name}{params} {targets};")
-        elif isinstance(op, Measure):
-            lines.append(f"measure q[{op.qubit}] -> c[{op.clbit}];")
-        else:
-            lines.append(f"reset q[{op.qubit}];")
-    if compact_measure:
-        lines.append("measure q -> c;")
-    return "\n".join(lines) + "\n"

@@ -222,11 +222,7 @@ class _Unroller(Compiler):
         args = [(arg.ty, self._key(arg.value)) for arg in instr.args]
         spec = intrinsics.lookup(instr.callee)
         # operand positions of a gate's qubits, if it takes two or more
-        qubit_at = ()
-        if (spec is not None and spec.action == intrinsics.GATE
-                and spec.gate.num_qubits > 1):
-            qubit_at = [i for i, kind in enumerate(spec.arg_kinds)
-                        if kind == intrinsics.QUBIT_ARG]
+        qubit_at = spec.qubit_at if spec and len(spec.qubit_at) > 1 else ()
         # address operands the run computes: the gate bounded the others
         address_at = [(i, kind) for i, (kind, arg) in enumerate(zip(
             spec.arg_kinds if spec else (), instr.args))
@@ -306,10 +302,12 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
     are reused lowest-first, and indices already referenced statically
     are never reassigned, so no two simultaneously live qubits share an
     index; a handle used or released after its release is refused as
-    UseAfterRelease, and a gate whose handles name one qubit twice as
-    BadOperand. Always sets the required-count attributes to the
-    high-water marks of the result's calls, or to the module's valid
-    declared counts where those are larger.
+    UseAfterRelease, a gate whose handles name one qubit twice as
+    BadOperand, and an allocation that needs an index at or past
+    ``MAX_DECLARED_SIZE`` as AllocationLimit. Always sets the
+    required-count attributes to the high-water marks of the result's
+    calls, or to the module's valid declared counts where those are
+    larger.
     A block that holds anything but calls and loads is first folded by
     ``unroll_and_fold``, so classical code and stack slots reach this
     pass as constants; the result keeps the module's block label.
@@ -329,12 +327,20 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
     for call in instructions:
         spec = isinstance(call, Call) and intrinsics.lookup(call.callee)
         if spec and spec.action != intrinsics.RELEASE:
-            for kind, arg in zip(spec.arg_kinds, call.args):
-                if (kind == intrinsics.QUBIT_ARG
-                        and isinstance(arg.value, StaticAddr)):
-                    pinned.add(arg.value.index)
-    fresh = itertools.filterfalse(pinned.__contains__,
-                                  itertools.count()).__next__
+            for i in spec.qubit_at:
+                if isinstance(call.args[i].value, StaticAddr):
+                    pinned.add(call.args[i].value.index)
+    unpinned = itertools.filterfalse(pinned.__contains__,
+                                     itertools.count()).__next__
+
+    def fresh() -> int:
+        index = unpinned()
+        if index >= MAX_DECLARED_SIZE:
+            raise TransformError(
+                "AllocationLimit", f"allocating qubit index {index} "
+                f"exceeds the limit of {MAX_DECLARED_SIZE} qubits")
+        return index
+
     pool = IndexPool()
 
     # SSA name -> a Qubit, an array (a list of Qubits) or an ElemPtr

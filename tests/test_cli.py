@@ -193,14 +193,16 @@ def test_transpile_classifies_each_module_once(monkeypatch, capsys, name,
 
 
 @pytest.mark.parametrize("name, circuits", [
-    ("bell_static.ll", 1),
-    # the imported circuit, and the one read back from its module
-    ("bell.qasm", 2),
+    # the circuit read from a base module is proven by its profile report
+    ("bell_static.ll", 0),
+    # only the imported circuit; the one read back from its module is proven
+    ("bell.qasm", 1),
 ])
 def test_transpile_validates_each_circuit_once(monkeypatch, capsys, name,
                                                circuits):
     # a circuit is validated when it is built, and never again: each op is
-    # checked once per circuit built
+    # checked once per circuit built, and not at all in a circuit the bridge
+    # builds from a module its base report has proven
     built, checked = [], []
     post_init = QuantumCircuit.__post_init__
     check = QuantumCircuit._check_qubits
@@ -218,6 +220,38 @@ def test_transpile_feedback_fails_with_reason(capsys):
     assert main(["transpile", _path("feedback.ll"),
                  "--to", "qir-base"]) == 1
     assert "FeedbackRequired" in capsys.readouterr().err
+
+
+_ALLOCATING_LOOP = """\
+declare ptr @__quantum__rt__qubit_allocate()
+declare void @__quantum__qis__h__body(ptr)
+define void @main() #0 {
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %next, %loop ]
+  %q = call ptr @__quantum__rt__qubit_allocate()
+  call void @__quantum__qis__h__body(ptr %q)
+  %next = add i64 %i, 1
+  %more = icmp slt i64 %next, 65537
+  br i1 %more, label %loop, label %exit
+exit:
+  ret void
+}
+attributes #0 = { "entry_point" }
+"""
+
+
+def test_transpile_refuses_an_allocation_past_the_qubit_limit(tmp_path,
+                                                              capsys):
+    # the loop never releases a qubit, so trip 65,537 needs index 65536
+    path = tmp_path / "allocating_loop.ll"
+    path.write_text(_ALLOCATING_LOOP, encoding="utf-8")
+    assert main(["transpile", str(path), "--to", "qir-base",
+                 "--iteration-cap", "70000"]) == 1
+    assert capsys.readouterr().err == (
+        "error: AllocationLimit: allocating qubit index 65536 exceeds the "
+        "limit of 65536 qubits\n")
 
 
 def test_unroll_command(capsys):
@@ -400,6 +434,29 @@ def test_fast_exit_keeps_a_closed_pipe_error_on_a_verdict(buffered):
     code, out, err = _both_exits(["validate", _path("bell_static.ll")],
                                  buffered, closed_pipe=True)
     assert (code, err) == (3, b"i/o error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("args", [["--help"], ["transpile", "--help"]],
+                         ids=["qirtk", "transpile"])
+def test_help_into_a_closed_pipe_is_an_io_error(args):
+    # with PYTHONUNBUFFERED unset the help text is still buffered when
+    # argparse is done; main() writes and flushes it like any output
+    code, out, err = _both_exits(args, closed_pipe=True)
+    assert (code, err) == (3, b"i/o error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("args", [["--help"], ["transpile", "--help"],
+                                  ["validate", _path("bell_static.ll")]],
+                         ids=["qirtk", "transpile", "validate"])
+def test_a_process_started_without_stdout_is_an_io_error(args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable,
+                           "-m", "qirtk.cli", *args],
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (
+        3, b"i/o error: [Errno 9] stdout is closed\n")
 
 
 def _file_id(fd_or_path) -> tuple[int, int]:

@@ -118,9 +118,10 @@ def test_converting_a_base_module_loads_no_interpreter_or_transforms():
                            str(genutil.corpus_path("bell_static.ll")),
                            "--to", "qasm2")
     assert code == 0
-    assert "qirtk.qasm2" in loaded and "qirtk.bridge" in loaded
+    assert "qirtk.bridge" in loaded
+    # the exporter lives in the bridge, so the importer is not loaded
     assert not loaded & {"qirtk.interpreter", "qirtk.evaluator", "qirtk.rng",
-                         "qirtk.transforms", "qirtk.printer"}
+                         "qirtk.transforms", "qirtk.printer", "qirtk.qasm2"}
 
 
 def test_running_a_qir_file_loads_no_transforms_or_bridges():

@@ -1,6 +1,12 @@
 """Both source readers refuse text longer than ``errors.MAX_INPUT_CHARS``,
 and no declared size may pass ``errors.MAX_DECLARED_SIZE``."""
 
+import os
+import resource
+import subprocess
+import sys
+import time
+
 import pytest
 
 from qirtk import (ParseError, Profile, errors, import_openqasm2,
@@ -97,6 +103,45 @@ def test_cli_exits_two_on_a_register_past_the_limit(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "parse error: line 2, column 8: registers declare 65537 qubits, "
         "more than the limit of 65536 near '65537'\n")
+
+
+def test_a_program_expands_to_at_most_the_operation_limit():
+    # one statement of each kind counts its ops after broadcasting
+    assert errors.MAX_OPERATIONS == 4 * 65536
+    head = "OPENQASM 2.0;\nqreg q[65536];\ncreg c[65536];\n"
+    full = head + "h q;\nreset q;\nrx(0.5) q;\nmeasure q -> c;\n"
+    assert len(import_openqasm2(full).ops) == errors.MAX_OPERATIONS
+    for statement in ("x q[0];", "reset q[1];", "measure q[2] -> c[2];"):
+        with pytest.raises(ParseError) as exc:
+            import_openqasm2(full + statement + "\n")
+        err = exc.value
+        assert (err.message, err.line, err.column) == (
+            "the circuit expands to 262145 operations, more than the limit "
+            "of 262144", 8, 1)
+
+
+def test_a_short_program_past_the_operation_limit_fails_fast(tmp_path):
+    # 151 bytes that would expand to 1,310,720 ops (about 24 MB a line);
+    # the child may not map more than 1 GiB
+    path = tmp_path / "wide.qasm"
+    path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[65536];\n'
+                    + "h q;\n" * 20, encoding="utf-8")
+    assert path.stat().st_size == 151
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(genutil.ROOT / "src"),
+                      os.environ.get("PYTHONPATH")])))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "qirtk.cli", "validate",
+                           str(path)], capture_output=True, env=env,
+                          preexec_fn=limit, timeout=60)
+    assert time.monotonic() - start < 5
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", (
+        b"parse error: line 8, column 1: the circuit expands to 327680 "
+        b"operations, more than the limit of 262144 near 'h'\n"))
 
 
 def _with_attribute(key: str, value: int):

@@ -7,7 +7,8 @@ import pytest
 from qirtk import (Profile, TransformError, allocate_static_addresses,
                    interpret, lower_to_base, parse_module, print_module,
                    unroll_and_fold, validate_profile)
-from qirtk.ir import Call
+from qirtk.intrinsics import declaration_for
+from qirtk.ir import PTR, BasicBlock, Call, FuncDef, QirModule, Ret
 from qirtk.transforms import _schedule
 
 import genutil
@@ -187,6 +188,26 @@ def test_oversized_array_allocation_is_refused_before_assignment():
     assert exc.value.reason == "AllocationLimit"
     assert str(exc.value) == ("AllocationLimit: array allocation of "
                               "400000000 qubits exceeds the limit of 65536")
+
+
+def _allocations(count: int) -> QirModule:
+    """A straight-line module of ``count`` qubit allocations, none of them
+    released."""
+    allocate = "__quantum__rt__qubit_allocate"
+    calls = tuple(Call(allocate, (), f"q{i}", PTR) for i in range(count))
+    return QirModule("m", (declaration_for(allocate),),
+                     (FuncDef("main", (BasicBlock("entry", (), calls,
+                                                  Ret()),), 0),),
+                     {0: {"entry_point": ""}})
+
+
+def test_an_allocation_past_the_qubit_limit_is_refused():
+    # the 65,537th live qubit needs index 65536
+    with pytest.raises(TransformError) as exc:
+        allocate_static_addresses(_allocations(65537))
+    assert str(exc.value) == ("AllocationLimit: allocating qubit index 65536 "
+                              "exceeds the limit of 65536 qubits")
+    assert allocate_static_addresses(_allocations(65536))
 
 
 def test_slots_cannot_mix_handles_and_integers():
