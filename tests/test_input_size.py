@@ -1,5 +1,6 @@
 """Both source readers refuse text longer than ``errors.MAX_INPUT_CHARS``,
-and no declared size may pass ``errors.MAX_DECLARED_SIZE``."""
+no declared size may pass ``errors.MAX_DECLARED_SIZE``, and no OpenQASM 2
+program may expand past ``errors.MAX_OPERATIONS``."""
 
 import os
 import resource
