@@ -26,10 +26,9 @@ from .profile import Profile, validate_profile
 def circuit_from_base_qir(module: QirModule) -> QuantumCircuit:
     """Flatten a base-form module into a circuit.
 
-    Qubit counts come from the larger of the highest address used and
-    the module's required-count attribute, so declared-but-idle qubits
-    survive the conversion. Calls with one callee and one arguments
-    tuple (the parser shares one between equal texts) share one op.
+    Register sizes come from ``QirModule.register_size``, so declared
+    but idle qubits survive the conversion. Calls with one callee and one
+    arguments tuple (the parser shares one between equal texts) share one op.
     """
     report = validate_profile(module)
     if report.profile is not Profile.BASE:
@@ -65,15 +64,12 @@ def circuit_from_base_qir(module: QirModule) -> QuantumCircuit:
             shared[key] = op
         ops.append(op)
 
-    num_qubits = max(max_qubit + 1,
-                     module.required_count(REQUIRED_QUBITS_ATTR) or 0)
-    num_clbits = max(max_clbit + 1,
-                     module.required_count(REQUIRED_RESULTS_ATTR) or 0)
-    return QuantumCircuit._proven(num_qubits, num_clbits, tuple(ops))
+    return QuantumCircuit._proven(
+        module.register_size(REQUIRED_QUBITS_ATTR, max_qubit),
+        module.register_size(REQUIRED_RESULTS_ATTR, max_clbit), tuple(ops))
 
 
-def circuit_to_base_qir(circuit: QuantumCircuit,
-                        name: str = "main") -> QirModule:
+def circuit_to_base_qir(circuit: QuantumCircuit) -> QirModule:
     """Emit a statically-addressed module for a circuit.
 
     One intrinsic call per operation, followed by one recording call
@@ -109,8 +105,8 @@ def circuit_to_base_qir(circuit: QuantumCircuit,
     declarations = tuple(intrinsics.declaration_for(n)
                          for n in intrinsics.intrinsic_table()
                          if n in used)
-    fn = FuncDef(name, (BasicBlock("entry", (), tuple(instructions),
-                                   Ret()),), attr_group=0)
+    fn = FuncDef("main", (BasicBlock("entry", (), tuple(instructions),
+                                     Ret()),), attr_group=0)
     groups = {0: {ENTRY_POINT_ATTR: "",
                   REQUIRED_QUBITS_ATTR: str(circuit.num_qubits),
                   REQUIRED_RESULTS_ATTR: str(circuit.num_clbits)}}

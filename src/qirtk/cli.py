@@ -29,25 +29,18 @@ import os
 import sys
 from typing import NoReturn
 
-from . import errors
+from . import _MODULES, errors
 from .errors import (DEFAULT_ITERATION_CAP, DEFAULT_MAX_QUBITS,
                      DEFAULT_STEP_LIMIT, ParseError, QirError)
 
-#: the names the commands call from the other layers. Each resolves on
-#: first use through the package's lazy names, and the handlers call it
-#: through this module (``_cli``), so a command loads only the layers it
-#: runs and a wrapper set on ``qirtk.cli`` with ``setattr`` is what runs.
-_LAYER_NAMES = frozenset({
-    "ExecOptions", "Profile", "circuit_from_base_qir",
-    "circuit_to_base_qir", "export_openqasm2", "import_openqasm2",
-    "interpret", "lower_to_base", "parse_module", "print_module",
-    "unroll_and_fold", "validate_profile",
-})
+#: each of the package's lazy names resolves here on first use, and the
+#: commands call them through this module, so a command loads only the
+#: layers it runs and a wrapper set on ``qirtk.cli`` is what runs
 _cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    if name not in _LAYER_NAMES:
+    if name not in _MODULES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(sys.modules[__package__], name)
     return value

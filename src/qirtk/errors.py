@@ -46,11 +46,11 @@ def check_input_size(text: str) -> None:
 MAX_DECLARED_SIZE = 65536
 
 #: most operations an OpenQASM 2 program may expand to, counted after
-#: register-wide statements broadcast. The longest operation prints as a
-#: 138-character ``ccx`` call and each of at most ``MAX_DECLARED_SIZE``
-#: results adds an 89-character record call, so the largest circuit
-#: admitted prints as a module of about 42 Mi characters, which reads
-#: back under ``MAX_INPUT_CHARS``
+#: register-wide statements broadcast, and most instructions unrolling
+#: may emit. The longest operation prints as a 138-character ``ccx`` call
+#: and each of at most ``MAX_DECLARED_SIZE`` results adds an 89-character
+#: record call, so the largest circuit admitted prints as a module of
+#: about 42 Mi characters, which reads back under ``MAX_INPUT_CHARS``
 MAX_OPERATIONS = 2 ** 18
 
 #: default loop iteration cap of ``unroll_and_fold`` and ``lower_to_base``
@@ -78,6 +78,8 @@ class TransformError(QirError):
                         cannot spell it: an int or float as ptr, an
                         address as an int or double, a float as an int
       FeedbackRequired  the program is not expressible in the base profile
+      OperationLimit    unrolling emits more than ``MAX_OPERATIONS``
+                        instructions
       UseAfterRelease   a qubit handle is used or released after its release
     plus precondition codes such as NotStraightLine and
     NonConstantAllocation.

@@ -63,6 +63,11 @@ class Qubit:
         return self.index
 
 
+def duplicate_operand(error: type[QirError]) -> QirError:
+    """The refusal, as ``error``, of a gate that names one qubit twice."""
+    return error("BadOperand", "duplicate qubit operand in a gate")
+
+
 @node
 class ElemPtr:
     """A pointer to element ``index`` of an array, the list of its

@@ -35,7 +35,8 @@ from math import isfinite
 from . import intrinsics
 from .circuit import GateKind
 from .errors import DEFAULT_MAX_QUBITS, DEFAULT_STEP_LIMIT, ExecutionError
-from .evaluator import Compiler, ElemPtr, IndexPool, Qubit, Run, raising
+from .evaluator import (Compiler, ElemPtr, IndexPool, Qubit, Run,
+                        duplicate_operand, raising)
 from .ir import Call, Load, QirModule, StaticAddr, REQUIRED_QUBITS_ATTR
 from .node import node
 from .rng import ShotRng
@@ -253,8 +254,7 @@ def _gate(gate: GateKind, keys):
         params = tuple(map(_angle, args[:n])) if n else ()
         targets = tuple(map(state.qubit_index, map(_qubit, args[n:])))
         if len(targets) > 1 and len(set(targets)) != len(targets):
-            raise ExecutionError("BadOperand",
-                                 "duplicate qubit operand in a gate")
+            raise duplicate_operand(ExecutionError)
         state.statevector.apply_gate_inplace(gate, params, targets)
     return op
 
@@ -310,6 +310,18 @@ _ACTIONS = {
 }
 
 
+def _required_qubits(module: QirModule, options: ExecOptions,
+                     shot_index: int) -> int:
+    """The module's required qubit count; QubitLimit at ``shot_index``
+    when it is past ``options.max_qubits``."""
+    required = module.required_count(REQUIRED_QUBITS_ATTR) or 0
+    if required > options.max_qubits:
+        raise ExecutionError(
+            "QubitLimit", f"module requires {required} qubits, limit is "
+            f"{options.max_qubits}", shot=shot_index)
+    return required
+
+
 def run_shot(module: QirModule, seed: int = 0, shot_index: int = 0,
              options: ExecOptions | None = None,
              program: Compiler | None = None) -> tuple[str, RuntimeState]:
@@ -321,13 +333,8 @@ def run_shot(module: QirModule, seed: int = 0, shot_index: int = 0,
     left by the program, before any of the cross-shot aggregation.
     """
     options = options or ExecOptions()
-    rng = ShotRng(seed, shot_index)
-    required = module.required_count(REQUIRED_QUBITS_ATTR) or 0
-    if required > options.max_qubits:
-        raise ExecutionError(
-            "QubitLimit", f"module requires {required} qubits, limit is "
-            f"{options.max_qubits}", shot=shot_index)
-    state = RuntimeState(rng, options, required)
+    required = _required_qubits(module, options, shot_index)
+    state = RuntimeState(ShotRng(seed, shot_index), options, required)
     run = Run(program or _ShotCompiler(module.entry).compile(), state)
     try:
         run.run(options.step_limit)
@@ -342,14 +349,19 @@ def interpret(module: QirModule, shots: int = 1024, seed: int = 0,
     """Run ``shots`` independent shots and aggregate the counts.
 
     Shot streams derive from (seed, shot index) only, so any execution
-    order, including a parallel one, yields identical results.
+    order, including a parallel one, yields identical results. A module
+    that requires more qubits than ``options.max_qubits`` is refused at
+    shot 0 before its entry is compiled.
     """
     if shots < 0:
         raise ValueError("shots must be non-negative")
     options = options or ExecOptions()
     memory: list[str] = []
     counts: dict[str, int] = {}
-    program = _ShotCompiler(module.entry).compile() if shots else None
+    program = None
+    if shots:
+        _required_qubits(module, options, 0)
+        program = _ShotCompiler(module.entry).compile()
     for shot in range(shots):
         bits, _ = run_shot(module, seed, shot, options, program=program)
         memory.append(bits)

@@ -367,6 +367,12 @@ class QirModule:
             return None
         return count if count >= 0 else None
 
+    def register_size(self, key: str, highest: int) -> int:
+        """A base register's size: the larger of its valid declared ``key``
+        count and ``highest`` + 1, ``highest`` being its highest constant
+        address or -1, so declared but idle qubits and results are kept."""
+        return max(self.required_count(key) or 0, highest + 1)
+
     def defined_names(self) -> set[str]:
         return {f.name for f in self.functions}
 

@@ -19,9 +19,8 @@ from . import intrinsics
 from .errors import MAX_DECLARED_SIZE
 from .ir import (Call, ConstFloat, ConstInt, QirModule, StaticAddr,
                  REQUIRED_QUBITS_ATTR, REQUIRED_RESULTS_ATTR)
-from .intrinsics import (ANGLE_ARG, ARRAY_ARG, GATE, INT_ARG, LABEL_ARG,
-                         MEASURE, QUBIT_ARG, RECORD, RECORD_ARRAY, RESET,
-                         RESULT_ARG)
+from .intrinsics import (ANGLE_ARG, ARRAY_ARG, BASE_RECORD_ACTIONS, GATE,
+                         INT_ARG, MEASURE, QUBIT_ARG, RESET, RESULT_ARG)
 from .node import node
 
 
@@ -122,7 +121,7 @@ def _classify(module: QirModule) -> ProfileReport:
                         _loc(at), "measurement after output recording"))
                 seen_measure = True
                 measured.update(qubits)
-            elif spec.action in (RECORD, RECORD_ARRAY):
+            elif spec.action in BASE_RECORD_ACTIONS:
                 seen_record = True
             else:
                 base.append(Violation(_loc(at), f"@{instr.callee} is "
@@ -155,10 +154,9 @@ def _check_base_call(instr: Call, spec, at: tuple[str, str, int],
                 base.append(Violation(
                     _loc(at), f"{kind} operand of @{instr.callee} is not a "
                               "static address"))
-            elif arg.value.index >= MAX_DECLARED_SIZE:
-                unsupported.append(Violation(_loc(at), (
-                    f"{kind} address {arg.value.index} of @{instr.callee} "
-                    f"is not below the limit of {MAX_DECLARED_SIZE}")))
+            elif past := address_past_limit(kind, arg.value.index,
+                                            instr.callee):
+                unsupported.append(Violation(_loc(at), past))
             elif kind == QUBIT_ARG:
                 qubits.append(arg.value.index)
         elif kind == ANGLE_ARG:
@@ -174,9 +172,16 @@ def _check_base_call(instr: Call, spec, at: tuple[str, str, int],
         elif kind == ARRAY_ARG:
             base.append(Violation(
                 _loc(at), f"@{instr.callee} takes a dynamic array handle"))
-        elif kind == LABEL_ARG:
-            pass
     return qubits
+
+
+def address_past_limit(kind: str, index: int, callee: str) -> str | None:
+    """Why constant ``kind`` address ``index`` of ``@callee`` is
+    unsupported, or None when it is below ``MAX_DECLARED_SIZE``."""
+    if index < MAX_DECLARED_SIZE:
+        return None
+    return (f"{kind} address {index} of @{callee} "
+            f"is not below the limit of {MAX_DECLARED_SIZE}")
 
 
 def _base_warnings(module: QirModule, used: set[int],

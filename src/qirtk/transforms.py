@@ -33,18 +33,18 @@ import itertools
 import math
 
 from . import intrinsics
-from .errors import DEFAULT_ITERATION_CAP, MAX_DECLARED_SIZE, TransformError
-from .evaluator import Compiler, ElemPtr, IndexPool, Qubit, Run, Slot
+from .errors import (DEFAULT_ITERATION_CAP, MAX_DECLARED_SIZE,
+                     MAX_OPERATIONS, TransformError)
+from .evaluator import (Compiler, ElemPtr, IndexPool, Qubit, Run, Slot,
+                        duplicate_operand)
 from .ir import (BasicBlock, BinOp, Call, CallArg, ConstFloat, ConstInt,
                  DoubleType, Ext, FuncDef, GlobalRef, ICmp, IntToAddr,
                  IntType, Load, LocalRef, PtrType, QirModule, Ret, Select,
                  StaticAddr, Value, REQUIRED_QUBITS_ATTR,
                  REQUIRED_RESULTS_ATTR, entry_calls, make_int)
 from .node import replace
-from .profile import Profile, repeats_a_qubit, validate_profile
-
-#: largest qubit array ``allocate_static_addresses`` assigns indices to
-MAX_ARRAY_QUBITS = MAX_DECLARED_SIZE
+from .profile import (Profile, address_past_limit, repeats_a_qubit,
+                      validate_profile)
 
 
 # ---------------------------------------------------------------------------
@@ -64,21 +64,15 @@ def _profile_gate(module: QirModule, what: str) -> None:
                            f"{first.reason} at {first.location}")
 
 
-def _duplicate_operand() -> TransformError:
-    return TransformError("BadOperand", "duplicate qubit operand in a gate")
-
-
 def _with_body(module: QirModule, instructions) -> QirModule:
     """``module`` with ``instructions`` in its entry's single block, and
     with the required counts the block needs.
 
     The block keeps its label, phis and terminator; every other node is
     shared, and declarations of intrinsics no longer called are dropped.
-    Each count is the larger of the module's valid declared count
-    (``QirModule.required_count``) and one more than the highest
-    constant address of its kind among the calls, so declared but idle
-    qubits and results are kept, as the circuit bridges keep them; an
-    entry without an attribute group gets the lowest unused group id.
+    Each count is ``QirModule.register_size`` of the calls' highest
+    constant address of its kind; an entry without an attribute group
+    gets the lowest unused group id.
     """
     entry = module.entry
     block = replace(entry.blocks[0], instructions=tuple(instructions))
@@ -100,8 +94,7 @@ def _with_body(module: QirModule, instructions) -> QirModule:
         groups[gid] = {}
     for key, kind in ((REQUIRED_QUBITS_ATTR, intrinsics.QUBIT_ARG),
                       (REQUIRED_RESULTS_ATTR, intrinsics.RESULT_ARG)):
-        declared = module.required_count(key) or 0
-        groups[gid][key] = str(max(declared, high[kind] + 1))
+        groups[gid][key] = str(module.register_size(key, high[kind]))
     fn = replace(entry, blocks=(block,), attr_group=gid)
     return replace(
         module,
@@ -150,9 +143,15 @@ class _Unroller(Compiler):
         self.counter += 1
         return name
 
+    def _emit(self, instr) -> None:
+        if len(self.out) >= MAX_OPERATIONS:
+            raise TransformError(
+                "OperationLimit", f"unrolling emits more than "
+                                  f"{MAX_OPERATIONS} instructions")
+        self.out.append(instr)
+
     def _terminator(self, block: BasicBlock, number: dict):
-        branch, labels = super()._terminator(block, number), \
-            [b.label for b in self.fn.blocks]
+        branch, labels = super()._terminator(block, number), self.labels
 
         def visit(env):
             target = branch(env)
@@ -190,7 +189,7 @@ class _Unroller(Compiler):
 
     def _residual(self, env, instr, operands) -> LocalRef:
         name = self.fresh()
-        self.out.append(replace(instr, result=name, **{
+        self._emit(replace(instr, result=name, **{
             field: self._concretize(env[key], ty)
             for field, key, ty in operands}))
         return LocalRef(name)
@@ -215,7 +214,7 @@ class _Unroller(Compiler):
                 "or an array element")
         # loading a qubit handle out of an array element pointer
         name = self.fresh()
-        self.out.append(Load(name, instr.ty, pointer))
+        self._emit(Load(name, instr.ty, pointer))
         return LocalRef(name)
 
     def _call(self, instr: Call):
@@ -239,17 +238,14 @@ class _Unroller(Compiler):
             if qubit_at and repeats_a_qubit(
                     [values[i].value.index for i in qubit_at
                      if isinstance(values[i].value, StaticAddr)]):
-                raise _duplicate_operand()
+                raise duplicate_operand(TransformError)
             for i, kind in address_at:
                 value = values[i].value
-                if (isinstance(value, StaticAddr)
-                        and value.index >= MAX_DECLARED_SIZE):
-                    raise TransformError(
-                        "Unsupported", f"{kind} address {value.index} of "
-                        f"@{instr.callee} is not below the limit of "
-                        f"{MAX_DECLARED_SIZE}")
-            self.out.append(Call(instr.callee, values, result,
-                                 instr.ret_type))
+                if isinstance(value, StaticAddr) and (
+                        past := address_past_limit(kind, value.index,
+                                                   instr.callee)):
+                    raise TransformError("Unsupported", past)
+            self._emit(Call(instr.callee, values, result, instr.ret_type))
         return op
 
 
@@ -261,7 +257,9 @@ def unroll_and_fold(module: QirModule,
     arithmetic, comparisons, casts, and selects on known values fold;
     intrinsic calls are emitted in execution order with constant
     operands substituted. Raises TransformError(CapExceeded) when any
-    block is revisited more than ``iteration_cap`` times and
+    block is revisited more than ``iteration_cap`` times,
+    TransformError(OperationLimit) when it would emit more than
+    ``errors.MAX_OPERATIONS`` instructions and
     TransformError(DataDependent) when a branch needs a measurement
     outcome.
     """
@@ -378,11 +376,11 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                         raise TransformError(
                             "NonConstantAllocation",
                             f"array allocation size {size} is negative")
-                    if size > MAX_ARRAY_QUBITS:
+                    if size > MAX_DECLARED_SIZE:
                         raise TransformError(
                             "AllocationLimit",
                             f"array allocation of {size} qubits exceeds "
-                            f"the limit of {MAX_ARRAY_QUBITS}")
+                            f"the limit of {MAX_DECLARED_SIZE}")
                     handles[instr.result] = [Qubit(pool.take(fresh))
                                              for _ in range(size)]
                 elif action == intrinsics.GET_ELEMENT:
@@ -448,7 +446,7 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                 resolved = True
             if resolved:
                 if repeats_a_qubit(qubits):
-                    raise _duplicate_operand()
+                    raise duplicate_operand(TransformError)
                 instr = Call(instr.callee, tuple(new_args), instr.result,
                              instr.ret_type)
             kept.append(instr)

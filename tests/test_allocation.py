@@ -369,6 +369,12 @@ def test_a_folded_address_past_the_limit_is_unsupported(transform):
     assert (info.value.reason, info.value.message) == (
         "Unsupported", "result address 70000 of @__quantum__qis__mz__body "
                        "is not below the limit of 65536")
+    # the classifier gives the address, written as a constant, that reason
+    written = parse_module(_single_block([
+        "call void @__quantum__qis__mz__body(ptr null, "
+        "ptr inttoptr (i64 70000 to ptr))"]))
+    assert [v.reason for v in validate_profile(written).violations] == [
+        info.value.message]
 
 
 @pytest.mark.parametrize("transform", [

@@ -105,12 +105,20 @@ def test_importing_the_package_and_the_cli_loads_only_errors():
         assert out.split() == sorted({"qirtk", "qirtk.errors", name})
 
 
-def test_the_cli_resolves_only_the_names_its_commands_call():
-    out = _python("-c", "import qirtk.cli as cli\n"
-                        "print(cli.parse_module.__module__,\n"
-                        "      hasattr(cli, 'QirModule'),\n"
-                        "      hasattr(cli, '__path__'))")
-    assert out == "qirtk.parser False False\n"
+def test_the_cli_resolves_every_package_name_on_first_use():
+    out = _python("-c", "import qirtk, qirtk.cli as cli\n"
+                        "names = sorted(qirtk._MODULES)\n"
+                        "print(any(n in vars(cli) for n in names),\n"
+                        "      all(getattr(cli, n) is getattr(qirtk, n)\n"
+                        "          for n in names),\n"
+                        "      cli.parse_module.__module__,\n"
+                        "      hasattr(cli, '__path__'))\n"
+                        "try:\n"
+                        "    cli.no_such_name\n"
+                        "except AttributeError as exc:\n"
+                        "    print(exc)")
+    assert out == ("False True qirtk.parser False\n"
+                   "module 'qirtk.cli' has no attribute 'no_such_name'\n")
 
 
 def test_converting_a_base_module_loads_no_interpreter_or_transforms():

@@ -1,6 +1,7 @@
 """Both source readers refuse text longer than ``errors.MAX_INPUT_CHARS``,
-no declared size may pass ``errors.MAX_DECLARED_SIZE``, and no OpenQASM 2
-program may expand past ``errors.MAX_OPERATIONS``."""
+no declared size may pass ``errors.MAX_DECLARED_SIZE``, and neither an
+OpenQASM 2 program nor an unrolled loop may expand past
+``errors.MAX_OPERATIONS``."""
 
 import os
 import resource
@@ -57,7 +58,7 @@ def test_cli_exits_two_on_text_over_the_limit(monkeypatch, tmp_path,
 
 
 def test_one_limit_bounds_every_declared_size():
-    assert errors.MAX_DECLARED_SIZE == transforms.MAX_ARRAY_QUBITS == 65536
+    assert errors.MAX_DECLARED_SIZE == 65536
 
 
 @pytest.mark.parametrize("text, line, token, message", [
@@ -121,13 +122,9 @@ def test_a_program_expands_to_at_most_the_operation_limit():
             "of 262144", 8, 1)
 
 
-def test_a_short_program_past_the_operation_limit_fails_fast(tmp_path):
-    # 151 bytes that would expand to 1,310,720 ops (about 24 MB a line);
-    # the child may not map more than 1 GiB
-    path = tmp_path / "wide.qasm"
-    path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[65536];\n'
-                    + "h q;\n" * 20, encoding="utf-8")
-    assert path.stat().st_size == 151
+def _limited_cli(*argv) -> subprocess.CompletedProcess:
+    """Run the command line on ``argv`` in a child that may not map more
+    than 1 GiB and must end within 5 s."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(genutil.ROOT / "src"),
                       os.environ.get("PYTHONPATH")])))
@@ -136,13 +133,66 @@ def test_a_short_program_past_the_operation_limit_fails_fast(tmp_path):
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     start = time.monotonic()
-    proc = subprocess.run([sys.executable, "-m", "qirtk.cli", "validate",
-                           str(path)], capture_output=True, env=env,
-                          preexec_fn=limit, timeout=60)
+    proc = subprocess.run([sys.executable, "-m", "qirtk.cli", *argv],
+                          capture_output=True, env=env, preexec_fn=limit,
+                          timeout=60)
     assert time.monotonic() - start < 5
+    return proc
+
+
+def test_a_short_program_past_the_operation_limit_fails_fast(tmp_path):
+    # 151 bytes that would expand to 1,310,720 ops (about 24 MB a line)
+    path = tmp_path / "wide.qasm"
+    path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[65536];\n'
+                    + "h q;\n" * 20, encoding="utf-8")
+    assert path.stat().st_size == 151
+    proc = _limited_cli("validate", str(path))
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", (
         b"parse error: line 8, column 1: the circuit expands to 327680 "
         b"operations, more than the limit of 262144 near 'h'\n"))
+
+
+def _loop(trips: int, calls: int) -> str:
+    """A module whose loop runs ``trips`` times over ``calls`` h calls."""
+    return ("define void @main() #0 {\nentry:\n  br label %loop\n\nloop:\n"
+            "  %i = phi i64 [ 0, %entry ], [ %next, %loop ]\n"
+            + "  call void @__quantum__qis__h__body(ptr null)\n" * calls
+            + "  %next = add i64 %i, 1\n"
+            f"  %again = icmp slt i64 %next, {trips}\n"
+            "  br i1 %again, label %loop, label %exit\n\n"
+            "exit:\n  ret void\n}\n\n"
+            "declare void @__quantum__qis__h__body(ptr)\n\n"
+            'attributes #0 = { "entry_point" "required_num_qubits"="1" '
+            '"required_num_results"="0" }\n')
+
+
+@pytest.mark.parametrize("command", [
+    ["unroll"], ["transpile", "--to", "qir-base"],
+    ["transpile", "--to", "qasm2"]], ids=["unroll", "qir-base", "qasm2"])
+def test_unrolling_emits_at_most_the_operation_limit(
+        monkeypatch, tmp_path, capsys, command):
+    # 3 calls a trip: 4 trips emit exactly the limit, 5 one trip past it
+    monkeypatch.setattr(transforms, "MAX_OPERATIONS", 12)
+    path = tmp_path / "loop.ll"
+    path.write_text(_loop(4, 3), encoding="utf-8")
+    assert main([*command, str(path)]) == 0
+    path.write_text(_loop(5, 3), encoding="utf-8")
+    capsys.readouterr()
+    assert main([*command, str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: OperationLimit: unrolling "
+                                       "emits more than 12 instructions\n")
+
+
+def test_a_short_loop_past_the_operation_limit_fails_fast(tmp_path):
+    # 9.8 KB under the default iteration cap that would emit 13,000,000
+    # instructions (about 2.7 GB)
+    path = tmp_path / "loop.ll"
+    path.write_text(_loop(65000, 200), encoding="utf-8")
+    assert path.stat().st_size == 9757
+    proc = _limited_cli("unroll", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", (
+        b"error: OperationLimit: unrolling emits more than 262144 "
+        b"instructions\n"))
 
 
 def _with_attribute(key: str, value: int):

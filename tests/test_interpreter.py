@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from qirtk import (ExecOptions, ExecutionError, interpret, lower_to_base,
-                   parse_module, run_shot)
+from qirtk import (ExecOptions, ExecutionError, interpret, interpreter,
+                   lower_to_base, parse_module, run_shot)
 from qirtk.cli import main
 from qirtk.ir import ConstFloat
 from qirtk.node import replace
@@ -156,6 +156,22 @@ def test_qubit_limit_is_enforced():
         interpret(_module("bell_static.ll"), shots=1, seed=0,
                   options=ExecOptions(max_qubits=1))
     assert exc.value.reason == "QubitLimit"
+
+
+def test_an_over_wide_module_is_refused_before_it_is_compiled(monkeypatch):
+    def compile(self):
+        raise AssertionError("compiled an over-wide module")
+
+    monkeypatch.setattr(interpreter._ShotCompiler, "compile", compile)
+    module, options = _module("bell_static.ll"), ExecOptions(max_qubits=1)
+    for shot, refused in [
+            (0, lambda: interpret(module, shots=2, options=options)),
+            (3, lambda: run_shot(module, shot_index=3, options=options))]:
+        with pytest.raises(ExecutionError) as exc:
+            refused()
+        assert str(exc.value) == ("QubitLimit: module requires 2 qubits, "
+                                  f"limit is 1 [shot {shot}]")
+    assert interpret(module, shots=0, options=options).counts == {}
 
 
 def test_step_limit_stops_runaway_programs():

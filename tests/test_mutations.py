@@ -215,21 +215,33 @@ def test_transpile_to_base_prints_the_counts_of_the_calls(tmp_path):
     assert printed.attributes[REQUIRED_RESULTS_ATTR] == "1"
 
 
+def _declaring(qubits: int, results: int) -> str:
+    return NEG_LL.replace('"required_num_qubits"="-5"',
+                          f'"required_num_qubits"="{qubits}" '
+                          f'"required_num_results"="{results}"')
+
+
 def test_both_targets_keep_declared_idle_registers(tmp_path):
     # NEG_LL declaring 5 qubits and 3 results but calling on one of each:
     # a valid declared count is kept on both targets, as the bridges keep
-    # idle qubits, and the lowered module converts to the same circuit
-    text = NEG_LL.replace('"required_num_qubits"="-5"',
-                          '"required_num_qubits"="5" '
-                          '"required_num_results"="3"')
+    # idle qubits, and the lowered module converts to the same circuit.
+    # Declaring 1 and 1 but calling on qubit 3 and result 2, both targets
+    # size the registers from the highest addresses
+    past = _declaring(1, 1).replace(
+        "h__body(ptr null)", "h__body(ptr inttoptr (i64 3 to ptr))").replace(
+        "mz__body(ptr null, ptr null)", "mz__body(ptr inttoptr (i64 3 to "
+                                        "ptr), ptr inttoptr (i64 2 to ptr))")
+    past = past.replace("output(ptr null,", "output(ptr inttoptr (i64 2 to "
+                                            "ptr),")
     path = tmp_path / "program.ll"
-    path.write_text(text, encoding="utf-8")
-    code, qasm, err = _cli(path, ["transpile", "--to", "qasm2"])
-    assert (code, err) == (0, "")
-    assert "qreg q[5];\ncreg c[3];\n" in qasm
-    code, out, err = _cli(path, ["transpile", "--to", "qir-base"])
-    assert (code, err) == (0, "")
-    printed = parse_module(out)
-    assert printed.attributes[REQUIRED_QUBITS_ATTR] == "5"
-    assert printed.attributes[REQUIRED_RESULTS_ATTR] == "3"
-    assert export_openqasm2(circuit_from_base_qir(printed)) == qasm
+    for text, qubits, results in ((_declaring(5, 3), 5, 3), (past, 4, 3)):
+        path.write_text(text, encoding="utf-8")
+        code, qasm, err = _cli(path, ["transpile", "--to", "qasm2"])
+        assert (code, err) == (0, "")
+        assert f"qreg q[{qubits}];\ncreg c[{results}];\n" in qasm
+        code, out, err = _cli(path, ["transpile", "--to", "qir-base"])
+        assert (code, err) == (0, "")
+        printed = parse_module(out)
+        assert printed.attributes[REQUIRED_QUBITS_ATTR] == str(qubits)
+        assert printed.attributes[REQUIRED_RESULTS_ATTR] == str(results)
+        assert export_openqasm2(circuit_from_base_qir(printed)) == qasm
