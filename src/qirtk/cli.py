@@ -56,6 +56,17 @@ def _load_module(args):
     return _cli.parse_module(text)
 
 
+def _print_module(module) -> str:
+    """The module's text, refused as ``OutputLimit`` when no reader would
+    accept it back."""
+    text = _cli.print_module(module)
+    if len(text) > errors.MAX_INPUT_CHARS:
+        raise errors.TransformError(
+            "OutputLimit", f"printed module is longer than "
+            f"{errors.MAX_INPUT_CHARS} characters")
+    return text
+
+
 # ---------------------------------------------------------------------------
 # commands: each returns ``(exit code, output text)``
 
@@ -84,7 +95,7 @@ def _cmd_transpile(args) -> tuple[int, str]:
     if args.to == "qir-base":
         # lowered even when already base, so the counts follow the calls
         module = _cli.lower_to_base(module, args.iteration_cap)
-        return 0, _cli.print_module(module)
+        return 0, _print_module(module)
     if _cli.validate_profile(module).profile is not _cli.Profile.BASE:
         module = _cli.lower_to_base(module, args.iteration_cap)
     return 0, _cli.export_openqasm2(_cli.circuit_from_base_qir(module))
@@ -92,7 +103,7 @@ def _cmd_transpile(args) -> tuple[int, str]:
 
 def _cmd_unroll(args) -> tuple[int, str]:
     module = _cli.unroll_and_fold(_load_module(args), args.iteration_cap)
-    return 0, _cli.print_module(module)
+    return 0, _print_module(module)
 
 
 def _cmd_run(args) -> tuple[int, str]:

@@ -31,7 +31,7 @@ class ParseError(QirError):
 
 
 #: longest source text, in characters, that ``parse_module`` and
-#: ``import_openqasm2`` accept
+#: ``import_openqasm2`` accept, and longest module the command line prints
 MAX_INPUT_CHARS = 64 * 1024 * 1024
 
 
@@ -80,6 +80,8 @@ class TransformError(QirError):
       FeedbackRequired  the program is not expressible in the base profile
       OperationLimit    unrolling emits more than ``MAX_OPERATIONS``
                         instructions
+      OutputLimit       a module printed by ``unroll`` or ``transpile``
+                        is longer than ``MAX_INPUT_CHARS``
       UseAfterRelease   a qubit handle is used or released after its release
     plus precondition codes such as NotStraightLine and
     NonConstantAllocation.

@@ -14,6 +14,14 @@ value or a missing terminator becomes a closure that raises it when a run
 reaches it. An error's ``function:block:index`` is computed only when the
 error is raised.
 
+A run can also stop part way: ``run_to`` runs from the start until a
+given op of a given block is next, counts that block's steps, and stops
+before the op; ``run`` then resumes there, in the middle of the block,
+and goes on as if it had never stopped. ``fork`` copies a run at its
+position over a copy of its state. The interpreter stops a run before
+its first draw and forks it for each shot; the unroller only ever calls
+``run``, so its blocks and its loop are the same as without stops.
+
 A value domain, a ``Compiler`` subclass, says what everything else
 means. ``transforms`` evaluates partially: values it cannot know become
 residual instructions. ``interpreter`` executes on a statevector. A
@@ -117,17 +125,30 @@ class _Env(dict):
 class Run:
     """One execution of a compiled function, as plain data: the block it
     is in and the one it came from, the last block whose instructions it
-    started and the index of the last one started there, its environment,
-    and the domain's state."""
+    started and the index of the last one started there, whether it
+    stopped before that one (``run_to``), its environment, and the
+    domain's state."""
 
     __slots__ = ("program", "state", "env", "block", "prev", "located",
-                 "index")
+                 "index", "stopped")
 
     def __init__(self, program: Compiler, state):
         self.program, self.state = program, state
         self.env = _Env(program.constants)
         self.env.fault = program._fault
         self.block, self.prev, self.located, self.index = 0, -1, -1, 0
+        self.stopped = False
+
+    def fork(self, state, copy) -> Run:
+        """A run at this run's position over ``state``, its environment's
+        values passed through ``copy``."""
+        run = Run.__new__(Run)
+        run.program, run.state = self.program, state
+        run.env = _Env(zip(self.env, map(copy, self.env.values())))
+        run.env.fault = self.env.fault
+        run.block, run.prev, run.located, run.index, run.stopped = \
+            self.block, self.prev, self.located, self.index, self.stopped
+        return run
 
     @property
     def location(self) -> str:
@@ -137,12 +158,43 @@ class Run:
         label = self.program.labels[self.located]
         return f"{self.program.fn.name}:{label}:{self.index}"
 
+    def run_to(self, step_limit, stops: dict[int, int]) -> None:
+        """Run from the start until op ``stops[b]`` of a block ``b`` is
+        next, and stop before it with the block's steps counted; ``run``
+        resumes there. With no stop on its path the run ends. A fault
+        raises, and so does a step limit that falls before the stop or
+        inside its block; the run is then spent."""
+        blocks, env, state = self.program.blocks, self.env, self.state
+        b, prev, steps = self.block, self.prev, state.steps
+        while b >= 0:
+            phis, ops, term, cost = blocks[b]
+            if phis is not None:
+                phis[prev](env)
+            if steps + cost > step_limit:
+                raise self.program._fault("step_limit", step_limit)
+            steps += cost
+            stop = stops.get(b)
+            for op in ops[:stop]:
+                op(env, state)
+            if stop is not None:
+                self.located, self.index, self.stopped = b, stop, True
+                break
+            prev, b = b, term(env)
+        self.block, self.prev, state.steps = b, prev, steps
+
     def run(self, step_limit) -> None:
-        """Run to the end of the function, or raise at the first fault."""
+        """Run to the end of the function, or raise at the first fault;
+        a stopped run first finishes the block it stopped in."""
         blocks, env, state = self.program.blocks, self.env, self.state
         b, prev, located, i = self.block, self.prev, self.located, self.index
         steps = state.steps
         try:
+            if self.stopped:
+                self.stopped = False
+                ops, term = blocks[b][1:3]
+                for i, op in enumerate(ops[i:], i):
+                    op(env, state)
+                prev, b = b, term(env)
             while b >= 0:
                 phis, ops, term, cost = blocks[b]
                 if phis is not None:

@@ -9,6 +9,17 @@ at a time. A fault is raised when a shot reaches it, never while
 compiling, with the shot and the ``function:block:index`` of the last
 instruction started.
 
+Only draws (``mz`` and ``reset``) depend on the shot, so the part of a
+run before its first draw is the same for every shot. ``interpret`` runs
+it once, into a template stopped before the first draw's call
+(``Run.run_to``); each shot but the last runs on from a fork of the
+template (``_fork``) with its own ``ShotRng``, and the last from the
+template itself. A multi-shot run holds at most two states of the
+program's width, the template and one shot's, and a one-shot run copies
+nothing. ``run_shot`` without a template runs a shot from the start: it
+is the reference that every shot of ``interpret`` matches in bits,
+steps and errors.
+
 Qubit bookkeeping follows one rule, the static allocator's, so that a
 lowered module reproduces the original shot for shot: a dynamically
 allocated qubit takes the lowest index a release gave back, and grows
@@ -94,6 +105,21 @@ class RuntimeState:
         self.record: list[int] = []
         self.slots: list = []
         self.steps = 0
+
+    def fork(self, copy) -> RuntimeState:
+        """A copy of this state with no stream; ``copy`` copies each
+        slot's value."""
+        new = RuntimeState.__new__(RuntimeState)
+        new.rng, new.options = None, self.options
+        new.statevector = self.statevector.copy()
+        new.qubit_indices = self.qubit_indices.copy()
+        new.pool = IndexPool()
+        new.pool.free = self.pool.free.copy()
+        new.results = self.results.copy()
+        new.record = self.record.copy()
+        new.slots = list(map(copy, self.slots))
+        new.steps = self.steps
+        return new
 
     # ------------------------------------------------------------------
     # qubit table
@@ -186,6 +212,8 @@ def _array(value) -> list:
 class _ShotCompiler(Compiler):
     """Execution: every value is concrete and calls act on the state.
     Errors are raised without a shot or location; ``run_shot`` adds both.
+    ``draws`` maps each block with a call that draws (``mz`` or
+    ``reset``) to the index of its first one.
     """
 
     ERROR = ExecutionError
@@ -200,6 +228,18 @@ class _ShotCompiler(Compiler):
         "opcode": ("BadOperand", "cannot execute {0}"),
         "step_limit": ("StepLimit", "exceeded {0} steps"),
     }
+
+    def compile(self) -> _ShotCompiler:
+        super().compile()
+        self.draws = {}
+        for b, block in enumerate(self.fn.blocks):
+            for i, instr in enumerate(block.instructions):
+                spec = isinstance(instr, Call) and intrinsics.lookup(
+                    instr.callee)
+                if spec and spec.action in _DRAWS:
+                    self.draws[b] = i
+                    break
+        return self
 
     def _residual(self, env, instr, operands):
         raise self._error("BadOperand", "expected an integer value")
@@ -294,6 +334,9 @@ def _release_array(state: RuntimeState, array: list) -> None:
         state.release(element)  # a no-op on anything but a Qubit
 
 
+#: the actions whose calls draw from a shot's stream
+_DRAWS = (intrinsics.MEASURE, intrinsics.RESET)
+
 #: action -> what the call does with its converted operands; an array's
 #: length is a marker only, its bits come per result
 _ACTIONS = {
@@ -324,24 +367,78 @@ def _required_qubits(module: QirModule, options: ExecOptions,
 
 def run_shot(module: QirModule, seed: int = 0, shot_index: int = 0,
              options: ExecOptions | None = None,
-             program: Compiler | None = None) -> tuple[str, RuntimeState]:
+             template: Run | None = None) -> tuple[str, RuntimeState]:
     """Execute one shot; returns (bitstring, final runtime state).
 
-    ``program`` is the module's entry compiled by ``interpret``, which
-    compiles it once for all shots; it is compiled here when not given.
+    ``template`` is a run of the module's entry that ``interpret``
+    stopped before its first draw, or a fork of one: the shot takes it
+    over and runs it on with its own stream. Without one the shot runs
+    the entry from the start, the reference path.
     Exposed for inspection: the returned state carries the statevector as
     left by the program, before any of the cross-shot aggregation.
     """
     options = options or ExecOptions()
-    required = _required_qubits(module, options, shot_index)
-    state = RuntimeState(ShotRng(seed, shot_index), options, required)
-    run = Run(program or _ShotCompiler(module.entry).compile(), state)
+    rng = ShotRng(seed, shot_index)
+    run = template
+    if run is None:
+        state = RuntimeState(rng, options,
+                             _required_qubits(module, options, shot_index))
+        run = Run(_ShotCompiler(module.entry).compile(), state)
+    run.state.rng = rng
     try:
         run.run(options.step_limit)
     except ExecutionError as err:
         raise ExecutionError(err.reason, err.message, shot=shot_index,
                              location=run.location) from None
-    return "".join(str(b) for b in state.record), state
+    return "".join(str(b) for b in run.state.record), run.state
+
+
+def _template(module: QirModule, options: ExecOptions) -> Run | None:
+    """The module's entry run up to its first draw, or to its end if it
+    draws nothing; None if that prefix faults or meets the step limit,
+    as shot 0 will from the start."""
+    state = RuntimeState(None, options, _required_qubits(module, options, 0))
+    program = _ShotCompiler(module.entry).compile()
+    run = Run(program, state)
+    try:
+        run.run_to(options.step_limit, program.draws)
+    except ExecutionError:
+        return None
+    return run
+
+
+def _fork(template: Run) -> Run:
+    """A copy of ``template`` and its state that runs on independently.
+
+    Qubits, arrays and ElemPtrs are copied through one memo, so what
+    aliases in the template aliases in the copy; every other value is
+    immutable and shared. An array is filled after the walk that finds
+    it, so a deep or cyclic array needs no recursion.
+    """
+    memo: dict[int, object] = {}
+    unfilled: list[tuple[list, list]] = []
+
+    def copy(value):
+        kind = type(value)
+        if kind is not Qubit and kind is not list and kind is not ElemPtr:
+            return value
+        new = memo.get(id(value))
+        if new is None:
+            if kind is Qubit:
+                new = Qubit(value.index)
+            elif kind is list:
+                new = []
+                unfilled.append((value, new))
+            else:
+                new = ElemPtr(copy(value.array), value.index)
+            memo[id(value)] = new
+        return new
+
+    run = template.fork(template.state.fork(copy), copy)
+    while unfilled:
+        old, new = unfilled.pop()
+        new.extend(map(copy, old))
+    return run
 
 
 def interpret(module: QirModule, shots: int = 1024, seed: int = 0,
@@ -352,18 +449,24 @@ def interpret(module: QirModule, shots: int = 1024, seed: int = 0,
     order, including a parallel one, yields identical results. A module
     that requires more qubits than ``options.max_qubits`` is refused at
     shot 0 before its entry is compiled.
+
+    The prefix before the first draw runs once (see the module
+    docstring). A template that ran to the end, drawing nothing, serves
+    every shot as it is. If the prefix faults, every shot runs from the
+    start, and shot 0 raises that fault.
     """
     if shots < 0:
         raise ValueError("shots must be non-negative")
     options = options or ExecOptions()
     memory: list[str] = []
     counts: dict[str, int] = {}
-    program = None
-    if shots:
-        _required_qubits(module, options, 0)
-        program = _ShotCompiler(module.entry).compile()
+    template = _template(module, options) if shots else None
     for shot in range(shots):
-        bits, _ = run_shot(module, seed, shot, options, program=program)
+        # no name holds a shot's run or state past its call, so the
+        # next fork is made once they are gone
+        bits = run_shot(module, seed, shot, options,
+                        template if template is None or shot == shots - 1
+                        or template.block < 0 else _fork(template))[0]
         memory.append(bits)
         counts[bits] = counts.get(bits, 0) + 1
     return ExecutionResult(shots, seed, memory, counts)

@@ -1,7 +1,7 @@
 """Both source readers refuse text longer than ``errors.MAX_INPUT_CHARS``,
-no declared size may pass ``errors.MAX_DECLARED_SIZE``, and neither an
-OpenQASM 2 program nor an unrolled loop may expand past
-``errors.MAX_OPERATIONS``."""
+and the command line prints no module longer than it; no declared size
+may pass ``errors.MAX_DECLARED_SIZE``, and neither an OpenQASM 2 program
+nor an unrolled loop may expand past ``errors.MAX_OPERATIONS``."""
 
 import os
 import resource
@@ -193,6 +193,28 @@ def test_a_short_loop_past_the_operation_limit_fails_fast(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", (
         b"error: OperationLimit: unrolling emits more than 262144 "
         b"instructions\n"))
+
+
+@pytest.mark.parametrize("command", [
+    ["unroll"], ["transpile", "--to", "qir-base"]],
+    ids=["unroll", "qir-base"])
+def test_a_printed_module_is_at_most_the_input_limit(
+        monkeypatch, tmp_path, capsys, command):
+    # 8 trips of 3 calls print longer than the loop that makes them
+    path, out = tmp_path / "loop.ll", tmp_path / "out.ll"
+    path.write_text(_loop(8, 3), encoding="utf-8")
+    assert main([*command, str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert len(_loop(8, 3)) < len(printed) - 1
+    monkeypatch.setattr(errors, "MAX_INPUT_CHARS", len(printed))
+    assert main([*command, str(path)]) == 0
+    assert capsys.readouterr().out == printed
+    monkeypatch.setattr(errors, "MAX_INPUT_CHARS", len(printed) - 1)
+    assert main([*command, str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", (
+        f"error: OutputLimit: printed module is longer than "
+        f"{len(printed) - 1} characters\n"))
+    assert not out.exists()
 
 
 def _with_attribute(key: str, value: int):
