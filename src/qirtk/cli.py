@@ -49,7 +49,10 @@ def __getattr__(name: str):
 def _load_module(args):
     # one character past the limit is enough for the reader to refuse it
     with open(args.path, "r", encoding="utf-8") as handle:
-        text = handle.read(errors.MAX_INPUT_CHARS + 1)
+        try:
+            text = handle.read(errors.MAX_INPUT_CHARS + 1)
+        except UnicodeDecodeError:
+            raise ParseError("text is not valid UTF-8") from None
     qasm = args.path.lower().endswith(".qasm")
     if (args.input_format or ("qasm2" if qasm else "qir")) == "qasm2":
         return _cli.circuit_to_base_qir(_cli.import_openqasm2(text))
@@ -92,6 +95,8 @@ def _cmd_validate(args) -> tuple[int, str]:
 
 def _cmd_transpile(args) -> tuple[int, str]:
     module = _load_module(args)
+    if args.iteration_cap < 1:  # also where a base module is not lowered
+        raise ValueError("iteration_cap must be at least 1")
     if args.to == "qir-base":
         # lowered even when already base, so the counts follow the calls
         module = _cli.lower_to_base(module, args.iteration_cap)

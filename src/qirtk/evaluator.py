@@ -14,13 +14,14 @@ value or a missing terminator becomes a closure that raises it when a run
 reaches it. An error's ``function:block:index`` is computed only when the
 error is raised.
 
-A run can also stop part way: ``run_to`` runs from the start until a
-given op of a given block is next, counts that block's steps, and stops
-before the op; ``run`` then resumes there, in the middle of the block,
-and goes on as if it had never stopped. ``fork`` copies a run at its
-position over a copy of its state. The interpreter stops a run before
-its first draw and forks it for each shot; the unroller only ever calls
-``run``, so its blocks and its loop are the same as without stops.
+A run can also stop part way: an op that cannot go on yet raises
+``Pause`` before it changes anything, and ``run`` returns with the run
+stopped at that op and its block's steps counted. The next ``run`` starts
+with that op, in the middle of the block, and goes on as if it had never
+stopped. ``fork`` copies a run at its position over a copy of its state.
+The interpreter's state pauses at a draw while it has no stream, so a
+run without one stops before its first draw, and each shot forks it; the
+unroller never pauses.
 
 A value domain, a ``Compiler`` subclass, says what everything else
 means. ``transforms`` evaluates partially: values it cannot know become
@@ -112,6 +113,11 @@ class IndexPool:
 # the compiled form
 
 
+class Pause(Exception):
+    """Raised by an op that cannot go on yet, before it changes anything:
+    ``Run.run`` stops the run at that op."""
+
+
 class _Env(dict):
     """A run's SSA values; reading one never assigned raises the domain's
     ``undefined`` fault."""
@@ -126,8 +132,8 @@ class Run:
     """One execution of a compiled function, as plain data: the block it
     is in and the one it came from, the last block whose instructions it
     started and the index of the last one started there, whether it
-    stopped before that one (``run_to``), its environment, and the
-    domain's state."""
+    paused at that one (``Pause``), its environment, and the domain's
+    state."""
 
     __slots__ = ("program", "state", "env", "block", "prev", "located",
                  "index", "stopped")
@@ -158,33 +164,10 @@ class Run:
         label = self.program.labels[self.located]
         return f"{self.program.fn.name}:{label}:{self.index}"
 
-    def run_to(self, step_limit, stops: dict[int, int]) -> None:
-        """Run from the start until op ``stops[b]`` of a block ``b`` is
-        next, and stop before it with the block's steps counted; ``run``
-        resumes there. With no stop on its path the run ends. A fault
-        raises, and so does a step limit that falls before the stop or
-        inside its block; the run is then spent."""
-        blocks, env, state = self.program.blocks, self.env, self.state
-        b, prev, steps = self.block, self.prev, state.steps
-        while b >= 0:
-            phis, ops, term, cost = blocks[b]
-            if phis is not None:
-                phis[prev](env)
-            if steps + cost > step_limit:
-                raise self.program._fault("step_limit", step_limit)
-            steps += cost
-            stop = stops.get(b)
-            for op in ops[:stop]:
-                op(env, state)
-            if stop is not None:
-                self.located, self.index, self.stopped = b, stop, True
-                break
-            prev, b = b, term(env)
-        self.block, self.prev, state.steps = b, prev, steps
-
     def run(self, step_limit) -> None:
-        """Run to the end of the function, or raise at the first fault;
-        a stopped run first finishes the block it stopped in."""
+        """Run to the end of the function or to a ``Pause``, or raise at
+        the first fault; a stopped run first finishes the block it stopped
+        in, starting with the op that paused."""
         blocks, env, state = self.program.blocks, self.env, self.state
         b, prev, located, i = self.block, self.prev, self.located, self.index
         steps = state.steps
@@ -201,18 +184,25 @@ class Run:
                     phis[prev](env)
                 if ops:
                     located = b
-                if steps + cost > step_limit:
+                steps += cost
+                if steps > step_limit:
                     # the limit falls in this block: run the steps that fit
-                    fits = max(step_limit - steps, 0)
+                    fits = max(step_limit - steps + cost, 0)
                     for i, op in enumerate(ops[:fits]):
                         op(env, state)
                     if fits < len(ops):
                         i = fits
                     raise self.program._fault("step_limit", step_limit)
-                steps += cost
                 for i, op in enumerate(ops):
                     op(env, state)
                 prev, b = b, term(env)
+        except Pause:
+            if steps > step_limit:
+                # resumed, the run would finish the block the limit falls
+                # in: fault where a run that never paused does
+                i = min(step_limit - steps + blocks[b][3], len(ops) - 1)
+                raise self.program._fault("step_limit", step_limit) from None
+            self.stopped = True
         finally:
             self.block, self.prev, self.located, self.index = \
                 b, prev, located, i

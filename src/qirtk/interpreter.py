@@ -11,8 +11,9 @@ instruction started.
 
 Only draws (``mz`` and ``reset``) depend on the shot, so the part of a
 run before its first draw is the same for every shot. ``interpret`` runs
-it once, into a template stopped before the first draw's call
-(``Run.run_to``); each shot but the last runs on from a fork of the
+it once, into a template: a state with no stream raises
+``evaluator.Pause`` at a draw, so the template's run stops there, before
+the draw's call; each shot but the last runs on from a fork of the
 template (``_fork``) with its own ``ShotRng``, and the last from the
 template itself. A multi-shot run holds at most two states of the
 program's width, the template and one shot's, and a one-shot run copies
@@ -46,7 +47,7 @@ from math import isfinite
 from . import intrinsics
 from .circuit import GateKind
 from .errors import DEFAULT_MAX_QUBITS, DEFAULT_STEP_LIMIT, ExecutionError
-from .evaluator import (Compiler, ElemPtr, IndexPool, Qubit, Run,
+from .evaluator import (Compiler, ElemPtr, IndexPool, Pause, Qubit, Run,
                         duplicate_operand, raising)
 from .ir import Call, Load, QirModule, StaticAddr, REQUIRED_QUBITS_ATTR
 from .node import node
@@ -151,11 +152,15 @@ class RuntimeState:
     # measurement and recording
 
     def measure(self, qubit, result: int) -> None:
+        if self.rng is None:  # a template's state: the draw is the shot's
+            raise Pause
         index = self.qubit_index(qubit)
         outcome = self.statevector.measure(index, self.rng.next_double())
         self.results[result] = outcome
 
     def reset(self, qubit) -> None:
+        if self.rng is None:
+            raise Pause
         index = self.qubit_index(qubit)
         outcome = self.statevector.measure(index, self.rng.next_double())
         if outcome == 1:
@@ -212,8 +217,6 @@ def _array(value) -> list:
 class _ShotCompiler(Compiler):
     """Execution: every value is concrete and calls act on the state.
     Errors are raised without a shot or location; ``run_shot`` adds both.
-    ``draws`` maps each block with a call that draws (``mz`` or
-    ``reset``) to the index of its first one.
     """
 
     ERROR = ExecutionError
@@ -228,18 +231,6 @@ class _ShotCompiler(Compiler):
         "opcode": ("BadOperand", "cannot execute {0}"),
         "step_limit": ("StepLimit", "exceeded {0} steps"),
     }
-
-    def compile(self) -> _ShotCompiler:
-        super().compile()
-        self.draws = {}
-        for b, block in enumerate(self.fn.blocks):
-            for i, instr in enumerate(block.instructions):
-                spec = isinstance(instr, Call) and intrinsics.lookup(
-                    instr.callee)
-                if spec and spec.action in _DRAWS:
-                    self.draws[b] = i
-                    break
-        return self
 
     def _residual(self, env, instr, operands):
         raise self._error("BadOperand", "expected an integer value")
@@ -334,9 +325,6 @@ def _release_array(state: RuntimeState, array: list) -> None:
         state.release(element)  # a no-op on anything but a Qubit
 
 
-#: the actions whose calls draw from a shot's stream
-_DRAWS = (intrinsics.MEASURE, intrinsics.RESET)
-
 #: action -> what the call does with its converted operands; an array's
 #: length is a marker only, its bits come per result
 _ACTIONS = {
@@ -371,9 +359,9 @@ def run_shot(module: QirModule, seed: int = 0, shot_index: int = 0,
     """Execute one shot; returns (bitstring, final runtime state).
 
     ``template`` is a run of the module's entry that ``interpret``
-    stopped before its first draw, or a fork of one: the shot takes it
-    over and runs it on with its own stream. Without one the shot runs
-    the entry from the start, the reference path.
+    stopped at its first draw, or a fork of one: the shot takes it over
+    and runs it on with its own stream, from that draw. Without one the
+    shot runs the entry from the start, the reference path.
     Exposed for inspection: the returned state carries the statevector as
     left by the program, before any of the cross-shot aggregation.
     """
@@ -394,14 +382,14 @@ def run_shot(module: QirModule, seed: int = 0, shot_index: int = 0,
 
 
 def _template(module: QirModule, options: ExecOptions) -> Run | None:
-    """The module's entry run up to its first draw, or to its end if it
-    draws nothing; None if that prefix faults or meets the step limit,
-    as shot 0 will from the start."""
+    """The module's entry run on a state with no stream, so it pauses at
+    its first draw, or runs to its end if it draws nothing; None if that
+    prefix faults or the step limit falls in it or in the block of the
+    draw, as shot 0 will from the start."""
     state = RuntimeState(None, options, _required_qubits(module, options, 0))
-    program = _ShotCompiler(module.entry).compile()
-    run = Run(program, state)
+    run = Run(_ShotCompiler(module.entry).compile(), state)
     try:
-        run.run_to(options.step_limit, program.draws)
+        run.run(options.step_limit)
     except ExecutionError:
         return None
     return run

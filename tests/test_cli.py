@@ -56,6 +56,44 @@ def test_parse_failure_exits_two(tmp_path, capsys):
     assert "line 3" in err
 
 
+# every command, with the arguments it needs
+COMMANDS = [["validate"], ["run", "--shots", "1"], ["unroll"],
+            ["transpile", "--to", "qir-base"], ["transpile", "--to", "qasm2"]]
+
+
+@pytest.mark.parametrize("name, comment", [("bell_static.ll", b";"),
+                                           ("bell.qasm", b"//")])
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_input_that_is_not_utf8_exits_two(tmp_path, capsys, command, name,
+                                          comment):
+    # a corpus file with a comment that holds a byte no UTF-8 text has
+    bad = tmp_path / name
+    bad.write_bytes(genutil.corpus_text(name).encode() + comment + b" \xff\n")
+    assert main([command[0], str(bad), *command[1:]]) == 2
+    assert capsys.readouterr() == (
+        "", "parse error: input: text is not valid UTF-8\n")
+
+
+@pytest.mark.parametrize("name", ["bell_static.ll", "ghz_dynamic.ll"])
+@pytest.mark.parametrize("target", ["qir-base", "qasm2"])
+def test_transpile_refuses_an_iteration_cap_below_one(tmp_path, capsys,
+                                                      target, name):
+    assert validate_profile(parse_module(genutil.corpus_text(name))) \
+        .profile is (Profile.BASE if name == "bell_static.ll"
+                     else Profile.ADAPTIVE_SUBSET)
+    for cap in ("0", "-1"):
+        assert main(["transpile", _path(name), "--to", target,
+                     "--iteration-cap", cap]) == 1
+        assert capsys.readouterr() == (
+            "", "error: iteration_cap must be at least 1\n")
+    # the input is read first: a parse failure still exits 2
+    bad = tmp_path / name
+    bad.write_text("wibble\n")
+    assert main(["transpile", str(bad), "--to", target,
+                 "--iteration-cap", "0"]) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
 @pytest.mark.parametrize("name, text", [
     ("huge.qasm", "OPENQASM 2.0;\nqreg q[" + "1" * 5000 + "];\n"),
     ("huge.ll", genutil.corpus_text("bell_static.ll").replace(

@@ -4,12 +4,17 @@ Every module below parses but fails in at least one domain. Each case runs
 through ``unroll_and_fold`` (known-or-residual values) and through
 ``interpret(shots=1)`` (concrete values on the statevector) and pins the
 error class, reason, shot, location and message text of each outcome.
+The last tests pin how a run stops at an op that raises ``Pause`` and
+runs on from it.
 """
+
+import math
 
 import pytest
 
 from qirtk import (ExecOptions, ExecutionError, TransformError, interpret,
-                   parse_module, unroll_and_fold)
+                   interpreter, parse_module, unroll_and_fold)
+from qirtk.evaluator import Pause, Run
 from qirtk.ir import BinOp
 from qirtk.node import replace
 
@@ -158,3 +163,109 @@ def test_unknown_ext_op_is_a_bad_operand_when_run():
     assert (err.reason, err.shot, err.location, str(err)) == (
         "BadOperand", 0, "main:entry:0",
         "BadOperand: cannot execute Ext fpext [shot 0] [main:entry:0]")
+
+
+# ---------------------------------------------------------------------------
+# pausing: an op that raises ``Pause`` stops the run at that op
+
+
+_TICKS = """declare i64 @tick(i64)
+
+define void @main() {
+entry:
+  %a = call i64 @tick(i64 0)
+  br label %loop
+loop:
+  %i = phi i64 [ %a, %entry ], [ %j, %loop ]
+  %j = call i64 @tick(i64 %i)
+  %c = icmp slt i64 %j, 4
+  br i1 %c, label %loop, label %exit
+exit:
+  %y = add i64 %j, 10
+  %z = call i64 @tick(i64 %y)
+  %w = add i64 %z, 1
+  ret void
+}
+"""
+
+
+class _Ticks(interpreter._ShotCompiler):
+    """Each ``@tick(x)`` yields ``x + 1``, except that the first tick
+    whose result is named by the state's ``pause_at`` raises ``Pause``
+    instead, before it does anything."""
+
+    def _call(self, instr):
+        key, result = self._key(instr.args[0].value), instr.result
+
+        def op(env, state):
+            if state.pause_at == result:
+                state.pause_at = None
+                raise Pause
+            env[result] = env[key] + 1
+        return op
+
+
+class _State:
+    def __init__(self, pause_at=None):
+        self.slots, self.steps, self.pause_at = [], 0, pause_at
+
+
+def _ticks(pause_at=None) -> Run:
+    return Run(_Ticks(parse_module(_TICKS).entry).compile(),
+               _State(pause_at))
+
+
+def _outcome(run: Run, step_limit) -> tuple:
+    """What ``run.run`` leaves: its environment without the constants,
+    its steps, location and whether it stopped; or the fault's reason,
+    text and location."""
+    try:
+        run.run(step_limit)
+    except ExecutionError as err:
+        return err.reason, str(err), run.location
+    return ({k: v for k, v in run.env.items() if isinstance(k, str)},
+            run.state.steps, run.location, run.stopped)
+
+
+# (paused result, its location, steps counted when it pauses)
+PAUSES = [("a", "main:entry:0", 2), ("j", "main:loop:0", 5),
+          ("z", "main:exit:1", 15)]
+
+
+@pytest.mark.parametrize("name, location, steps", PAUSES)
+def test_a_pause_stops_the_run_at_its_op_with_its_block_counted(
+        name, location, steps):
+    run = _ticks(pause_at=name)
+    run.run(math.inf)
+    assert run.stopped and run.block >= 0
+    assert run.location == location
+    assert run.state.steps == steps
+    assert name not in run.env
+
+
+@pytest.mark.parametrize("name", [p[0] for p in PAUSES])
+def test_running_a_paused_run_again_ends_as_if_it_never_paused(name):
+    run = _ticks(pause_at=name)
+    run.run(math.inf)
+    assert run.stopped
+    expected = _outcome(_ticks(), math.inf)
+    assert expected[0]["w"] == 16 and expected[1:] == (
+        15, "main:exit:2", False)
+    assert _outcome(run, math.inf) == expected
+
+
+@pytest.mark.parametrize("name, location, steps", PAUSES)
+def test_a_step_limit_gives_the_same_outcome_with_or_without_a_pause(
+        name, location, steps):
+    for step_limit in range(-1, 17):
+        expected = _outcome(_ticks(), step_limit)
+        run = _ticks(pause_at=name)
+        first = _outcome(run, step_limit)
+        if step_limit < steps:
+            # the limit falls before the pause or in its block, which a
+            # resumed run would finish: the pausing run itself faults
+            assert expected[0] == "StepLimit"
+            assert first == expected, step_limit
+        else:
+            assert first[1:] == (steps, location, True), step_limit
+            assert _outcome(run, step_limit) == expected, step_limit

@@ -1,7 +1,8 @@
 """What importing the package and running a command load: each command
 loads only the layers it runs, numpy only once a statevector is built,
-and never ``dataclasses``."""
+and never ``dataclasses``; and no module imports a name it never uses."""
 
+import ast
 import json
 import os
 import subprocess
@@ -197,3 +198,29 @@ def test_tracer_wrappers_on_the_cli_are_what_commands_call(start):
     out = _python("-c", _WRAPPED, json.dumps(commands), start,
                   path=[str(genutil.ROOT / "perfbench")])
     assert out == "[] True\n"
+
+
+def _unused_imports(path) -> list[str]:
+    """The names that ``path``'s module-level imports bind and nothing in
+    the module reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    bound = {}
+    for statement in tree.body:
+        if isinstance(statement, ast.ImportFrom) and \
+                statement.module == "__future__":
+            continue
+        if isinstance(statement, (ast.Import, ast.ImportFrom)):
+            for alias in statement.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound[name] = statement.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in bound.items()
+            if name not in read]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # the package's __init__ imports to re-export
+    paths = sorted(p for p in (genutil.ROOT / "src" / "qirtk").glob("*.py")
+                   if p.name != "__init__.py")
+    assert len(paths) > 10
+    assert [u for path in paths for u in _unused_imports(path)] == []
