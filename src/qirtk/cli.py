@@ -3,7 +3,8 @@
 Exit codes follow one discipline across commands: 0 success, 1 semantic
 failure (unsupported profile, transform or runtime error), 2 parse
 failure or usage error, 3 I/O failure. Results go to stdout; diagnostics
-go to stderr.
+go to stderr, among them each warning a command raises, as one
+``warning: <message>`` line whatever the warnings filters say.
 
 Input format is detected from the file extension (``.qasm`` is OpenQASM
 2, anything else is textual QIR) and can be forced with
@@ -27,6 +28,7 @@ import argparse
 import errno
 import os
 import sys
+import warnings
 from typing import NoReturn
 
 from . import _MODULES, errors
@@ -204,6 +206,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _handle(args) -> tuple[int, str]:
+    """Run the command, writing each warning it raises to stderr as one
+    ``warning:`` line, whatever the warnings filters say."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return args.handler(args)
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         try:
@@ -211,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         except _Help as shown:
             code, text, out = 0, str(shown), None
         else:
-            (code, text), out = args.handler(args), args.out
+            (code, text), out = _handle(args), args.out
         if out:
             with open(out, "w", encoding="utf-8") as handle:
                 handle.write(text)

@@ -96,9 +96,10 @@ class TransformError(QirError):
 class ExecutionError(QirError):
     """Raised while interpreting a module.
 
-    Reasons: UnknownIntrinsic, QubitLimit, ReadBeforeMeasure, StepLimit,
-    BadOperand (also a rotation angle that is not finite), plus defensive
-    codes such as UseAfterRelease.
+    Reasons: UnknownIntrinsic, QubitLimit (also a state that does not
+    fit in memory), ReadBeforeMeasure, StepLimit, BadOperand (also a
+    rotation angle that is not finite), plus defensive codes such as
+    UseAfterRelease.
     """
 
     def __init__(self, reason: str, message: str,

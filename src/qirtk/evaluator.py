@@ -199,7 +199,9 @@ class Run:
         except Pause:
             if steps > step_limit:
                 # resumed, the run would finish the block the limit falls
-                # in: fault where a run that never paused does
+                # in, so it faults StepLimit at the op the limit falls on.
+                # A run that never paused runs on past this op up to the
+                # limit and can fault there first: this is not its fault
                 i = min(step_limit - steps + blocks[b][3], len(ops) - 1)
                 raise self.program._fault("step_limit", step_limit) from None
             self.stopped = True

@@ -369,33 +369,58 @@ def run_shot(module: QirModule, seed: int = 0, shot_index: int = 0,
     rng = ShotRng(seed, shot_index)
     run = template
     if run is None:
-        state = RuntimeState(rng, options,
-                             _required_qubits(module, options, shot_index))
-        run = Run(_ShotCompiler(module.entry).compile(), state)
+        run = _start(module, options, rng, shot_index)
     run.state.rng = rng
     try:
         run.run(options.step_limit)
     except ExecutionError as err:
         raise ExecutionError(err.reason, err.message, shot=shot_index,
                              location=run.location) from None
+    except MemoryError:
+        raise _out_of_memory(run.state.statevector.num_qubits, shot_index,
+                             run.location) from None
     return "".join(str(b) for b in run.state.record), run.state
+
+
+def _out_of_memory(width: int, shot: int,
+                   location: str | None = None) -> ExecutionError:
+    """QubitLimit for a MemoryError on a state of ``width`` qubits."""
+    return ExecutionError(
+        "QubitLimit", f"out of memory on a state of {width} qubits",
+        shot=shot, location=location)
+
+
+def _start(module: QirModule, options: ExecOptions, rng: ShotRng | None,
+           shot: int) -> Run:
+    """A run of the module's entry from the start, on a fresh state."""
+    required = _required_qubits(module, options, shot)
+    try:
+        state = RuntimeState(rng, options, required)
+    except MemoryError:
+        raise _out_of_memory(required, shot) from None
+    return Run(_ShotCompiler(module.entry).compile(), state)
 
 
 def _template(module: QirModule, options: ExecOptions) -> Run | None:
     """The module's entry run on a state with no stream, so it pauses at
     its first draw, or runs to its end if it draws nothing; None if that
     prefix faults or the step limit falls in it or in the block of the
-    draw, as shot 0 will from the start."""
-    state = RuntimeState(None, options, _required_qubits(module, options, 0))
-    run = Run(_ShotCompiler(module.entry).compile(), state)
+    draw, and shot 0 then runs from the start and raises its own fault.
+    The template's fault is not always shot 0's: with the limit past the
+    draw in the draw's block, it is StepLimit at the draw, while a run
+    from the start goes on to the limit and can fault before it."""
+    run = _start(module, options, None, 0)
     try:
         run.run(options.step_limit)
     except ExecutionError:
         return None
+    except MemoryError:
+        raise _out_of_memory(run.state.statevector.num_qubits, 0,
+                             run.location) from None
     return run
 
 
-def _fork(template: Run) -> Run:
+def _fork(template: Run, shot: int) -> Run:
     """A copy of ``template`` and its state that runs on independently.
 
     Qubits, arrays and ElemPtrs are copied through one memo, so what
@@ -422,7 +447,12 @@ def _fork(template: Run) -> Run:
             memo[id(value)] = new
         return new
 
-    run = template.fork(template.state.fork(copy), copy)
+    try:
+        state = template.state.fork(copy)
+    except MemoryError:
+        raise _out_of_memory(template.state.statevector.num_qubits,
+                             shot) from None
+    run = template.fork(state, copy)
     while unfilled:
         old, new = unfilled.pop()
         new.extend(map(copy, old))
@@ -441,7 +471,9 @@ def interpret(module: QirModule, shots: int = 1024, seed: int = 0,
     The prefix before the first draw runs once (see the module
     docstring). A template that ran to the end, drawing nothing, serves
     every shot as it is. If the prefix faults, every shot runs from the
-    start, and shot 0 raises that fault.
+    start, and shot 0 raises its own fault (see ``_template``). A ``MemoryError`` while a state
+    is built, grown, forked or updated is raised as QubitLimit at its
+    shot, shot 0 for the prefix.
     """
     if shots < 0:
         raise ValueError("shots must be non-negative")
@@ -454,7 +486,7 @@ def interpret(module: QirModule, shots: int = 1024, seed: int = 0,
         # next fork is made once they are gone
         bits = run_shot(module, seed, shot, options,
                         template if template is None or shot == shots - 1
-                        or template.block < 0 else _fork(template))[0]
+                        or template.block < 0 else _fork(template, shot))[0]
         memory.append(bits)
         counts[bits] = counts.get(bits, 0) + 1
     return ExecutionResult(shots, seed, memory, counts)

@@ -1,10 +1,11 @@
 """Dense statevector backend.
 
-Conventions, shared with the gate-matrix table below:
+Conventions:
   * amplitude index bit i holds the basis state of qubit i, so qubit 0 is
     the least-significant bit of the flat index
-  * a k-qubit gate matrix is indexed the same way over its operand list:
-    matrix index bit j belongs to operand j (operand 0 least significant)
+  * a k-qubit matrix, as ``apply_matrix`` takes it, is indexed the same
+    way over its operand list: matrix index bit j belongs to operand j
+    (operand 0 least significant)
   * RZ(theta) = diag(exp(-i theta/2), exp(+i theta/2)); RX and RY follow
     the same exp(-i theta/2 P) convention
 
@@ -55,70 +56,24 @@ from .circuit import GateKind
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
-_FIXED_1Q: dict[GateKind, np.ndarray] = {
+# the dense gates' fixed 2x2 matrices; every other gate is defined by
+# the data its kernel reads: the x flip, _PERMUTATIONS, _PHASES and the
+# rz phases
+_DENSE_1Q: dict[GateKind, np.ndarray] = {
     GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT1_2,
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
     GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
-    GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
-    GateKind.T: np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]],
-                         dtype=complex),
-    GateKind.TDG: np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]],
-                           dtype=complex),
 }
 
-# two-qubit matrices with operand 0 on index bit 0
-_CNOT = np.array([
-    [1, 0, 0, 0],
-    [0, 0, 0, 1],
-    [0, 0, 1, 0],
-    [0, 1, 0, 0],
-], dtype=complex)
 
-_CZ = np.diag([1, 1, 1, -1]).astype(complex)
-
-_SWAP = np.array([
-    [1, 0, 0, 0],
-    [0, 0, 1, 0],
-    [0, 1, 0, 0],
-    [0, 0, 0, 1],
-], dtype=complex)
-
-_CCX = np.eye(8, dtype=complex)
-_CCX[[3, 7], [3, 7]] = 0
-_CCX[3, 7] = 1
-_CCX[7, 3] = 1
-
-
-def gate_matrix(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
-    """Unitary for a gate application, in the operand-bit convention."""
-    if len(params) != kind.num_params:
-        raise ValueError(f"{kind.value} expects {kind.num_params} "
-                         f"parameters, got {len(params)}")
-    if kind in _FIXED_1Q:
-        return _FIXED_1Q[kind]
+def _dense_matrix(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
+    """The 2x2 matrix of a dense gate: h, y, rx or ry."""
+    if kind in _DENSE_1Q:
+        return _DENSE_1Q[kind]
+    (theta,) = params
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
     if kind is GateKind.RX:
-        (theta,) = params
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
         return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if kind is GateKind.RY:
-        (theta,) = params
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if kind is GateKind.RZ:
-        (theta,) = params
-        return np.array([[cmath.exp(-1j * theta / 2), 0],
-                         [0, cmath.exp(1j * theta / 2)]], dtype=complex)
-    if kind is GateKind.CNOT:
-        return _CNOT
-    if kind is GateKind.CZ:
-        return _CZ
-    if kind is GateKind.SWAP:
-        return _SWAP
-    if kind is GateKind.CCX:
-        return _CCX
-    raise ValueError(f"no matrix for gate {kind!r}")
+    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 # controlled permutation gates: the two operand bit patterns whose slices
@@ -234,7 +189,7 @@ def _build_plan(kind: GateKind, params: tuple[float, ...],
                 part = psi[where]
                 part *= phase
         return rephase
-    return _dense_plan(gate_matrix(kind, params), targets[0], num_qubits)
+    return _dense_plan(_dense_matrix(kind, params), targets[0], num_qubits)
 
 
 def _views(qubits: tuple[int, ...], num_qubits: int):

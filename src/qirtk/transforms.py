@@ -208,10 +208,7 @@ class _Unroller(Compiler):
 
     def _load_through(self, state, pointer, instr: Load) -> LocalRef:
         if not isinstance(pointer, LocalRef):
-            raise TransformError(
-                "EscapingHandle",
-                "load through a pointer that is not a stack slot "
-                "or an array element")
+            raise _untracked_load()
         # loading a qubit handle out of an array element pointer
         name = self.fresh()
         self._emit(Load(name, instr.ty, pointer))
@@ -301,7 +298,8 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
     are never reassigned, so no two simultaneously live qubits share an
     index; a handle used or released after its release is refused as
     UseAfterRelease, a gate whose handles name one qubit twice as
-    BadOperand, and an allocation that needs an index at or past
+    BadOperand, a load through a constant pointer as EscapingHandle,
+    and an allocation that needs an index at or past
     ``MAX_DECLARED_SIZE`` as AllocationLimit. Always sets the
     required-count attributes to the high-water marks of the result's
     calls, or to the module's valid declared counts where those are
@@ -361,6 +359,8 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
                     "EscapingHandle",
                     "load through a qubit handle that is not an "
                     "array element pointer")
+            if not isinstance(instr.slot, LocalRef):
+                raise _untracked_load()  # as unrolling refuses it
             kept.append(instr)
             continue
         if isinstance(instr, Call):
@@ -460,6 +460,13 @@ def allocate_static_addresses(module: QirModule) -> QirModule:
         kept.append(instr)
 
     return _with_body(module, kept)
+
+
+def _untracked_load() -> TransformError:
+    return TransformError(
+        "EscapingHandle",
+        "load through a pointer that is not a stack slot or an array "
+        "element")
 
 
 def _const_int(value: Value, what: str) -> int:

@@ -393,6 +393,66 @@ def test_lowering_refuses_what_the_interpreter_refuses(transform, name):
         assert run_info.value.message == message
 
 
+_ALLOCATE = "%q = call ptr @__quantum__rt__qubit_allocate()"
+_ARRAY = "%a = call ptr @__quantum__rt__qubit_allocate_array(i64 2)"
+_READ = ["call void @__quantum__qis__mz__body(ptr null, ptr null)",
+         "%r = call i1 @__quantum__rt__read_result(ptr null)"]
+
+# a handle or a slot where the lowering passes do not follow it:
+# (body, reason, message), the same from both passes
+MISUSED = {
+    "load_through_a_qubit_handle": (
+        [_ALLOCATE, "%x = load ptr, ptr %q"], "EscapingHandle",
+        "load through a qubit handle that is not an array element pointer"),
+    "element_lookup_on_a_qubit": (
+        [_ALLOCATE, "%e = call ptr @__quantum__rt__array_get_element_ptr_1d("
+                    "ptr %q, i64 0)"], "EscapingHandle",
+        "element lookup on a value that is not a tracked array handle"),
+    "element_index_past_the_end": (
+        [_ARRAY, "%e = call ptr @__quantum__rt__array_get_element_ptr_1d("
+                 "ptr %a, i64 2)"], "NonConstantAllocation",
+        "array element index 2 is out of bounds for 2 elements"),
+    "array_release_of_a_qubit": (
+        [_ALLOCATE, "call void @__quantum__rt__qubit_release_array(ptr %q)"],
+        "EscapingHandle",
+        "array release of a value that is not a tracked array handle"),
+    "array_passed_as_a_qubit": (
+        [_ARRAY, "call void @__quantum__qis__h__body(ptr %a)"],
+        "EscapingHandle",
+        "an array handle is passed where a qubit is expected"),
+    "qubit_handle_passed_as_a_result": (
+        [_ALLOCATE, "call void @__quantum__qis__mz__body(ptr null, ptr %q)"],
+        "EscapingHandle", "a qubit handle flows into a non-qubit argument"),
+    "handle_through_select": (
+        [_ALLOCATE, *_READ, "%s = select i1 %r, ptr %q, ptr null"],
+        "EscapingHandle",
+        "a qubit handle flows into a classical instruction"),
+    "stack_slot_passed_to_a_call": (
+        ["%s = alloca ptr", "call void @__quantum__qis__h__body(ptr %s)"],
+        "EscapingHandle",
+        "a stack-slot address flows into an emitted instruction"),
+    "load_through_null": (
+        ["%x = load i64, ptr null"], "EscapingHandle",
+        "load through a pointer that is not a stack slot or an array "
+        "element"),
+    "release_of_an_inttoptr_pointer": (
+        [*_READ, "%x = zext i1 %r to i64", "%p = inttoptr i64 %x to ptr",
+         "call void @__quantum__rt__qubit_release(ptr %p)"],
+        "EscapingHandle",
+        "release of a value that is not a tracked qubit handle"),
+}
+
+
+@pytest.mark.parametrize("transform", [
+    allocate_static_addresses, lower_to_base])
+@pytest.mark.parametrize("name", sorted(MISUSED))
+def test_a_misused_handle_or_slot_is_refused_by_both(transform, name):
+    body, reason, message = MISUSED[name]
+    with pytest.raises(TransformError) as info:
+        transform(parse_module(_single_block(body)))
+    assert (info.value.reason, info.value.message) == (reason, message)
+
+
 def test_a_negative_array_size_is_refused_by_both():
     module = parse_module(_single_block([
         "%a = call ptr @__quantum__rt__qubit_allocate_array(i64 -1)"]))

@@ -181,6 +181,50 @@ def test_run_qubit_limit_exits_one(capsys):
     assert "QubitLimit" in capsys.readouterr().err
 
 
+def test_run_out_of_memory_is_one_qubit_limit_line(tmp_path):
+    # a 34-qubit state takes 256 GiB; under a 2 GiB address-space limit
+    # its allocation fails in the child, wherever the test runs
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    path = tmp_path / "wide.qasm"
+    path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[34];\n'
+                    "creg c[1];\nh q[33];\nmeasure q[0] -> c[0];\n",
+                    encoding="utf-8")
+    env = dict(_child_env(), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qirtk.cli", "run", str(path), "--shots", "2",
+         "--max-qubits", "40"], capture_output=True, text=True, env=env,
+        preexec_fn=limit_address_space, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: QubitLimit: out of memory on a state of 34 qubits "
+               "[shot 0]\n")
+
+
+@pytest.mark.parametrize("filters", [None, "error"])
+@pytest.mark.parametrize("command", [
+    ["validate"], ["transpile", "--to", "qasm2"], ["unroll"],
+    ["run", "--shots", "2"]], ids=lambda command: command[0])
+def test_a_reader_warning_is_one_stderr_line(tmp_path, command, filters):
+    path = tmp_path / "barrier.qasm"
+    path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+                    "creg c[2];\nh q[0];\nbarrier q[0], q[1];\n"
+                    "measure q[0] -> c[0];\n", encoding="utf-8")
+    env = _child_env()
+    env.pop("PYTHONWARNINGS", None)
+    if filters is not None:
+        env["PYTHONWARNINGS"] = filters
+    proc = subprocess.run(
+        [sys.executable, "-m", "qirtk.cli", command[0], str(path),
+         *command[1:]], capture_output=True, text=True, env=env,
+        timeout=120)
+    assert (proc.returncode, proc.stderr) == (
+        0, "warning: barrier at line 6 has no circuit equivalent and was "
+           "dropped\n")
+
+
 def test_run_step_limit_exits_one(capsys):
     assert main(["run", _path("phi_loop.ll"), "--shots", "1",
                  "--step-limit", "3"]) == 1
@@ -252,6 +296,30 @@ def test_transpile_validates_each_circuit_once(monkeypatch, capsys, name,
     assert main(["transpile", _path(name), "--to", "qasm2"]) == 0
     assert len(built) == circuits
     assert len(checked) == sum(len(circuit.ops) for circuit in built)
+
+
+_QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+
+
+@pytest.mark.parametrize("body, code, out, err", [
+    # the measurements move behind the gate, and print register-wide
+    ("qreg q[2];\ncreg c[2];\nmeasure q[0] -> c[0];\nh q[1];\n"
+     "measure q[1] -> c[1];\n", 0,
+     _QASM_HEADER + "qreg q[2];\ncreg c[2];\nh q[1];\nmeasure q -> c;\n",
+     ""),
+    # a gate after a measurement of its qubit has no static schedule
+    ("qreg q[1];\ncreg c[1];\nmeasure q[0] -> c[0];\nh q[0];\n", 1, "",
+     "error: FeedbackRequired: a gate acts on qubit 0 after its "
+     "measurement; measurements cannot move past it\n"),
+], ids=["measure_moves_behind_a_gate", "gate_after_its_measurement"])
+def test_transpile_to_qasm2_lowers_an_openqasm_circuit(tmp_path, capsys, body,
+                                                        code, out, err):
+    # an OpenQASM 2 input goes through the module and its lowering, so
+    # converting it to OpenQASM 2 is not the identity
+    path = tmp_path / "circuit.qasm"
+    path.write_text(_QASM_HEADER + body, encoding="utf-8")
+    assert main(["transpile", str(path), "--to", "qasm2"]) == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_transpile_feedback_fails_with_reason(capsys):
@@ -353,6 +421,15 @@ def test_console_entry_point_runs_as_a_module():
 # bytes, stderr and exit code as the plain ``sys.exit(main())`` wrapper
 
 _SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+
+def _child_env() -> dict:
+    """This process's environment with this checkout's ``src`` first on
+    ``PYTHONPATH``, for a child Python."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+
+
 _PLAIN_EXIT = ("import sys; from qirtk.cli import main; "
                "sys.exit(main(sys.argv[1:]))")
 
@@ -365,8 +442,7 @@ def _both_exits(args, buffered=True, closed_pipe=False, out=None):
     passed as ``--out`` and the bytes written there end the tuple."""
     if out is not None:
         args = [*args, "--out", str(out)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -487,8 +563,7 @@ def test_help_into_a_closed_pipe_is_an_io_error(args):
                                   ["validate", _path("bell_static.ll")]],
                          ids=["qirtk", "transpile", "validate"])
 def test_a_process_started_without_stdout_is_an_io_error(args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable,
                            "-m", "qirtk.cli", *args],

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from qirtk import (ExecOptions, ExecutionError, interpret, interpreter,
-                   lower_to_base, parse_module, run_shot)
+                   lower_to_base, parse_module, run_shot, statevector)
 from qirtk.cli import main
 from qirtk.ir import ConstFloat
 from qirtk.node import replace
@@ -172,6 +172,50 @@ def test_an_over_wide_module_is_refused_before_it_is_compiled(monkeypatch):
         assert str(exc.value) == ("QubitLimit: module requires 2 qubits, "
                                   f"limit is 1 [shot {shot}]")
     assert interpret(module, shots=0, options=options).counts == {}
+
+
+def _out_of_memory(*args):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("name, method, error", [
+    ("bell_static.ll", "__init__",
+     "out of memory on a state of 2 qubits [shot 0]"),
+    ("bell_dynamic.ll", "grow",
+     "out of memory on a state of 0 qubits [shot 0] [main:entry:1]"),
+    ("bell_static.ll", "apply_gate_inplace",
+     "out of memory on a state of 2 qubits [shot 0] [main:entry:0]"),
+], ids=["build", "grow", "update"])
+def test_a_state_out_of_memory_is_a_qubit_limit(monkeypatch, name, method,
+                                                error):
+    monkeypatch.setattr(statevector.StateVector, method, _out_of_memory)
+    module = _module(name)
+    with pytest.raises(ExecutionError) as exc:
+        interpret(module, shots=2)
+    assert str(exc.value) == f"QubitLimit: {error}"
+    # the reference path names its own shot
+    with pytest.raises(ExecutionError) as exc:
+        run_shot(module, shot_index=3)
+    assert str(exc.value) == "QubitLimit: " + error.replace("[shot 0]",
+                                                            "[shot 3]")
+
+
+def test_a_fork_out_of_memory_is_a_qubit_limit_at_its_shot(monkeypatch):
+    copy = statevector.StateVector.copy
+    copies = []
+
+    def second_copy_fails(state):
+        copies.append(state.num_qubits)
+        if len(copies) == 2:
+            raise MemoryError
+        return copy(state)
+
+    monkeypatch.setattr(statevector.StateVector, "copy", second_copy_fails)
+    with pytest.raises(ExecutionError) as exc:
+        interpret(_module("bell_static.ll"), shots=3)
+    assert str(exc.value) == ("QubitLimit: out of memory on a state of 2 "
+                              "qubits [shot 1]")
+    assert copies == [2, 2]
 
 
 def test_step_limit_stops_runaway_programs():

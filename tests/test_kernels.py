@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from qirtk import GateKind, StateVector, statevector
-from qirtk.statevector import gate_matrix
 
 import genutil
 
@@ -74,7 +73,8 @@ def test_kernels_match_apply_matrix_on_a_state_of_several_blocks(kind):
         state = _random_state(n, sum(targets))
         reference = state.copy()
         state.apply_gate_inplace(kind, params, targets)
-        reference.apply_matrix(gate_matrix(kind, params), targets)
+        reference.apply_matrix(genutil.reference_matrix(kind, params),
+                               targets)
         np.testing.assert_allclose(state.amplitudes, reference.amplitudes,
                                    rtol=0, atol=ATOL,
                                    err_msg=f"{kind} on {targets}")

@@ -4,6 +4,7 @@ forks each shot from it; every shot must still be the one that
 start: the same bits, counts, steps and error."""
 
 import collections
+import itertools
 import random
 
 import pytest
@@ -251,6 +252,16 @@ ARRAY_THAT_HOLDS_ITSELF = """entry:
   ret void
 """
 
+# reading result 1 before measuring it faults after the draw; at a step
+# limit that falls after the read, in the draw's block, a run from the
+# start faults at the read, but the template pauses at the draw past the
+# limit and is dropped, so shot 0 runs from the start
+READ_AFTER_THE_DRAW = """entry:
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  %r = call i1 @__quantum__rt__read_result(ptr inttoptr (i64 1 to ptr))
+  ret void
+"""
+
 HAND_BUILT = {
     "draw_in_entry": DRAW_IN_ENTRY,
     "draw_after_a_phi_loop": DRAW_AFTER_A_PHI_LOOP,
@@ -261,6 +272,7 @@ HAND_BUILT = {
     "element_stored_through_after_the_draw":
         ELEMENT_STORED_THROUGH_AFTER_THE_DRAW,
     "array_that_holds_itself": ARRAY_THAT_HOLDS_ITSELF,
+    "read_after_the_draw": READ_AFTER_THE_DRAW,
 }
 
 
@@ -294,14 +306,19 @@ def test_aliasing_programs_do_what_they_are_built_for(forked, name, error):
 
 @pytest.mark.parametrize("name", ["draw_in_entry", "draw_after_a_phi_loop",
                                   "no_draw",
-                                  "element_stored_through_after_the_draw"])
+                                  "element_stored_through_after_the_draw",
+                                  "read_after_the_draw"])
 def test_every_step_limit_agrees(forked, name):
-    # every limit from before the first block to past the last step: it
-    # falls before the first draw's block, inside it, and after it
+    # every limit from before the first block to one past the first that
+    # the run ends or faults within: it falls before the first draw's
+    # block, inside it, and after it
     module = _module(HAND_BUILT[name])
-    total = run_shot(module, 0, 0)[1].steps
-    for limit in range(-1, total + 2):
-        _agree(forked, module, shots=3, options=ExecOptions(step_limit=limit))
+    for limit in itertools.count(-1):
+        error = _agree(forked, module, shots=3,
+                       options=ExecOptions(step_limit=limit))[2]
+        if error is None or error[1] != "StepLimit":
+            break
+    _agree(forked, module, shots=3, options=ExecOptions(step_limit=limit + 1))
 
 
 def test_a_step_limit_inside_the_first_draws_block_raises_at_shot_0(forked):
@@ -326,12 +343,7 @@ def test_a_qubit_limit_in_the_prefix_raises_at_shot_0(forked):
 def test_a_fault_after_the_first_draw_raises_at_its_shot(forked):
     # reading result 1 before measuring it faults in every shot, after
     # the draw; shot 0 raises it from its fork
-    module = _module("""entry:
-  call void @__quantum__qis__mz__body(ptr null, ptr null)
-  %r = call i1 @__quantum__rt__read_result(ptr inttoptr (i64 1 to ptr))
-  ret void
-""")
-    _, steps, error = _agree(forked, module, shots=3)
+    _, steps, error = _agree(forked, _module(READ_AFTER_THE_DRAW), shots=3)
     assert steps == []
     assert error == (ExecutionError, "ReadBeforeMeasure",
                      "result 1 read before it was measured", 0,
