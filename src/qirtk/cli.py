@@ -48,7 +48,9 @@ def __getattr__(name: str):
     return value
 
 
-def _load_module(args):
+def _load_module(args, max_qubits: int | None = None):
+    """The input as a module. An OpenQASM 2 program wider than
+    ``max_qubits`` is refused as QubitLimit before it is converted."""
     # one character past the limit is enough for the reader to refuse it
     with open(args.path, "r", encoding="utf-8") as handle:
         try:
@@ -57,7 +59,10 @@ def _load_module(args):
             raise ParseError("text is not valid UTF-8") from None
     qasm = args.path.lower().endswith(".qasm")
     if (args.input_format or ("qasm2" if qasm else "qir")) == "qasm2":
-        return _cli.circuit_to_base_qir(_cli.import_openqasm2(text))
+        circuit = _cli.import_openqasm2(text)
+        if max_qubits is not None and circuit.num_qubits > max_qubits:
+            raise errors.qubit_limit(circuit.num_qubits, max_qubits)
+        return _cli.circuit_to_base_qir(circuit)
     return _cli.parse_module(text)
 
 
@@ -116,7 +121,9 @@ def _cmd_unroll(args) -> tuple[int, str]:
 def _cmd_run(args) -> tuple[int, str]:
     if args.shots < 1:
         raise ValueError("--shots must be at least 1")
-    module = _load_module(args)
+    if args.shots > errors.MAX_SHOTS:
+        raise ValueError(f"--shots must be at most {errors.MAX_SHOTS}")
+    module = _load_module(args, args.max_qubits)
     options = _cli.ExecOptions(max_qubits=args.max_qubits,
                                step_limit=args.step_limit)
     result = _cli.interpret(module, shots=args.shots, seed=args.seed,

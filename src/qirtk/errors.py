@@ -53,6 +53,10 @@ MAX_DECLARED_SIZE = 65536
 #: about 42 Mi characters, which reads back under ``MAX_INPUT_CHARS``
 MAX_OPERATIONS = 2 ** 18
 
+#: most shots one ``interpret`` call or ``run`` command may take: every
+#: shot's bit string is kept, about 71 bytes each
+MAX_SHOTS = 2 ** 20
+
 #: default loop iteration cap of ``unroll_and_fold`` and ``lower_to_base``
 DEFAULT_ITERATION_CAP = 65536
 #: default qubit and step limits of ``interpret`` (``ExecOptions``)
@@ -114,3 +118,11 @@ class ExecutionError(QirError):
         if location is not None:
             where += f" [{location}]"
         super().__init__(f"{reason}: {message}{where}")
+
+
+def qubit_limit(required: int, limit: int, shot: int = 0) -> ExecutionError:
+    """The refusal of a program that requires ``required`` qubits, more
+    than ``limit``, at ``shot``."""
+    return ExecutionError(
+        "QubitLimit", f"module requires {required} qubits, limit is {limit}",
+        shot=shot)

@@ -9,6 +9,16 @@ at a time. A fault is raised when a shot reaches it, never while
 compiling, with the shot and the ``function:block:index`` of the last
 instruction started.
 
+A call converts its constant operands once, when it is compiled: an
+action whose operands are all constants holds them converted, and a
+one- or two-qubit gate whose angles are constants holds its ``params``
+and converts and indexes only its qubits per run. A constant that does
+not convert (a global in a qubit slot, an angle that is not finite)
+leaves its call to the generic closure, which converts every operand
+per run, so its fault is raised where it always was. Indexing stays per
+run, because a static qubit takes its index when the state first grows
+for it.
+
 Only draws (``mz`` and ``reset``) depend on the shot, so the part of a
 run before its first draw is the same for every shot. ``interpret`` runs
 it once, into a template: a state with no stream raises
@@ -46,7 +56,8 @@ from math import isfinite
 
 from . import intrinsics
 from .circuit import GateKind
-from .errors import DEFAULT_MAX_QUBITS, DEFAULT_STEP_LIMIT, ExecutionError
+from .errors import (DEFAULT_MAX_QUBITS, DEFAULT_STEP_LIMIT, MAX_SHOTS,
+                     ExecutionError, qubit_limit)
 from .evaluator import (Compiler, ElemPtr, IndexPool, Pause, Qubit, Run,
                         duplicate_operand, raising)
 from .ir import Call, Load, QirModule, StaticAddr, REQUIRED_QUBITS_ATTR
@@ -256,10 +267,11 @@ class _ShotCompiler(Compiler):
                 f"@{instr.callee} expects {len(spec.arg_kinds)} arguments")
         keys = [self._key(a.value) for a in instr.args]
         if spec.action == intrinsics.GATE:
-            op = _gate(spec.gate, keys)
+            op = self._gate(spec.gate, keys)
         else:
-            op = _action(_ACTIONS[spec.action],
-                         [_CONVERTERS[kind] for kind in spec.arg_kinds], keys)
+            op = self._action(_ACTIONS[spec.action],
+                              [_CONVERTERS[kind] for kind in spec.arg_kinds],
+                              keys)
         result = instr.result
         if result is None:
             return op
@@ -268,26 +280,65 @@ class _ShotCompiler(Compiler):
             env[result] = op(env, state)
         return call
 
+    def _converted(self, converters, keys) -> tuple | None:
+        """The operands at ``keys`` converted now, or None when one is not
+        a constant or does not convert; its fault is then raised when a
+        run reaches the call."""
+        try:
+            return tuple([convert(self.constants[key])
+                          for convert, key in zip(converters, keys)])
+        except (KeyError, ExecutionError):
+            return None
 
-def _action(run, converters, keys):
-    def op(env, state):  # every operand is read before the first converts
-        args = list(map(env.__getitem__, keys))
-        return run(state, *[convert(arg) for convert, arg
-                            in zip(converters, args)])
-    return op
+    def _action(self, run, converters, keys):
+        """``run(state, *operands)``, each operand converted."""
+        known = self._converted(converters, keys)
+        if known is not None:
+            return lambda env, state: run(state, *known)
+
+        def op(env, state):  # every operand is read before the first converts
+            args = list(map(env.__getitem__, keys))
+            return run(state, *[convert(arg) for convert, arg
+                                in zip(converters, args)])
+        return op
+
+    def _gate(self, gate: GateKind, keys):
+        """A gate with constant angles on one or two qubits gets its own
+        closure; any other goes through ``_action``. Either converts the
+        angles first, then each qubit and its index in turn."""
+        n, qubits = gate.num_params, keys[gate.num_params:]
+        params = self._converted([_angle] * n, keys[:n])
+        if params is None or len(qubits) > 2:
+            return self._action(
+                lambda state, *args: _apply_gate(state, gate, args),
+                [_angle] * n + [_same] * len(qubits), keys)
+        if len(qubits) == 1:
+            (key,) = qubits
+
+            def one(env, state):
+                state.statevector.apply_gate_inplace(
+                    gate, params, (state.qubit_index(_qubit(env[key])),))
+            return one
+        first, second = qubits
+
+        def two(env, state):
+            a, b = env[first], env[second]  # both read before either converts
+            targets = (state.qubit_index(_qubit(a)),
+                       state.qubit_index(_qubit(b)))
+            if targets[0] == targets[1]:
+                raise duplicate_operand(ExecutionError)
+            state.statevector.apply_gate_inplace(gate, params, targets)
+        return two
 
 
-def _gate(gate: GateKind, keys):
-    n = gate.num_params  # read all operands, then convert angles, then qubits
-
-    def op(env, state):
-        args = list(map(env.__getitem__, keys))
-        params = tuple(map(_angle, args[:n])) if n else ()
-        targets = tuple(map(state.qubit_index, map(_qubit, args[n:])))
-        if len(targets) > 1 and len(set(targets)) != len(targets):
-            raise duplicate_operand(ExecutionError)
-        state.statevector.apply_gate_inplace(gate, params, targets)
-    return op
+def _apply_gate(state: RuntimeState, gate: GateKind, args) -> None:
+    """A gate on its converted angles and its qubit operands, each
+    converted and indexed in turn."""
+    n = gate.num_params
+    targets = tuple(map(state.qubit_index, map(_qubit, args[n:])))
+    if len(targets) > 1 and len(set(targets)) != len(targets):
+        raise duplicate_operand(ExecutionError)
+    state.statevector.apply_gate_inplace(gate, args[:n], targets)
 
 
 def _same(value):
@@ -347,9 +398,7 @@ def _required_qubits(module: QirModule, options: ExecOptions,
     when it is past ``options.max_qubits``."""
     required = module.required_count(REQUIRED_QUBITS_ATTR) or 0
     if required > options.max_qubits:
-        raise ExecutionError(
-            "QubitLimit", f"module requires {required} qubits, limit is "
-            f"{options.max_qubits}", shot=shot_index)
+        raise qubit_limit(required, options.max_qubits, shot_index)
     return required
 
 
@@ -461,7 +510,8 @@ def _fork(template: Run, shot: int) -> Run:
 
 def interpret(module: QirModule, shots: int = 1024, seed: int = 0,
               options: ExecOptions | None = None) -> ExecutionResult:
-    """Run ``shots`` independent shots and aggregate the counts.
+    """Run ``shots`` independent shots and aggregate the counts; more
+    than ``errors.MAX_SHOTS`` is a ValueError.
 
     Shot streams derive from (seed, shot index) only, so any execution
     order, including a parallel one, yields identical results. A module
@@ -477,6 +527,8 @@ def interpret(module: QirModule, shots: int = 1024, seed: int = 0,
     """
     if shots < 0:
         raise ValueError("shots must be non-negative")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be at most {MAX_SHOTS}")
     options = options or ExecOptions()
     memory: list[str] = []
     counts: dict[str, int] = {}

@@ -18,7 +18,9 @@ import re
 import numpy as np
 from hypothesis import strategies as st
 
-from qirtk import Gate, GateKind, Measure, QuantumCircuit, Reset
+from qirtk import (Gate, GateKind, Measure, QuantumCircuit, Reset,
+                   parse_module)
+from qirtk.intrinsics import declaration_for, intrinsic_table
 from qirtk.node import replace
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -43,6 +45,19 @@ def with_entry_block(module, index: int, edit):
 
 def corpus_text(name: str) -> str:
     return corpus_path(name).read_text(encoding="utf-8")
+
+
+_DECLARATIONS = "\n".join(
+    f"declare {d.ret_type} @{d.name}({', '.join(map(str, d.param_types))})"
+    for d in map(declaration_for, sorted(intrinsic_table())))
+
+
+def entry_module(body: str, attributes: str = ""):
+    """The entry ``@main`` with ``body`` as its blocks, every intrinsic
+    declared."""
+    return parse_module(f"define void @main() #0 {{\n{body}}}\n\n"
+                        f"{_DECLARATIONS}\n\n"
+                        f'attributes #0 = {{ "entry_point" {attributes}}}\n')
 
 
 # ---------------------------------------------------------------------------

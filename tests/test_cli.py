@@ -9,9 +9,12 @@ import tomllib
 
 import pytest
 
-from qirtk import (Gate, GateKind, Measure, Profile, QuantumCircuit,
-                   circuit_to_base_qir, cli, parse_module, print_module,
-                   profile, validate_profile)
+from hypothesis import given, strategies as st
+
+from qirtk import (ExecOptions, ExecutionError, Gate, GateKind, Measure,
+                   Profile, QuantumCircuit, circuit_to_base_qir, cli, errors,
+                   import_openqasm2, interpret, interpreter, parse_module,
+                   print_module, profile, validate_profile)
 from qirtk.cli import main
 
 import genutil
@@ -170,6 +173,14 @@ def test_run_rejects_nonpositive_shots(capsys):
     assert "--shots" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shots", [0, errors.MAX_SHOTS + 1])
+def test_run_refuses_a_shot_count_before_reading_the_input(capsys, shots):
+    # the input does not exist: an input read first would exit 3
+    assert main(["run", "missing.ll", "--shots", str(shots)]) == 1
+    bound = "at least 1" if shots < 1 else f"at most {errors.MAX_SHOTS}"
+    assert capsys.readouterr().err == f"error: --shots must be {bound}\n"
+
+
 def test_run_unknown_intrinsic_exits_one(capsys):
     assert main(["run", _path("unsupported.ll"), "--shots", "1"]) == 1
     assert "UnknownIntrinsic" in capsys.readouterr().err
@@ -179,6 +190,63 @@ def test_run_qubit_limit_exits_one(capsys):
     assert main(["run", _path("bell_static.ll"), "--shots", "1",
                  "--max-qubits", "1"]) == 1
     assert "QubitLimit" in capsys.readouterr().err
+
+
+def _not_converted(circuit):
+    raise AssertionError("the circuit was converted")
+
+
+@pytest.mark.parametrize("text, code, err", [
+    ("qreg q[65536]; h q;\n", 1,
+     "error: QubitLimit: module requires 65536 qubits, limit is 26 "
+     "[shot 0]\n"),
+    # the whole text is read before the width is checked
+    ("qreg q[65536]; h q;\nfoo q;\n", 2,
+     "parse error: line 2, column 1: unsupported statement near 'foo'\n"),
+])
+def test_run_refuses_a_wide_openqasm_program_before_converting_it(
+        tmp_path, capsys, monkeypatch, text, code, err):
+    monkeypatch.setattr(cli, "circuit_to_base_qir", _not_converted)
+    path = tmp_path / "wide.qasm"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--shots", "2"]) == code
+    assert capsys.readouterr() == ("", err)
+
+
+_QASM_PROGRAMS = genutil.qasm_programs()
+
+
+@pytest.mark.parametrize("text", _QASM_PROGRAMS,
+                         ids=map(str, range(len(_QASM_PROGRAMS))))
+def test_run_refuses_an_openqasm_program_as_its_module_would_be(
+        tmp_path, capsys, text):
+    # corpus/bell.qasm and the reading digest's exported circuits: one
+    # qubit short, the command refuses the circuit with the error that
+    # running its module raises; at its width, it runs
+    circuit = import_openqasm2(text)
+    module = circuit_to_base_qir(circuit)
+    width = circuit.num_qubits
+    assert interpreter._required_qubits(
+        module, ExecOptions(errors.MAX_DECLARED_SIZE), 0) == width
+    with pytest.raises(ExecutionError) as info:
+        interpret(module, shots=2, options=ExecOptions(width - 1))
+    path = tmp_path / "program.qasm"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--shots", "2", "--max-qubits",
+                 str(width - 1)]) == 1
+    assert capsys.readouterr() == ("", f"error: {info.value}\n")
+    assert main(["run", str(path), "--shots", "2", "--max-qubits",
+                 str(width)]) == 0
+
+
+@given(rng=st.randoms(use_true_random=False), qubits=st.integers(1, 40))
+def test_the_width_checked_is_the_converted_modules_requirement(rng, qubits):
+    # the command checks an OpenQASM 2 program's circuit width; running
+    # its module checks the module's required qubit count
+    circuit = genutil.random_circuit(rng, max_qubits=qubits, max_gates=4)
+    module = circuit_to_base_qir(circuit)
+    assert interpreter._required_qubits(
+        module, ExecOptions(errors.MAX_DECLARED_SIZE), 0) == circuit.num_qubits
 
 
 def test_run_out_of_memory_is_one_qubit_limit_line(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from qirtk import (ExecOptions, ExecutionError, interpret, interpreter,
                    lower_to_base, parse_module, run_shot, statevector)
 from qirtk.cli import main
+from qirtk.errors import MAX_SHOTS
 from qirtk.ir import ConstFloat
 from qirtk.node import replace
 
@@ -238,6 +239,13 @@ def test_unknown_intrinsic_is_reported_with_shot_and_location():
 def test_negative_shot_count_is_rejected():
     with pytest.raises(ValueError):
         interpret(_module("empty.ll"), shots=-1)
+
+
+def test_a_shot_count_past_the_bound_is_rejected(monkeypatch):
+    # refused before anything is compiled or run
+    monkeypatch.setattr(interpreter, "_template", None)
+    with pytest.raises(ValueError, match=f"at most {MAX_SHOTS}$"):
+        interpret(_module("bell_static.ll"), shots=MAX_SHOTS + 1)
 
 
 def test_zero_shots_yield_an_empty_result():

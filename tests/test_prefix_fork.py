@@ -11,21 +11,10 @@ import pytest
 
 from qirtk import (ExecOptions, ExecutionError, interpret, interpreter,
                    parse_module, run_shot)
-from qirtk.intrinsics import declaration_for, intrinsic_table
 
 import genutil
 
-_DECLARATIONS = "\n".join(
-    f"declare {d.ret_type} @{d.name}({', '.join(map(str, d.param_types))})"
-    for d in map(declaration_for, sorted(intrinsic_table())))
-
-
-def _module(body: str, attributes: str = ""):
-    """The entry ``@main`` with ``body`` as its blocks, every intrinsic
-    declared."""
-    return parse_module(f"define void @main() #0 {{\n{body}}}\n\n"
-                        f"{_DECLARATIONS}\n\n"
-                        f'attributes #0 = {{ "entry_point" {attributes}}}\n')
+_module = genutil.entry_module
 
 
 def _error(err: Exception) -> tuple:
