@@ -532,6 +532,9 @@ def interpret(module: QirModule, shots: int = 1024, seed: int = 0,
     options = options or ExecOptions()
     memory: list[str] = []
     counts: dict[str, int] = {}
+    # each outcome's first string, which memory holds for every shot that
+    # gives it, so a run keeps one string per distinct outcome
+    firsts: dict[str, str] = {}
     template = _template(module, options) if shots else None
     for shot in range(shots):
         # no name holds a shot's run or state past its call, so the
@@ -539,6 +542,7 @@ def interpret(module: QirModule, shots: int = 1024, seed: int = 0,
         bits = run_shot(module, seed, shot, options,
                         template if template is None or shot == shots - 1
                         or template.block < 0 else _fork(template, shot))[0]
+        bits = firsts.setdefault(bits, bits)
         memory.append(bits)
         counts[bits] = counts.get(bits, 0) + 1
     return ExecutionResult(shots, seed, memory, counts)

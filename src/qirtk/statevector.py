@@ -10,12 +10,19 @@ Conventions:
     the same exp(-i theta/2 P) convention
 
 Gates run through one kernel per gate class, on strided views of the
-flat amplitude vector, with no axis moves:
-  * permutation (x, cx, swap, ccx): amplitudes only trade places. cx,
-    swap and ccx swap the two slices where the controls are 1 in place;
-    x, which moves every amplitude, copies the state once with its
-    target's halves exchanged. No arithmetic is done, so a permutation
-    is exact.
+flat amplitude vector, with no axis moves. Every kernel works on the
+state's own array, in place, a tile of at most ``_KRON_BLOCK``
+amplitudes at a time, so no gate or measurement allocates more than
+about a block beside the state (256 KiB, and numpy's fixed ufunc
+buffers), whatever the width. A state of one tile, 14 qubits or fewer,
+is the exception: x and a 2x2 product write it to a new array, which is
+no larger than a tile and saves a copy back:
+  * permutation (x, cx, swap, ccx): amplitudes only trade places. The
+    two slices where the operands hold the gate's two bit patterns (for
+    x, the target's two halves) are swapped a tile of each at a time,
+    half a block apiece: where the slices interleave, numpy copies one
+    before it assigns it. No arithmetic is done, so a permutation is
+    exact.
   * diagonal (z, s, sdg, t, tdg, rz, cz): the slice under each phase is
     multiplied in place; a phase equal to 1 is skipped.
   * dense (h, y, rx, ry): matrix products over the state reshaped so
@@ -23,15 +30,20 @@ flat amplitude vector, with no axis moves:
     qubits each row of 2**(q+1) amplitudes is multiplied in place, a
     block of rows at a time, by the 2x2 matrix lifted with an identity
     (a Kronecker product); above that the 2x2 matrix multiplies each
-    2 x 2**q block.
+    2 x 2**q block, a tile of blocks at a time, its product written back
+    over it. A block wider than a tile, on the top qubits, is cut into
+    columns, and every column gets the product it gets uncut: the
+    arithmetic of each amplitude does not depend on the tiles.
 Measurement works on the target's two halves: ``prob_one`` is the
 squared norm of the 1-half, ``collapse`` zeroes one half and rescales
 the other. ``apply_matrix`` applies an arbitrary unitary by moving the
-target axes to the front.
+target axes to the front; it copies the state.
 
 A gate application runs through a plan, a closure over what its kernel
 derives from the key ``(kind, params, targets, num_qubits)``: the view
-indices, the phases, the 2x2 matrix and the reshape shapes. The first
+indices, the phases, the 2x2 matrix and the reshape shapes. A tiled
+kernel keeps the index of one view, and makes each tile's index from it
+on every call, so a plan stays small at any width. The first
 application of a key validates it and builds the plan; later ones find
 it in ``_PLANS`` and run it. Measurement keeps its validated half shape
 there too, under ``(qubit, num_qubits)``. A plan never holds amplitudes
@@ -48,6 +60,7 @@ is the pure variant used where value semantics read better.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -57,8 +70,7 @@ from .circuit import GateKind
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 # the dense gates' fixed 2x2 matrices; every other gate is defined by
-# the data its kernel reads: the x flip, _PERMUTATIONS, _PHASES and the
-# rz phases
+# the data its kernel reads: _PERMUTATIONS, _PHASES and the rz phases
 _DENSE_1Q: dict[GateKind, np.ndarray] = {
     GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT1_2,
     GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -76,9 +88,9 @@ def _dense_matrix(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-# controlled permutation gates: the two operand bit patterns whose slices
-# trade places (X, which moves every amplitude, is copied in one pass)
+# permutation gates: the two operand bit patterns whose slices trade places
 _PERMUTATIONS: dict[GateKind, tuple[tuple[int, ...], tuple[int, ...]]] = {
+    GateKind.X: ((0,), (1,)),
     GateKind.CNOT: ((1, 0), (1, 1)),
     GateKind.SWAP: ((1, 0), (0, 1)),
     GateKind.CCX: ((1, 1, 0), (1, 1, 1)),
@@ -96,15 +108,16 @@ _PHASES: dict[GateKind, tuple[tuple[tuple[int, ...], complex], ...]] = {
 
 # longest run of lower qubits for which a dense gate multiplies rows of
 # the state by a Kronecker-lifted matrix rather than batching 2x2 products,
-# and the number of amplitudes such a product takes at once
+# and the number of amplitudes any kernel works on at once. A 2x2 product
+# cut into columns takes half a block's: on a 2-vCPU box, numpy 2.4's
+# OpenBLAS multiplies 2**13 columns on one thread in about 31 us, and
+# 2**14 on two threads in about 180 us, three times its one-thread time
 _KRON_MAX_RUN = 16
-_KRON_BLOCK = 1 << 15
+_KRON_BLOCK = 1 << 14
 
 # gate plans and measured half shapes by key (see the module docstring)
 _PLANS: dict[tuple, object] = {}
 _MAX_PLANS = 1024
-
-_FLIP = (slice(None), slice(None, None, -1))
 
 
 def _diagonal_phases(kind: GateKind, params: tuple[float, ...]):
@@ -157,29 +170,32 @@ def _gate_plan(kind: GateKind, params: tuple[float, ...],
 
 def _build_plan(kind: GateKind, params: tuple[float, ...],
                 targets: tuple[int, ...], num_qubits: int):
-    if kind is GateKind.X:
-        # every amplitude moves, so one copy in swapped order beats a
-        # swap through a temporary
-        shape = _half_shape(targets[0], num_qubits)
-
-        def flip(sv):
-            sv.amplitudes = sv.amplitudes.reshape(shape)[_FLIP].reshape(-1)
-        return flip
     swap = _PERMUTATIONS.get(kind)
     if swap is not None:
-        shape, index = _views(targets, num_qubits)
-        first, second = index(swap[0]), index(swap[1])
+        shape, index, outer = _views(targets, num_qubits, _tile_qubits())
+        if kind is GateKind.X and not outer:
+            # a state of one tile is copied once with its target's
+            # halves exchanged: the copy is no larger than a tile, and
+            # cheaper than a swap through a temporary
+            flipped = index((slice(None, None, -1),))
+
+            def flip(sv):
+                psi = sv.amplitudes.reshape(shape)
+                sv.amplitudes = psi[flipped].reshape(-1)
+            return flip
+        tiles = _tiles(shape, outer, (index(swap[0]), index(swap[1])))
 
         def trade(sv):
             psi = sv.amplitudes.reshape(shape)
-            a, b = psi[first], psi[second]
-            held = a.copy()
-            a[...] = b
-            b[...] = held
+            for first, second in tiles():
+                a, b = psi[first], psi[second]
+                held = a.copy()
+                a[...] = b
+                b[...] = held
         return trade
     phases = _diagonal_phases(kind, params)
     if phases is not None:
-        shape, index = _views(targets, num_qubits)
+        shape, index, _ = _views(targets, num_qubits)
         parts = [(index(bits), phase) for bits, phase in phases
                  if phase != 1]
 
@@ -192,43 +208,96 @@ def _build_plan(kind: GateKind, params: tuple[float, ...],
     return _dense_plan(_dense_matrix(kind, params), targets[0], num_qubits)
 
 
-def _views(qubits: tuple[int, ...], num_qubits: int):
+def _tile_qubits() -> int:
+    """How many untargeted qubits a tile spans: half a block, the other
+    half being the partner slice of a swap or the other row of a 2x2
+    product."""
+    return _KRON_BLOCK.bit_length() - 2
+
+
+def _views(qubits: tuple[int, ...], num_qubits: int,
+           inner: int | None = None):
     """A shape of the state with an axis per qubit of ``qubits`` and one
-    per run of other qubits (axis 0 most significant), and a function
-    from a bit pattern to the index of the view where bit ``qubits[i]``
-    equals ``pattern[i]``."""
+    per run of other qubits (axis 0 most significant); a function from
+    a pattern to the index of the view where the axis of ``qubits[i]``
+    is ``pattern[i]``, a bit or ``slice(None)``; and the axes of the
+    other qubits above the lowest ``inner`` of them. No run joins qubits
+    on both sides of that line, so a tile, which fixes those axes, holds
+    ``2**inner`` amplitudes at most of a view whose pattern is all bits,
+    and twice that for each ``slice(None)``."""
     shape: list[int] = []
     axis_of: dict[int, int] = {}
-    merging = False
+    outer: list[int] = []
+    below = num_qubits - len(qubits)    # other qubits not passed yet
+    run = None                          # the open run's side of the line
     for q in range(num_qubits - 1, -1, -1):
         if q in qubits:
             axis_of[q] = len(shape)
             shape.append(2)
-            merging = False
-        elif merging:
+            run = None
+            continue
+        below -= 1
+        high = inner is not None and below >= inner
+        if run is high:
             shape[-1] *= 2
-        else:
-            shape.append(2)
-            merging = True
+            continue
+        if high:
+            outer.append(len(shape))
+        shape.append(2)
+        run = high
 
-    def index(pattern: tuple[int, ...]) -> tuple:
+    def index(pattern: tuple) -> tuple:
         # the trailing Ellipsis keeps a view even when every axis is fixed
         out: list = [slice(None)] * len(shape) + [...]
-        for q, bit in zip(qubits, pattern):
-            out[axis_of[q]] = bit
+        for q, at in zip(qubits, pattern):
+            out[axis_of[q]] = at
         return tuple(out)
-    return tuple(shape), index
+    return tuple(shape), index, outer
+
+
+def _tiles(shape: tuple[int, ...], outer: list[int], indices: tuple):
+    """A function that yields ``indices`` once per tile, with the
+    ``outer`` axes of the state shaped ``shape`` fixed to the tile's.
+
+    A plan keeps the indices alone, and the tiles' are made on each
+    call, so a plan stays small at any width.
+    """
+    if not outer:
+        whole = (indices,)
+        return lambda: whole
+    counts = [range(shape[axis]) for axis in outer]
+
+    def each():
+        tiles = [list(index) for index in indices]
+        for where in itertools.product(*counts):
+            for tile in tiles:
+                for axis, i in zip(outer, where):
+                    tile[axis] = i
+            yield tuple(map(tuple, tiles))
+    return each
 
 
 def _dense_plan(matrix: np.ndarray, qubit: int, num_qubits: int):
     run = 1 << qubit
     if run > _KRON_MAX_RUN:
-        # one 2x2 product per block of (qubit bit, lower qubits)
-        shape = _half_shape(qubit, num_qubits)
+        # one 2x2 product per block of (qubit bit, lower qubits), in
+        # place a tile at a time; a block wider than a tile is cut into
+        # columns, and each column gets the product it got uncut
+        shape, index, outer = _views((qubit,), num_qubits, _tile_qubits())
+        if not outer:
+            # a state of one tile takes its product as a new array, no
+            # larger than a tile, rather than copying it back
+            def product(sv):
+                sv.amplitudes = np.matmul(
+                    matrix, sv.amplitudes.reshape(shape)).reshape(-1)
+            return product
+        tiles = _tiles(shape, outer, (index((slice(None),)),))
 
         def multiply(sv):
-            sv.amplitudes = np.matmul(
-                matrix, sv.amplitudes.reshape(shape)).reshape(-1)
+            psi = sv.amplitudes.reshape(shape)
+            for (at,) in tiles():
+                part = psi[at]
+                part[...] = np.matmul(matrix, part)
         return multiply
     # a short run would make numpy loop over tiny slices, so each row of
     # (qubit bit, lower qubits) is multiplied by (matrix kron I_run)^T
@@ -252,15 +321,11 @@ def _dense_plan(matrix: np.ndarray, qubit: int, num_qubits: int):
     return lift_rows
 
 
-def _half_shape(qubit: int, num_qubits: int) -> tuple[int, int, int]:
-    """The state shaped (higher qubits, ``qubit``, lower qubits)."""
-    return (1 << (num_qubits - 1 - qubit), 2, 1 << qubit)
-
-
 def _measured_shape(qubit: int, num_qubits: int) -> tuple[int, int, int]:
-    """Validate a measured qubit and plan its half shape."""
+    """Validate a measured qubit and plan its half shape: the state
+    shaped (higher qubits, ``qubit``, lower qubits)."""
     (qubit,) = _check_targets((qubit,), 1, num_qubits)
-    shape = _half_shape(qubit, num_qubits)
+    shape = (1 << (num_qubits - 1 - qubit), 2, 1 << qubit)
     if len(_PLANS) < _MAX_PLANS:
         _PLANS[qubit, num_qubits] = shape
     return shape

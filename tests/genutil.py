@@ -143,6 +143,66 @@ def embed(matrix: np.ndarray, targets: tuple[int, ...],
     return full
 
 
+_DIAGONAL = {GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG,
+             GateKind.RZ, GateKind.CZ}
+
+
+def whole_state_kernel(kind: GateKind, params: tuple[float, ...],
+                       targets: tuple[int, ...],
+                       amplitudes: np.ndarray) -> np.ndarray:
+    """The amplitudes after one gate, by the whole-state expressions the
+    statevector kernels ran before they worked a tile at a time.
+
+    x copies the state with its target's halves exchanged; a controlled
+    permutation swaps the two whole slices its matrix exchanges; a
+    diagonal gate multiplies the slice under each entry that is not 1;
+    a dense gate on a qubit above the lift's run of 16 is one batched
+    2x2 product over the state shaped (higher, target, lower), and below
+    it every row of (target, lower qubits) is multiplied by the matrix
+    lifted with an identity. The matrices are ``reference_matrix``'s,
+    which are the kernels' to the last bit.
+    """
+    n = len(amplitudes).bit_length() - 1
+    matrix = reference_matrix(kind, params)
+    if kind is GateKind.X:
+        (q,) = targets
+        halves = amplitudes.reshape(1 << (n - 1 - q), 2, 1 << q)
+        return halves[:, ::-1].reshape(-1)
+    psi = amplitudes.copy().reshape([2] * n)
+
+    def where(column: int) -> tuple:
+        # the view where operand j's qubit holds bit j of ``column``
+        index: list = [slice(None)] * n + [...]
+        for j, q in enumerate(targets):
+            index[n - 1 - q] = (column >> j) & 1
+        return tuple(index)
+    size = 1 << len(targets)
+    if kind in _DIAGONAL:
+        for column in range(size):
+            if matrix[column, column] != 1:
+                part = psi[where(column)]
+                part *= matrix[column, column]
+        return psi.reshape(-1)
+    if len(targets) > 1:
+        for column in range(size):
+            image = int(np.argmax(np.abs(matrix[:, column])))
+            if column < image:
+                a, b = psi[where(column)], psi[where(image)]
+                held = a.copy()
+                a[...] = b
+                b[...] = held
+        return psi.reshape(-1)
+    (q,) = targets
+    run = 1 << q
+    if run > 16:
+        return np.matmul(matrix, amplitudes.reshape(
+            1 << (n - 1 - q), 2, run)).reshape(-1)
+    width = 2 * run
+    lift = (matrix.T[:, None, :, None]
+            * np.eye(run)[None, :, None, :]).reshape(width, width)
+    return (amplitudes.reshape(-1, width) @ lift).reshape(-1)
+
+
 def reference_amplitudes(circuit: QuantumCircuit) -> np.ndarray:
     """Amplitudes after the circuit's gates; measurements are ignored."""
     state = np.zeros(1 << circuit.num_qubits, dtype=complex)

@@ -266,6 +266,17 @@ def test_json_rendering_sorts_counts_and_gates_memory():
     assert with_memory["memory"] == result.memory
 
 
+@pytest.mark.parametrize("name", ["bell_static.ll", "ghz_dynamic.ll",
+                                  "rotations.ll"])
+def test_memory_holds_one_string_per_distinct_outcome(name):
+    module = _module(name)
+    result = interpret(module, shots=300, seed=5)
+    assert result.memory == [run_shot(module, 5, shot)[0]
+                             for shot in range(300)]
+    # every shot with an outcome shares that outcome's one string
+    assert len({id(bits) for bits in result.memory}) == len(result.counts)
+
+
 def test_shot_streams_are_independent_of_execution_order():
     module = _module("bell_static.ll")
     full = interpret(module, shots=5, seed=123)

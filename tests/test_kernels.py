@@ -62,9 +62,9 @@ def test_every_kind_on_every_target_tuple_matches_the_oracle(kind, n):
 
 @pytest.mark.parametrize("kind", list(GateKind))
 def test_kernels_match_apply_matrix_on_a_state_of_several_blocks(kind):
-    # 16 qubits hold two blocks of the dense kernel's row products, and
-    # their targets reach past the oracle's size; apply_matrix, checked
-    # against the oracle below, is the reference here
+    # 16 qubits hold several of the kernels' blocks, and their targets
+    # reach past the oracle's size; apply_matrix, checked against the
+    # oracle below, is the reference here
     n = 16
     k = kind.num_qubits
     params = (0.9,) * kind.num_params
