@@ -28,7 +28,8 @@ def circuit_from_base_qir(module: QirModule) -> QuantumCircuit:
 
     Register sizes come from ``QirModule.register_size``, so declared
     but idle qubits survive the conversion. Calls with one callee and one
-    arguments tuple (the parser shares one between equal texts) share one op.
+    arguments tuple (the parser shares one Call between equal lines) share
+    one op.
     """
     report = validate_profile(module)
     if report.profile is not Profile.BASE:

@@ -6,10 +6,11 @@ tests rely on, and refuse assignment, so a pass can share any node of its
 input with its output. Sequence fields (``args``, ``incomings``, ``phis``,
 ``instructions``, ``blocks``, ``functions``, ``declarations``,
 ``param_types``) are tuples; the parser collects lists while it reads a
-block or function and freezes each when it closes. Equal call operands
-read in one ``parse_module`` call share one ``args`` tuple. A module's
-``attribute_groups`` stays a dict, which no pass edits in place; it
-makes a module unhashable. Every module field is required. A module
+block or function and freezes each when it closes. Equal call lines
+read in one ``parse_module`` call share one ``Call``, so a block may hold
+one instruction object many times. A module's ``attribute_groups``
+stays a dict, which no pass edits in place; it makes a module
+unhashable. Every module field is required. A module
 finds its ``entry``, its ``ProfileReport`` and its ``unsupported``
 verdict once, on first use, and keeps them beside its fields;
 ``unroll_and_fold`` presets the verdict of the module it builds.

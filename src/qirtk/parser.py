@@ -21,8 +21,11 @@ only ``ptr null``, ``ptr inttoptr (i64 N to ptr)`` and ``double`` constant
 arguments) skip the lexer: inside an open block the ``Call`` is built from
 one regex match, anywhere else the line is lexed and parsed as usual, so
 every ``ParseError`` is the token parser's. ``tests/test_parser_fastpath.py``
-checks this against the token parser. Within one parse, call lines with
-equal argument texts share one tuple of (frozen) operands.
+checks this against the token parser. Each distinct line is matched once,
+and within one parse equal call lines (the same text) share one frozen
+``Call`` and equal addresses one operand, so a block may hold one
+instruction object many times; ``double 0.0`` and ``double -0.0`` are
+different texts and never meet.
 
 The parser collects each block's phis and instructions in lists and
 freezes the block when the next label or the closing brace is read; a
@@ -122,16 +125,20 @@ class _Cursor:
 
 class _ModuleParser:
     def __init__(self, text: str):
-        # each nonempty line as its call-line match or its tokens; matched
-        # lines reach the lexer blank, so lex errors still come first
         lines = text.splitlines()
-        self.lines: list[list[Token] | re.Match | None] = [None] * len(lines)
-        for i, line in enumerate(lines):
-            match = _CALL_LINE.fullmatch(line)
+        # each distinct line's call-line match, made once however often
+        # the line repeats
+        self.matches: dict[str, re.Match | None] = {
+            line: _CALL_LINE.fullmatch(line) for line in dict.fromkeys(lines)}
+        # each nonempty line as its tokens or, for a call line of the base
+        # shape, its text; matched lines reach the lexer blank, so lex
+        # errors still come first
+        self.lines: list[list[Token] | str | None] = [None] * len(lines)
+        for i, match in enumerate(map(self.matches.__getitem__, lines)):
             if match is not None:
-                self.lines[i] = match
+                self.lines[i] = lines[i]
                 lines[i] = ""
-            elif line.lstrip().startswith(("!", "target ")):
+            elif lines[i].lstrip().startswith(("!", "target ")):
                 lines[i] = ""  # module metadata the grammar does not model
         for tokens in tokenize("\n".join(lines)):
             self.lines[tokens[0].line - 1] = tokens
@@ -149,9 +156,11 @@ class _ModuleParser:
         # (group, line) of each ``#N`` written on a declare
         self.declare_groups: list[tuple[int, int]] = []
         self.call_sites: list[tuple[str, int]] = []
-        # argument text of a call line -> its operands, so that equal
-        # texts share one tuple of frozen CallArgs within this parse
-        self.call_args: dict[str | None, tuple[CallArg, ...] | None] = {}
+        # text of a base-shape call line -> its Call, built at the line's
+        # first use in an open block, so equal lines share one Call within
+        # this parse; and an address's digits -> its one CallArg
+        self.calls: dict[str, Call | None] = {}
+        self.addresses: dict[str, CallArg] = {}
         # the open function: its name, group and closed blocks, reset in
         # _begin_function
         self.fn: str | None = None
@@ -173,22 +182,20 @@ class _ModuleParser:
     # top level
 
     def parse(self) -> QirModule:
-        call_args, call_sites = self.call_args, self.call_sites
+        calls = self.calls
         for line, item in enumerate(self.lines, start=1):
             if item is None:
                 continue
             self.last_line = line
-            if type(item) is not list:  # a call-line match
+            if type(item) is str:  # a base-shape call line
                 if self.label is not None and self.term is None:
-                    text = item[2]
-                    args = call_args.get(text)
-                    if args is None:
-                        args = call_args[text] = _call_args(text)
-                    if args is not None:
-                        call_sites.append((item[1], line))
-                        self.body.append(Call(item[1], args, None, VOID))
+                    call = calls.get(item)
+                    if call is None:
+                        call = calls[item] = self._base_call(item, line)
+                    if call is not None:
+                        self.body.append(call)
                         continue
-                item = tokenize_line(item.string, line)
+                item = tokenize_line(item, line)
             cur = _Cursor(item, line)
             if self.fn is None:
                 self._top_level(cur)
@@ -713,6 +720,28 @@ class _ModuleParser:
         cur.expect("PUNCT", ")")
         return StaticAddr(index)
 
+    def _base_call(self, text: str, line: int) -> Call | None:
+        """The Call of a base-shape call line, recorded as a call site;
+        None for an address past Python's int-string limit or a double
+        that is not finite, which the token parser then reports."""
+        match = self.matches[text]
+        args = []
+        try:
+            for index, double in _CALL_ARG.findall(match[2] or ""):
+                if double:
+                    args.append(CallArg(DOUBLE,
+                                        ConstFloat(_parse_float(double))))
+                    continue
+                arg = self.addresses.get(index)
+                if arg is None:
+                    arg = self.addresses[index] = CallArg(
+                        PTR, StaticAddr(int(index) if index else 0))
+                args.append(arg)
+        except ValueError:
+            return None
+        self.call_sites.append((match[1], line))
+        return Call(match[1], tuple(args), None, VOID)
+
     # ------------------------------------------------------------------
     # whole-module checks
 
@@ -741,19 +770,6 @@ class _ModuleParser:
                 "cannot identify the entry point: tag exactly one function "
                 "with the entry_point attribute",
                 line=self.define_lines[-1]) from None
-
-
-def _call_args(text: str | None) -> tuple[CallArg, ...] | None:
-    """The arguments of a call-line match; None for an address past
-    Python's int-string limit or a double that is not finite, which the
-    token parser then reports."""
-    try:
-        return tuple([
-            CallArg(DOUBLE, ConstFloat(_parse_float(double))) if double
-            else CallArg(PTR, StaticAddr(int(index) if index else 0))
-            for index, double in _CALL_ARG.findall(text or "")])
-    except ValueError:
-        return None
 
 
 def _parse_float(text: str) -> float:

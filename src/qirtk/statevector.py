@@ -353,10 +353,15 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def grow(self) -> int:
-        """Append one qubit in state |0>; returns its index."""
-        index = self.num_qubits
-        self.amplitudes = np.concatenate(
-            [self.amplitudes, np.zeros_like(self.amplitudes)])
+        """Append one qubit in state |0>; returns its index.
+
+        The old state is copied into the low half of zeros of the new
+        width, so growing holds the old state and the new one, and the
+        zero half's pages are not touched until a gate writes them.
+        """
+        index, old = self.num_qubits, self.amplitudes
+        self.amplitudes = np.zeros(2 * old.size, dtype=old.dtype)
+        self.amplitudes[:old.size] = old
         self.num_qubits += 1
         return index
 

@@ -276,7 +276,7 @@ attributes #0 = { "entry_point" }
 
 def test_shared_ops_keep_the_sign_of_zero_cold_and_warm():
     # 0.0 == -0.0 and they hash alike: only an identity key tells apart
-    # the argument tuples the parser shares between equal texts
+    # the calls the parser shares between equal lines
     module = parse_module(_SIGNED_ZEROS)
     expected = export_openqasm2(_checked_circuit(module))
     assert [line.split()[0] for line in expected.splitlines()[3:]] == [

@@ -158,3 +158,16 @@ def test_no_measurement_holds_more_than_a_few_blocks(plans, monkeypatch,
         peak = _peak(state, lambda: call(state, qubit))
         assert peak < state.amplitudes.nbytes + ALLOWANCE, (
             name, qubit, peak - state.amplitudes.nbytes)
+
+
+def test_growing_holds_the_old_state_and_the_new_one():
+    n = 16
+    state = _state(n, 3)
+    old = state.amplitudes.copy()
+    peak = _peak(state, state.grow)
+    assert state.num_qubits == n + 1
+    assert state.amplitudes.tobytes() == \
+        np.concatenate([old, np.zeros_like(old)]).tobytes()
+    # the old state and the new one, of twice its size: no zeroed copy
+    # of the old state beside them
+    assert peak < 3 * old.nbytes + ALLOWANCE, peak - 3 * old.nbytes

@@ -7,14 +7,18 @@ ways must give equal modules that print identically, or the same
 ``ParseError`` (reason, line, column and token).
 """
 
+import importlib.util
+import math
 import random
 import re
 import struct
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qirtk import ParseError, intrinsic_table, parse_module, print_module
+from qirtk import (ParseError, circuit_from_base_qir, export_openqasm2,
+                   intrinsic_table, parse_module, print_module)
 from qirtk import intrinsics, parser
 
 import genutil
@@ -97,6 +101,91 @@ def test_equal_argument_texts_share_one_args_tuple_within_a_parse():
     for mine, theirs in zip(first, second):
         assert mine.args == theirs.args and mine.args is not theirs.args
     fast, tokens = _both_ways(_SHARED_ARGS)
+    assert fast == tokens
+
+
+_REPEATS = """declare void @__quantum__qis__h__body(ptr)
+declare void @__quantum__qis__rz__body(double, ptr)
+define void @main() #0 {
+entry:
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__rz__body(double 0.0, ptr inttoptr (i64 1 to ptr))
+  call void @__quantum__qis__rz__body(double -0.0, ptr inttoptr (i64 1 to ptr))
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__h__body(ptr inttoptr (i64 1 to ptr))
+  call void @__quantum__qis__rz__body(double -0.0, ptr inttoptr (i64 1 to ptr))
+  call void @__quantum__qis__rz__body(double 0.0, ptr inttoptr (i64 1 to ptr))
+  call void @__quantum__qis__h__body(ptr null)
+  ret void
+}
+attributes #0 = { "entry_point" }
+"""
+
+
+def test_equal_call_lines_are_one_call_within_a_parse():
+    lines = [line for line in _REPEATS.splitlines()
+             if line.startswith("  call")]
+    first = parse_module(_REPEATS).entry.blocks[0].instructions
+    second = parse_module(_REPEATS).entry.blocks[0].instructions
+    firsts = {}
+    for line, call in zip(lines, first, strict=True):
+        assert firsts.setdefault(line, call) is call
+    # one object per distinct text: the two signed zeros are equal
+    # values, but not the same call
+    assert len({id(call) for call in first}) == len(firsts) == 4
+    assert first[1] == first[2] and first[1] is not first[2]
+    assert [math.copysign(1.0, first[i].args[0].value.value)
+            for i in (1, 2, 5, 6)] == [1.0, -1.0, -1.0, 1.0]
+    # equal addresses share one operand across callees
+    assert first[1].args[1] is first[2].args[1] is first[4].args[0]
+    # another parse shares nothing with this one
+    mine = {id(x) for call in first for x in (call, *call.args)}
+    theirs = {id(x) for call in second for x in (call, *call.args)}
+    assert not mine & theirs
+    assert first == second
+
+
+def test_signed_zero_lines_stay_apart_through_the_exporter():
+    expected = ["h q[0];", "rz(0.0) q[1];", "rz(-0.0) q[1];", "h q[0];",
+                "h q[1];", "rz(-0.0) q[1];", "rz(0.0) q[1];", "h q[0];"]
+    fast = parse_module(_REPEATS)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser, "_CALL_LINE", _NEVER)
+        unshared = parse_module(_REPEATS)
+    for module in (fast, unshared):
+        # the first conversion is cold; the second starts from a module
+        # whose profile report is kept, and inside each one the repeated
+        # lines find their ops and rendered lines in the memos
+        for _ in range(2):
+            qasm = export_openqasm2(circuit_from_base_qir(module))
+            assert qasm.splitlines()[3:] == expected
+
+
+def _perfbench_gen():
+    """``perfbench/gen.py``, which imports nothing from qirtk."""
+    name = "perfbench_gen"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, genutil.ROOT / "perfbench" / "gen.py")
+        gen = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("workload", ["sample", "lower", "convert"])
+def test_benchmark_modules_parse_the_same_both_ways(workload):
+    generate = getattr(_perfbench_gen(), workload)
+    for seed in range(3):
+        fast, tokens = _both_ways(generate(seed).text)
+        assert fast[0] == "module"
+        assert fast == tokens
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_adaptive_modules_parse_the_same_both_ways(seed):
+    fast, tokens = _both_ways(
+        genutil.random_adaptive_module(random.Random(seed)))
+    assert fast[0] == "module"
     assert fast == tokens
 
 
@@ -229,6 +318,23 @@ def test_generated_call_lines_parse_the_same(body, stray, where):
     assert fast == tokens
 
 
+@st.composite
+def repeated_call_lines(draw):
+    """A body that repeats some of its lines, and a stray line that is
+    sometimes one of them."""
+    lines = draw(st.lists(call_lines(), min_size=1, max_size=3))
+    body = draw(st.lists(st.sampled_from(lines), min_size=2, max_size=8))
+    stray = draw(st.none() | st.sampled_from(lines) | call_lines())
+    return body, stray
+
+
+@given(repeated_call_lines(), st.integers(0, 2))
+def test_repeated_call_lines_parse_the_same(drawn, where):
+    body, stray = drawn
+    fast, tokens = _both_ways(_generated_module(body, stray, where))
+    assert fast == tokens
+
+
 # ---------------------------------------------------------------------------
 # error parity: a matched line where it cannot be built goes to the tokens
 
@@ -258,6 +364,20 @@ ERROR_CASES = [
                f"ptr inttoptr (i64 {i} to ptr))\n" for i in range(6, 90))
      + f"  {_H} ?\n  ret void\n}}\n",
      ("unrecognized character", 90, 48, "?")),
+    ("undeclared-repeated",
+     f"{_DECL}\ndefine void @main() {{\nentry:\n  {_H}\n"
+     "  call void @__quantum__qis__x__body(ptr inttoptr (i64 3 to ptr))\n"
+     "  call void @__quantum__qis__x__body(ptr null)\n"
+     f"  {_H}\n"
+     "  call void @__quantum__qis__x__body(ptr inttoptr (i64 3 to ptr))\n"
+     "  call void @__quantum__qis__x__body(ptr null)\n"
+     "  ret void\n}\n",
+     ("call to undeclared symbol @__quantum__qis__x__body", 5, None,
+      "@__quantum__qis__x__body")),
+    ("after-ret-repeated",
+     f"{_DECL}\ndefine void @main() {{\nentry:\n  {_H}\n  {_H}\n"
+     f"  ret void\n  {_H}\n}}\n",
+     ("instruction after block terminator", 7, 3, "call")),
     ("address-too-long",
      f"{_DECL}\ndefine void @main() {{\nentry:\n"
      f"  call void @__quantum__qis__h__body(ptr inttoptr (i64 {_LONG} "
