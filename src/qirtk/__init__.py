@@ -19,12 +19,12 @@ from .errors import (ConversionError, ExecutionError, ParseError, QirError,
 _MODULES = {
     "circuit_from_base_qir": "bridge", "circuit_to_base_qir": "bridge",
     "export_openqasm2": "bridge",
-    "CircuitOp": "circuit", "Gate": "circuit", "GateKind": "circuit",
-    "Measure": "circuit", "QuantumCircuit": "circuit", "Reset": "circuit",
+    "CircuitOp": "circuit", "Gate": "circuit", "Measure": "circuit",
+    "QuantumCircuit": "circuit", "Reset": "circuit",
     "ExecOptions": "interpreter", "ExecutionResult": "interpreter",
     "RuntimeState": "interpreter", "interpret": "interpreter",
     "run_shot": "interpreter",
-    "intrinsic_table": "intrinsics",
+    "GateKind": "intrinsics", "intrinsic_table": "intrinsics",
     "QirModule": "ir", "StaticAddr": "ir",
     "parse_module": "parser",
     "print_module": "printer",

@@ -1,65 +1,17 @@
-"""Flat gate-level circuit representation.
+"""Flat gate-level circuits; the gate set is ``intrinsics.GateKind``.
 
 A circuit is a qubit count, a classical bit count, and an ordered tuple of
 ops. Like every node it is frozen, so it is validated once, when it is
 built, and every reader can trust it; a circuit the bridge reads from a
-base module is proven by the module's profile report instead. Output
-bitstrings print clbit 0 leftmost.
+base module is proven by the module's profile report instead, and one
+the OpenQASM 2 importer reads by the importer's checks as it reads.
+Output bitstrings print clbit 0 leftmost.
 """
 
 from __future__ import annotations
 
-import enum
-
+from .intrinsics import GateKind
 from .node import node
-
-
-class GateKind(enum.Enum):
-    """Supported gate set; values are the lowercase OpenQASM 2 names."""
-
-    num_qubits: int  # both set once from _ARITY
-    num_params: int
-
-    H = "h"
-    X = "x"
-    Y = "y"
-    Z = "z"
-    S = "s"
-    SDG = "sdg"
-    T = "t"
-    TDG = "tdg"
-    RX = "rx"
-    RY = "ry"
-    RZ = "rz"
-    CNOT = "cx"
-    CZ = "cz"
-    SWAP = "swap"
-    CCX = "ccx"
-
-    __hash__ = object.__hash__  # equality is identity; no Python-level call
-
-
-_ARITY: dict[GateKind, tuple[int, int]] = {
-    GateKind.H: (1, 0),
-    GateKind.X: (1, 0),
-    GateKind.Y: (1, 0),
-    GateKind.Z: (1, 0),
-    GateKind.S: (1, 0),
-    GateKind.SDG: (1, 0),
-    GateKind.T: (1, 0),
-    GateKind.TDG: (1, 0),
-    GateKind.RX: (1, 1),
-    GateKind.RY: (1, 1),
-    GateKind.RZ: (1, 1),
-    GateKind.CNOT: (2, 0),
-    GateKind.CZ: (2, 0),
-    GateKind.SWAP: (2, 0),
-    GateKind.CCX: (3, 0),
-}
-
-for _kind, _arity in _ARITY.items():
-    _kind.num_qubits, _kind.num_params = _arity
-del _kind, _arity
 
 
 @node

@@ -55,11 +55,11 @@ from __future__ import annotations
 from math import isfinite
 
 from . import intrinsics
-from .circuit import GateKind
 from .errors import (DEFAULT_MAX_QUBITS, DEFAULT_STEP_LIMIT, MAX_SHOTS,
                      ExecutionError, qubit_limit)
 from .evaluator import (Compiler, ElemPtr, IndexPool, Pause, Qubit, Run,
                         duplicate_operand, raising)
+from .intrinsics import GateKind
 from .ir import Call, Load, QirModule, StaticAddr, REQUIRED_QUBITS_ATTR
 from .node import node
 from .rng import ShotRng

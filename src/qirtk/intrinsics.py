@@ -1,15 +1,17 @@
-"""Catalog of the quantum runtime symbols the toolkit understands.
+"""Catalog of the quantum runtime symbols the toolkit understands, and
+the gate set they name: each gate is one row of ``_GATES``.
 
 Each entry records the semantic action, the operand kinds (which also fix
 how constant pointer arguments are read: a ``null`` in a result position is
-result 0, in a qubit position qubit 0), and the declared signature. Label
-operands carry output-tag strings in full runtimes; this toolkit accepts
-and ignores them.
+result 0, in a qubit position qubit 0), and the declared signature. A gate
+takes its angles first, then its qubits. Label operands carry output-tag
+strings in full runtimes; this toolkit accepts and ignores them.
 """
 
 from __future__ import annotations
 
-from .circuit import GateKind
+import enum
+
 from .ir import DOUBLE, I1, I64, PTR, VOID, FuncDecl, Type
 from .node import node
 
@@ -36,6 +38,51 @@ RECORD_ARRAY = "record_array"
 BASE_RECORD_ACTIONS = frozenset({RECORD, RECORD_ARRAY})
 
 
+class GateKind(enum.Enum):
+    """Supported gate set; values are the lowercase OpenQASM 2 names."""
+
+    num_qubits: int  # both set once from _GATES
+    num_params: int
+
+    H = "h"
+    X = "x"
+    Y = "y"
+    Z = "z"
+    S = "s"
+    SDG = "sdg"
+    T = "t"
+    TDG = "tdg"
+    RX = "rx"
+    RY = "ry"
+    RZ = "rz"
+    CNOT = "cx"
+    CZ = "cz"
+    SWAP = "swap"
+    CCX = "ccx"
+
+    __hash__ = object.__hash__  # equality is identity; no Python-level call
+
+
+#: each gate's kind, intrinsic name, qubit count and angle count
+_GATES = (
+    (GateKind.H, "__quantum__qis__h__body", 1, 0),
+    (GateKind.X, "__quantum__qis__x__body", 1, 0),
+    (GateKind.Y, "__quantum__qis__y__body", 1, 0),
+    (GateKind.Z, "__quantum__qis__z__body", 1, 0),
+    (GateKind.S, "__quantum__qis__s__body", 1, 0),
+    (GateKind.SDG, "__quantum__qis__s_adj__body", 1, 0),
+    (GateKind.T, "__quantum__qis__t__body", 1, 0),
+    (GateKind.TDG, "__quantum__qis__t_adj__body", 1, 0),
+    (GateKind.RX, "__quantum__qis__rx__body", 1, 1),
+    (GateKind.RY, "__quantum__qis__ry__body", 1, 1),
+    (GateKind.RZ, "__quantum__qis__rz__body", 1, 1),
+    (GateKind.CNOT, "__quantum__qis__cnot__body", 2, 0),
+    (GateKind.CZ, "__quantum__qis__cz__body", 2, 0),
+    (GateKind.SWAP, "__quantum__qis__swap__body", 2, 0),
+    (GateKind.CCX, "__quantum__qis__ccx__body", 3, 0),
+)
+
+
 @node
 class IntrinsicSpec:
     name: str
@@ -57,28 +104,15 @@ class IntrinsicSpec:
                 [i for i, k in enumerate(self.arg_kinds) if k == kind]))
 
 
-def _gate(name: str, kind: GateKind) -> IntrinsicSpec:
-    kinds: tuple[str, ...] = (ANGLE_ARG,) * kind.num_params
-    kinds += (QUBIT_ARG,) * kind.num_qubits
-    return IntrinsicSpec(name, GATE, kinds, VOID, kind)
+# gates first: this order is that of a circuit's printed declarations
+_SPECS = []
+for _kind, _name, _qubits, _angles in _GATES:
+    _kind.num_qubits, _kind.num_params = _qubits, _angles
+    _SPECS.append(IntrinsicSpec(_name, GATE, (ANGLE_ARG,) * _angles
+                                + (QUBIT_ARG,) * _qubits, VOID, _kind))
+del _kind, _name, _qubits, _angles
 
-
-_SPECS = [
-    _gate("__quantum__qis__h__body", GateKind.H),
-    _gate("__quantum__qis__x__body", GateKind.X),
-    _gate("__quantum__qis__y__body", GateKind.Y),
-    _gate("__quantum__qis__z__body", GateKind.Z),
-    _gate("__quantum__qis__s__body", GateKind.S),
-    _gate("__quantum__qis__s_adj__body", GateKind.SDG),
-    _gate("__quantum__qis__t__body", GateKind.T),
-    _gate("__quantum__qis__t_adj__body", GateKind.TDG),
-    _gate("__quantum__qis__rx__body", GateKind.RX),
-    _gate("__quantum__qis__ry__body", GateKind.RY),
-    _gate("__quantum__qis__rz__body", GateKind.RZ),
-    _gate("__quantum__qis__cnot__body", GateKind.CNOT),
-    _gate("__quantum__qis__cz__body", GateKind.CZ),
-    _gate("__quantum__qis__swap__body", GateKind.SWAP),
-    _gate("__quantum__qis__ccx__body", GateKind.CCX),
+_SPECS += [
     IntrinsicSpec("__quantum__qis__mz__body", MEASURE,
                   (QUBIT_ARG, RESULT_ARG)),
     IntrinsicSpec("__quantum__qis__reset__body", RESET, (QUBIT_ARG,)),
@@ -100,9 +134,7 @@ _SPECS = [
 
 _TABLE: dict[str, IntrinsicSpec] = {s.name: s for s in _SPECS}
 
-_GATE_NAME: dict[GateKind, str] = {
-    s.gate: s.name for s in _SPECS if s.gate is not None
-}
+_GATE_NAME = {kind: name for kind, name, _, _ in _GATES}
 
 _ARG_TYPES: dict[str, Type] = {
     QUBIT_ARG: PTR,

@@ -18,7 +18,8 @@ from typing import NamedTuple
 from .errors import ParseError
 
 #: token forms that ``parser`` also builds its call-line pattern from:
-#: an unquoted name after ``%`` or ``@``, and a floating constant
+#: an unquoted name after ``%`` or ``@`` (which ``spell_name`` quotes
+#: when a name is not one), and a floating constant
 NAME = r"[A-Za-z$._0-9]+"
 FLOAT = r"-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+|0x[0-9A-Fa-f]{16}"
 
@@ -87,3 +88,12 @@ def bare_name(token_text: str) -> str:
     if name.startswith('"') and name.endswith('"'):
         name = name[1:-1]
     return name
+
+
+_BARE_NAME = re.compile(NAME).fullmatch
+
+
+def spell_name(name: str) -> str:
+    """``name`` as it follows a ``%`` or ``@`` sigil, the inverse of
+    ``bare_name``: bare when it is a ``NAME``, quoted otherwise."""
+    return name if _BARE_NAME(name) else f'"{name}"'

@@ -3,7 +3,9 @@
 The printer emits the normalized spelling only: opaque ``ptr`` types,
 ``null`` for static address 0 and ``inttoptr (i64 N to ptr)`` otherwise,
 and no parameter annotations. Reparsing printed text reproduces the module
-structurally.
+structurally: every ``%`` and ``@`` name is spelled through
+``lexer.spell_name``, bare when the lexer reads it bare and quoted
+otherwise.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from .ir import (Alloca, BasicBlock, BinOp, Br, Call, CondBr, ConstFloat,
                  ConstInt, Ext, FuncDecl, FuncDef, GlobalRef, ICmp,
                  Instruction, IntToAddr, Load, LocalRef, PhiNode, QirModule,
                  Ret, Select, StaticAddr, Store, Terminator, Type, Value)
+from .lexer import spell_name
 
 
 def _format_float(value: float) -> str:
@@ -23,7 +26,7 @@ def _format_float(value: float) -> str:
 
 def format_value(value: Value) -> str:
     if isinstance(value, LocalRef):
-        return f"%{value.name}"
+        return f"%{spell_name(value.name)}"
     if isinstance(value, ConstInt):
         return str(value.value)
     if isinstance(value, ConstFloat):
@@ -33,7 +36,7 @@ def format_value(value: Value) -> str:
             return "null"
         return f"inttoptr (i64 {value.index} to ptr)"
     if isinstance(value, GlobalRef):
-        return f"@{value.name}"
+        return f"@{spell_name(value.name)}"
     raise TypeError(f"unknown value {value!r}")
 
 
@@ -42,51 +45,52 @@ def _typed(ty: Type, value: Value) -> str:
 
 
 def format_instruction(instr: Instruction) -> str:
-    if isinstance(instr, Call):
-        args = ", ".join(_typed(a.ty, a.value) for a in instr.args)
-        call = f"call {instr.ret_type} @{instr.callee}({args})"
-        if instr.result is not None:
-            return f"%{instr.result} = {call}"
-        return call
-    if isinstance(instr, Alloca):
-        return f"%{instr.result} = alloca {instr.slot_type}"
     if isinstance(instr, Store):
         return (f"store {_typed(instr.value_type, instr.value)}, "
                 f"ptr {format_value(instr.slot)}")
-    if isinstance(instr, Load):
-        return (f"%{instr.result} = load {instr.ty}, "
-                f"ptr {format_value(instr.slot)}")
-    if isinstance(instr, BinOp):
-        return (f"%{instr.result} = {instr.op} {instr.ty} "
-                f"{format_value(instr.lhs)}, {format_value(instr.rhs)}")
-    if isinstance(instr, ICmp):
-        return (f"%{instr.result} = icmp {instr.pred} {instr.ty} "
-                f"{format_value(instr.lhs)}, {format_value(instr.rhs)}")
-    if isinstance(instr, IntToAddr):
-        return (f"%{instr.result} = inttoptr {instr.source_type} "
-                f"{format_value(instr.source)} to ptr")
-    if isinstance(instr, Ext):
-        return (f"%{instr.result} = {instr.op} {instr.from_type} "
-                f"{format_value(instr.source)} to {instr.to_type}")
-    if isinstance(instr, Select):
-        return (f"%{instr.result} = select i1 {format_value(instr.cond)}, "
-                f"{_typed(instr.ty, instr.if_true)}, "
-                f"{_typed(instr.ty, instr.if_false)}")
-    raise TypeError(f"unknown instruction {instr!r}")
+    if isinstance(instr, Call):
+        args = ", ".join(_typed(a.ty, a.value) for a in instr.args)
+        text = f"call {instr.ret_type} @{spell_name(instr.callee)}({args})"
+        if instr.result is None:
+            return text
+    elif isinstance(instr, Alloca):
+        text = f"alloca {instr.slot_type}"
+    elif isinstance(instr, Load):
+        text = f"load {instr.ty}, ptr {format_value(instr.slot)}"
+    elif isinstance(instr, BinOp):
+        text = (f"{instr.op} {instr.ty} "
+               f"{format_value(instr.lhs)}, {format_value(instr.rhs)}")
+    elif isinstance(instr, ICmp):
+        text = (f"icmp {instr.pred} {instr.ty} "
+               f"{format_value(instr.lhs)}, {format_value(instr.rhs)}")
+    elif isinstance(instr, IntToAddr):
+        text = (f"inttoptr {instr.source_type} "
+               f"{format_value(instr.source)} to ptr")
+    elif isinstance(instr, Ext):
+        text = (f"{instr.op} {instr.from_type} "
+               f"{format_value(instr.source)} to {instr.to_type}")
+    elif isinstance(instr, Select):
+        text = (f"select i1 {format_value(instr.cond)}, "
+               f"{_typed(instr.ty, instr.if_true)}, "
+               f"{_typed(instr.ty, instr.if_false)}")
+    else:
+        raise TypeError(f"unknown instruction {instr!r}")
+    return f"%{spell_name(instr.result)} = {text}"
 
 
 def _format_phi(phi: PhiNode) -> str:
-    incomings = ", ".join(f"[ {format_value(v)}, %{label} ]"
+    incomings = ", ".join(f"[ {format_value(v)}, %{spell_name(label)} ]"
                           for v, label in phi.incomings)
-    return f"%{phi.result} = phi {phi.ty} {incomings}"
+    return f"%{spell_name(phi.result)} = phi {phi.ty} {incomings}"
 
 
 def _format_terminator(term: Terminator) -> str:
     if isinstance(term, Br):
-        return f"br label %{term.label}"
+        return f"br label %{spell_name(term.label)}"
     if isinstance(term, CondBr):
         return (f"br i1 {format_value(term.cond)}, "
-                f"label %{term.true_label}, label %{term.false_label}")
+                f"label %{spell_name(term.true_label)}, "
+                f"label %{spell_name(term.false_label)}")
     if isinstance(term, Ret):
         return "ret void"
     raise TypeError(f"unknown terminator {term!r}")
@@ -105,12 +109,12 @@ def _format_block(block: BasicBlock, lines: list[str]) -> None:
 
 def _format_declaration(decl: FuncDecl) -> str:
     params = ", ".join(str(t) for t in decl.param_types)
-    return f"declare {decl.ret_type} @{decl.name}({params})"
+    return f"declare {decl.ret_type} @{spell_name(decl.name)}({params})"
 
 
 def _format_function(fn: FuncDef, lines: list[str]) -> None:
     suffix = f" #{fn.attr_group}" if fn.attr_group is not None else ""
-    lines.append(f"define void @{fn.name}(){suffix} {{")
+    lines.append(f"define void @{spell_name(fn.name)}(){suffix} {{")
     for block in fn.blocks:
         _format_block(block, lines)
     lines.append("}")

@@ -26,9 +26,10 @@ import warnings
 from math import isfinite, pi
 from typing import NamedTuple
 
-from .circuit import Gate, GateKind, Measure, QuantumCircuit, Reset
+from .circuit import Gate, Measure, QuantumCircuit, Reset
 from .errors import (MAX_DECLARED_SIZE, MAX_OPERATIONS, ParseError,
                      check_input_size)
+from .intrinsics import GateKind
 
 _GATES_BY_NAME = {kind.value: kind for kind in GateKind}
 
@@ -170,7 +171,9 @@ class _QasmParser:
                 raise ParseError("unsupported statement", token.line,
                                  token.column, token.text)
             first = False
-        return QuantumCircuit(self.num_qubits, self.num_clbits, self.ops)
+        # each op's arity, angles, operands and range were checked as read
+        return QuantumCircuit._proven(self.num_qubits, self.num_clbits,
+                                      tuple(self.ops))
 
     # ------------------------------------------------------------------
 

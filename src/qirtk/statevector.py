@@ -65,7 +65,7 @@ import math
 
 import numpy as np
 
-from .circuit import GateKind
+from .intrinsics import GateKind
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -340,7 +340,12 @@ class StateVector:
         if num_qubits < 0:
             raise ValueError("negative qubit count")
         self.num_qubits = num_qubits
-        self.amplitudes = np.zeros(1 << num_qubits, dtype=complex)
+        try:
+            self.amplitudes = np.zeros(1 << num_qubits, dtype=complex)
+        except ValueError:
+            # numpy refuses a state it cannot address (59 qubits or more)
+            # before it allocates: that is out of memory too
+            raise MemoryError("state too big to address") from None
         self.amplitudes[0] = 1.0
 
     def copy(self) -> "StateVector":

@@ -245,6 +245,27 @@ def test_the_trusted_circuit_is_the_checked_one_on_every_digest_input(
         _assert_trusted_is_checked(module)
 
 
+def test_the_imported_circuit_is_the_checked_one_on_every_digest_input(
+        monkeypatch):
+    # the importer builds its circuit without QuantumCircuit's checks
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    imported = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # barrier statements warn
+        for _, suffix, text in _script("check_reading").inputs():
+            if suffix != ".qasm":
+                continue
+            try:
+                circuit = import_openqasm2(text)
+            except ParseError:
+                continue
+            assert QuantumCircuit(circuit.num_qubits, circuit.num_clbits,
+                                  circuit.ops) == circuit
+            imported += 1
+    assert imported > 40
+
+
 @settings(max_examples=100)
 @given(st.integers(0, 2**32))
 def test_the_trusted_circuit_is_the_checked_one_on_random_circuits(seed):

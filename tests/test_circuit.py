@@ -3,6 +3,8 @@
 import pytest
 
 from qirtk import Gate, GateKind, Measure, QuantumCircuit, Reset
+from qirtk.intrinsics import (ANGLE_ARG, GATE, QUBIT_ARG, gate_intrinsic_name,
+                              intrinsic_table)
 
 
 def test_gate_kind_arity_table():
@@ -14,6 +16,16 @@ def test_gate_kind_arity_table():
     for kind in GateKind:
         assert kind.num_qubits in (1, 2, 3)
         assert kind.num_params in (0, 1)
+
+
+def test_each_gate_spec_takes_its_angles_then_its_qubits():
+    gates = [s for s in intrinsic_table().values() if s.action == GATE]
+    assert [s.gate for s in gates] == list(GateKind)
+    for spec in gates:
+        kind = spec.gate
+        assert spec.arg_kinds == ((ANGLE_ARG,) * kind.num_params
+                                  + (QUBIT_ARG,) * kind.num_qubits)
+        assert gate_intrinsic_name(kind) == spec.name
 
 
 def test_gate_kind_values_are_openqasm_spellings():

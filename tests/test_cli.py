@@ -345,8 +345,9 @@ def test_transpile_classifies_each_module_once(monkeypatch, capsys, name,
 @pytest.mark.parametrize("name, circuits", [
     # the circuit read from a base module is proven by its profile report
     ("bell_static.ll", 0),
-    # only the imported circuit; the one read back from its module is proven
-    ("bell.qasm", 1),
+    # the importer checks each op as it reads it, and the circuit read back
+    # from its module is proven
+    ("bell.qasm", 0),
 ])
 def test_transpile_validates_each_circuit_once(monkeypatch, capsys, name,
                                                circuits):

@@ -139,7 +139,25 @@ def test_running_a_qir_file_loads_no_transforms_or_bridges():
     assert code == 0
     assert "qirtk.interpreter" in loaded
     assert not loaded & {"qirtk.transforms", "qirtk.printer", "qirtk.qasm2",
-                         "qirtk.bridge"}
+                         "qirtk.bridge", "qirtk.circuit"}
+
+
+def test_lowering_a_qir_file_loads_no_circuit_layer():
+    # the gate set lives with the intrinsics, so only the bridges and the
+    # OpenQASM 2 importer load the circuit containers
+    code, loaded = _loaded("transpile",
+                           str(genutil.corpus_path("ghz_dynamic.ll")),
+                           "--to", "qir-base")
+    assert code == 0
+    assert "qirtk.transforms" in loaded
+    assert not loaded & {"qirtk.circuit", "qirtk.bridge", "qirtk.qasm2"}
+
+
+def test_gate_kind_is_one_enum_under_each_name():
+    out = _python("-c", "import qirtk, qirtk.circuit, qirtk.intrinsics\n"
+                        "print(qirtk.GateKind is qirtk.intrinsics.GateKind\n"
+                        "      is qirtk.circuit.GateKind)")
+    assert out == "True\n"
 
 
 # (command line with a corpus file, whether it writes JSON); together they

@@ -186,17 +186,26 @@ def _out_of_memory(*args):
      "out of memory on a state of 0 qubits [shot 0] [main:entry:1]"),
     ("bell_static.ll", "apply_gate_inplace",
      "out of memory on a state of 2 qubits [shot 0] [main:entry:0]"),
-], ids=["build", "grow", "update"])
+    # numpy refuses a state this wide (ValueError) before it allocates
+    ("bell_static.ll", None,
+     "out of memory on a state of 65536 qubits [shot 0]"),
+], ids=["build", "grow", "update", "unaddressable"])
 def test_a_state_out_of_memory_is_a_qubit_limit(monkeypatch, name, method,
                                                 error):
-    monkeypatch.setattr(statevector.StateVector, method, _out_of_memory)
-    module = _module(name)
+    text = genutil.corpus_text(name)
+    if method is None:
+        text = text.replace('"required_num_qubits"="2"',
+                            '"required_num_qubits"="65536"')
+    else:
+        monkeypatch.setattr(statevector.StateVector, method, _out_of_memory)
+    module = parse_module(text)
+    options = ExecOptions(max_qubits=70_000)
     with pytest.raises(ExecutionError) as exc:
-        interpret(module, shots=2)
+        interpret(module, shots=2, options=options)
     assert str(exc.value) == f"QubitLimit: {error}"
     # the reference path names its own shot
     with pytest.raises(ExecutionError) as exc:
-        run_shot(module, shot_index=3)
+        run_shot(module, shot_index=3, options=options)
     assert str(exc.value) == "QubitLimit: " + error.replace("[shot 0]",
                                                             "[shot 3]")
 

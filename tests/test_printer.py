@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from qirtk import parse_module, print_module
 from qirtk.ir import ConstFloat, StaticAddr
+from qirtk.lexer import bare_name, spell_name
 from qirtk.printer import format_value
 
 import genutil
@@ -60,3 +61,46 @@ def test_angle_constants_survive_print_and_reparse(angle):
     again = parse_module(print_module(module))
     call = again.entry.blocks[0].instructions[0]
     assert call.args[0].value.value == angle
+
+
+# names the lexer reads only when quoted: a function, a declaration, the
+# locals of a loop and its slot, and global operands, one of them empty
+QUOTED_NAMES = """\
+define void @"main fn"() #0 {
+entry:
+  %"slot a" = alloca i64
+  store i64 0, ptr %"slot a"
+  br label %"loop"
+loop:
+  %"i-1" = phi i64 [ 0, %entry ], [ %"i+1", %loop ]
+  %"i+1" = add i64 %"i-1", 1
+  %"q 0" = call ptr @__quantum__rt__qubit_allocate()
+  call void @"ext fn"(ptr %"q 0", ptr @"a label", ptr @"")
+  %"done?" = icmp eq i64 %"i+1", 3
+  br i1 %"done?", label %exit, label %loop
+exit:
+  ret void
+}
+declare ptr @__quantum__rt__qubit_allocate()
+declare void @"ext fn"(ptr, ptr, ptr)
+attributes #0 = { "entry_point" }
+"""
+
+
+def test_quoted_names_round_trip():
+    module = parse_module(QUOTED_NAMES)
+    text = print_module(module)
+    assert parse_module(text) == module
+    assert print_module(parse_module(text)) == text
+    for spelling in ('@"main fn"', '@"ext fn"', '%"slot a"', '%"i-1"',
+                     '%"i+1"', '%"q 0"', '%"done?"', '@"a label"', '@""',
+                     "label %loop"):
+        assert spelling in text, spelling
+
+
+@pytest.mark.parametrize("name, spelled", [
+    ("main", "main"), ("0", "0"), ("$a.b_c9", "$a.b_c9"), ("", '""'),
+    ("main fn", '"main fn"'), ("a-b", '"a-b"'), ("é", '"é"')])
+def test_spell_name_inverts_bare_name(name, spelled):
+    assert spell_name(name) == spelled
+    assert bare_name("@" + spelled) == name
